@@ -2,19 +2,39 @@
 
 Sets are compared by their sorted index sequences: of two distinct sets,
 the smaller is the one containing the least index where they differ.  The
-canonical form of a set is the smallest member of its GL(n,3)-orbit under
-this order.  Minimization walks image choices for the standard basis one
-vector at a time; fixing the images of e_0..e_{j-1} pins the candidate's
-membership on the index block [0, 3^j), so subtrees losing against the
-current best on that prefix are cut without expanding them.  The same
-walk counts setwise stabilizers: a path where every remaining basis image
-is unconstrained contributes prod(3^n - 3^i) completions.
+canonical form of a set A is the smallest member of its GL(n,3)-orbit under
+this order.  Minimization walks image choices w_j for the standard basis
+vectors e_j, one at a time and only among members of A outside the span
+already chosen; fixing w_0..w_{j-1} pins the image's membership on the
+index block [0, 3^j), so subtrees losing against the current best on that
+prefix are cut without expanding them (the new block is compared index by
+index, and a candidate is dropped at its first losing bit).
+
+The walk is pruned by automorphisms, after McKay ("Practical graph
+isomorphism", 1981; McKay and Piperno, 2014):
+
+* A complete path whose image equals the current best gives an
+  automorphism of A, sending the best path's span points to this path's.
+  It is recorded, and the walk jumps back to the depth where the two paths
+  part: the rest of that sibling subtree is the image of one already
+  searched.
+* At every node, a candidate w_j in the same orbit as a sibling already
+  searched is skipped.  Orbits are taken under the recorded automorphisms
+  that fix w_0..w_{j-1} pointwise (union-find over the points), and such
+  an automorphism carries the searched subtree onto the skipped one.
+
+Stabilizers are counted by orbits, not by leaves.  A fixed-mode walk of the
+canonical form starts with the identity path and finds, for every level j,
+automorphisms fixing e_0..e_{j-1} that reach the whole orbit of e_j under
+the pointwise stabilizer of e_0..e_{j-1}.  The stabilizer order is the
+product of those orbit lengths over the levels of the span of A, times
+prod(3^n - 3^i) over the basis vectors beyond it, which complete the span
+freely.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -94,11 +114,6 @@ class GroupElement:
         return GroupElement(n, tuple(_sp.encode(r[n:]) for r in rows))
 
 
-def _extend_span(sp: _sp.Space, span: int, v: int) -> int:
-    shifted = sp.translate_bits(span, v)
-    return span | shifted | sp.translate_bits(shifted, v)
-
-
 @functools.lru_cache(maxsize=None)
 def enumerate_gl(n: int) -> tuple[GroupElement, ...]:
     """Every element of GL(n,3), ordered by basis-image tuples; n <= 3 only."""
@@ -107,15 +122,16 @@ def enumerate_gl(n: int) -> tuple[GroupElement, ...]:
     sp = _sp.space(n)
     out = []
 
-    def rec(prefix: tuple[int, ...], span: int):
+    def rec(prefix: tuple[int, ...]):
         if len(prefix) == n:
             out.append(GroupElement(n, prefix))
             return
+        span = sp.span_bits(prefix)
         for v in range(1, sp.size):
             if not span >> v & 1:
-                rec(prefix + (v,), _extend_span(sp, span, v))
+                rec(prefix + (v,))
 
-    rec((), 1)
+    rec(())
     return tuple(out)
 
 
@@ -169,83 +185,144 @@ class _Smaller(Exception):
     pass
 
 
+def _find(parent: list[int], x: int) -> int:
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
+
+
 def _walk(bits: int, n: int, fixed: bool):
     """Minimize bits over GL(n,3), or (fixed) test bits against itself.
 
-    Returns (best, stabilizer_order); in fixed mode raises _Smaller as soon
-    as any strictly smaller image is certain.
+    Returns (best, autos): the least image, and the automorphisms of bits
+    recorded on the way as index permutations of the space (each moves only
+    points of the span of bits).  In fixed mode the best path is the
+    identity, and _Smaller is raised as soon as any strictly smaller image
+    is certain.
     """
     sp = _sp.space(n)
     size = sp.size
+    autos: list[list[int]] = []
     if bits == 0:
-        return 0, gl_order(n)
-    tails = [math.prod(size - 3**i for i in range(j, n)) for j in range(n + 1)]
+        return 0, autos
     add = sp.add_rows
     if add is None:
         add = [[sp.add(i, j) for j in range(size)] for i in range(size)]
     neg = sp.neg
-    state = {"best": bits if fixed else None, "stab": 0}
+    state = {"best": bits if fixed else None, "hmap": range(size)}
 
-    def leaf(j: int, prefix: int):
+    def leaf(j: int, hmap: list[int], prefix: int):
+        """Settle a complete path; returns the depth to jump back to."""
         best = state["best"]
-        if best is None:
-            state["best"] = prefix
-            state["stab"] = tails[j]
-            return
-        c = _compare(prefix, best)
-        if c == 0:
-            state["stab"] += tails[j]
-        elif c < 0:
+        c = -1 if best is None else _compare(prefix, best)
+        if c < 0:
             if fixed:
                 raise _Smaller
             state["best"] = prefix
-            state["stab"] = tails[j]
+            state["hmap"] = hmap
+        elif c == 0:
+            best_hmap = state["hmap"]
+            for k in range(j):
+                if hmap[3**k] != best_hmap[3**k]:
+                    break
+            else:
+                return None  # the best path itself
+            a = list(range(size))
+            for x, y in zip(best_hmap, hmap):
+                a[x] = y
+            autos.append(a)
+            return k
+        return None
 
     def rec(j: int, hmap: list[int], span: int, prefix: int):
         if bits & ~span == 0:
-            leaf(j, prefix)
-            return
+            return leaf(j, hmap, prefix)
         block = 3**j
-        two_block = 2 * block
+        low = (1 << block) - 1
         mask = (1 << 3 * block) - 1
+        path = [hmap[3**i] for i in range(j)]
+        parent = None  # union-find of the orbits of autos fixing path
+        seen = 0
+        searched = []
         for w in iter_bits(bits & ~span):
+            for a in autos[seen:]:
+                if all(a[p] == p for p in path):
+                    if parent is None:
+                        parent = list(range(size))
+                    for x, y in enumerate(a):
+                        if x != y:
+                            parent[_find(parent, x)] = _find(parent, y)
+            seen = len(autos)
+            if parent is not None:
+                r = _find(parent, w)
+                if any(_find(parent, u) == r for u in searched):
+                    continue
+            searched.append(w)
             row1 = add[w]
             row2 = add[neg[w]]
-            t = prefix
-            for r, hr in enumerate(hmap):
-                if bits >> row1[hr] & 1:
-                    t |= 1 << (block + r)
-                if bits >> row2[hr] & 1:
-                    t |= 1 << (two_block + r)
             best = state["best"]
-            if best is not None:
-                c = _compare(t, best & mask)
-                if c > 0:
-                    continue
-                if c < 0 and fixed:
-                    raise _Smaller
-            rec(
-                j + 1,
-                hmap + [row1[hr] for hr in hmap] + [row2[hr] for hr in hmap],
-                _extend_span(sp, span, w),
-                t,
-            )
+            c = -1 if best is None else _compare(prefix, best & low)
+            if c == 0:
+                # compare the new block with the best, least index first
+                for base, row in ((block, row1), (2 * block, row2)):
+                    want = best >> base
+                    for r, hr in enumerate(hmap):
+                        bit = bits >> row[hr] & 1
+                        if bit != want >> r & 1:
+                            c = -1 if bit else 1
+                            break
+                    if c:
+                        break
+            if c > 0:
+                continue
+            if c < 0 and fixed:
+                raise _Smaller
+            # images of x + e_j, then of x - e_j, for the x of the block
+            images = [row1[hr] for hr in hmap] + [row2[hr] for hr in hmap]
+            new_span = span
+            for p in images:
+                new_span |= 1 << p
+            if c == 0:
+                t = best & mask
+            else:
+                t = prefix
+                for r, p in enumerate(images, block):
+                    if bits >> p & 1:
+                        t |= 1 << r
+            back = rec(j + 1, hmap + images, new_span, t)
+            if back is not None and back < j:
+                return back
+        return None
 
     rec(0, [0], 1, bits & 1)
-    return state["best"], state["stab"]
+    return state["best"], autos
 
 
 def canonicalize_bits(bits: int, n: int) -> tuple[int, int]:
-    """(canonical form, setwise stabilizer order) in one walk."""
-    return _walk(bits, n, fixed=False)
+    """(canonical form, setwise stabilizer order), the order counted by
+    orbits along the identity path of a fixed-mode walk of the form."""
+    best = _walk(bits, n, fixed=False)[0]
+    autos = _walk(best, n, fixed=True)[1]
+    d = 0
+    while best >> 3**d:
+        d += 1
+    stab = math.prod(3**n - 3**i for i in range(d, n))
+    for j in range(d):
+        gens = [a for a in autos if all(a[3**i] == 3**i for i in range(j))]
+        orbit = {3**j}
+        frontier = [3**j]
+        while frontier:
+            x = frontier.pop()
+            for a in gens:
+                if a[x] not in orbit:
+                    orbit.add(a[x])
+                    frontier.append(a[x])
+        stab *= len(orbit)
+    return best, stab
 
 
 def canonical_form_bits(bits: int, n: int) -> int:
     return _walk(bits, n, fixed=False)[0]
-
-
-def stabilizer_order_bits(bits: int, n: int) -> int:
-    return _walk(bits, n, fixed=False)[1]
 
 
 def is_lexmin_bits(bits: int, n: int) -> bool:

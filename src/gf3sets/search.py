@@ -189,13 +189,39 @@ _FRONTIER_DEPTH = 3
 
 
 def _load_checkpoint(path: str, n: int, min_size: int, reduced: bool):
+    """Read a checkpoint, refusing any content this search could not have
+    written: every pending root must be a sum-free set, and every found set
+    a maximal sum-free set of at least min_size, both least in their orbits
+    when the search is reduced."""
     with open(path) as fh:
         state = json.load(fh)
+    if not isinstance(state, dict):
+        raise ValueError("checkpoint is not a JSON object")
     if state.get("version") != CHECKPOINT_VERSION:
         raise ValueError(f"unsupported checkpoint version {state.get('version')}")
     for key, want in (("dim", n), ("min_size", min_size), ("reduced", reduced)):
         if state.get(key) != want:
             raise ValueError(f"checkpoint {key} mismatch: {state.get(key)} != {want}")
+    nodes = state.get("nodes")
+    if type(nodes) is not int or nodes < 0:
+        raise ValueError(f"checkpoint nodes is not a count: {nodes!r}")
+    full = _sp.space(n).full_bits
+    for key in ("pending", "found"):
+        entries = state.get(key)
+        if not isinstance(entries, list):
+            raise ValueError(f"checkpoint {key} is not a list")
+        for b in entries:
+            if type(b) is not int or not 0 <= b <= full:
+                raise ValueError(f"checkpoint {key} entry is not a set of F_3^{n}: {b!r}")
+            a = TernarySet(n, b)
+            if key == "pending":
+                bad = not is_sum_free(a)
+            else:
+                bad = a.size < min_size or not is_maximal_sum_free(a)
+            if bad or (reduced and not canon.is_lexmin_bits(b, n)):
+                raise ValueError(
+                    f"checkpoint {key} entry {a.indices()} cannot come from this search"
+                )
     return state
 
 
@@ -240,6 +266,8 @@ def enumerate_maximal_sumfree(
         raise ValueError("the unreduced dimension-4 search is not feasible")
     if min_size < 1:
         raise ValueError("min_size must be at least 1 (the empty set is never maximal)")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     t0 = time.time()
     reduced = up_to_iso
 
@@ -254,7 +282,7 @@ def enumerate_maximal_sumfree(
         if checkpoint:
             _save_checkpoint(checkpoint, n, min_size, reduced, pending, found, nodes)
 
-    chunk = max(1, math.ceil(len(pending) / max(jobs, 1) / 8)) if pending else 1
+    chunk = max(1, math.ceil(len(pending) / jobs / 8)) if pending else 1
     task_args = [(n, min_size, reduced, b) for b in pending]
     if jobs > 1 and len(pending) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -268,7 +296,7 @@ def enumerate_maximal_sumfree(
             found[b] = None
         nodes += sub_nodes
         done += 1
-        if checkpoint and (done % (8 * max(jobs, 1)) == 0 or done == len(pending)):
+        if checkpoint and (done % (8 * jobs) == 0 or done == len(pending)):
             _save_checkpoint(
                 checkpoint, n, min_size, reduced, pending[done:], found, nodes
             )

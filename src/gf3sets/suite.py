@@ -350,6 +350,8 @@ def run_suite(
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = _STANDARD if name == "standard" else _EXTENDED
     args = [(c, seed, samples) for c in names]
     if jobs > 1:

@@ -1,14 +1,17 @@
 """Linear group action, least orbit members, stabilizer counts."""
 
+import functools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gf3sets import TernarySet, canonical_form, gl_order, stabilizer_order
 from gf3sets import canon
 from gf3sets import subspaces as sub
-from gf3sets.space import iter_bits
+from gf3sets.space import iter_bits, space
 
 
 def test_group_orders():
@@ -150,3 +153,53 @@ def test_empty_and_full_sets_are_fixed():
         full = TernarySet.full(n)
         assert canonical_form(full) == full
         assert stabilizer_order(full) == gl_order(n)
+
+
+# Random sets almost always have a trivial stabilizer and never exercise the
+# automorphism pruning of the walk; unions of a few affine subspaces do.
+@st.composite
+def affine_unions(draw, n):
+    sp = space(n)
+    point = st.integers(0, 3**n - 1)
+    bits = 0
+    for _ in range(draw(st.integers(1, 3))):
+        bits |= sp.span_bits(draw(st.lists(point, max_size=n - 1)), draw(point))
+    return bits
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_canonical_form_and_stabilizer_are_invariant(n):
+    @settings(max_examples=40, deadline=None)
+    @given(affine_unions(n), st.integers(0, 2**32))
+    def check(bits, seed):
+        image = canon.random_gl(n, random.Random(seed)).apply_bits(bits)
+        assert canon.canonicalize_bits(image, n) == canon.canonicalize_bits(bits, n)
+
+    check()
+
+
+@functools.lru_cache(maxsize=None)
+def _gl3():
+    return oracles.gl_elements(3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(affine_unions(3))
+def test_structured_canonicalization_matches_oracle_dim3(bits):
+    trits = [oracles.to_trits(i, 3) for i in iter_bits(bits)]
+    best, hits = oracles.orbit_min(trits, 3, _gl3())
+    assert canon.canonicalize_bits(bits, 3) == (
+        TernarySet.from_indices(3, best).bits, hits
+    )
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("point", [0, 3**3], ids=["through_origin", "avoiding_origin"])
+def test_orbit_stabilizer_for_subspaces_dim4(dim, point):
+    # e_3 = index 27 lies outside the span of e_0..e_2
+    a = TernarySet(4, sub.affine_subspace(4, tuple(3**i for i in range(dim)), point)
+                   .members_bits)
+    stab = stabilizer_order(a)
+    assert len(canon.orbit_of_bits(a.bits, 4)) * stab == gl_order(4)
+    if dim == 3 and point:
+        assert stab == 303264

@@ -173,3 +173,67 @@ def test_suite_exit_codes(monkeypatch, capsys):
     assert cli.main(["suite"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "counterexample" in out
+
+
+def _corrupt_checkpoint(tmp_path, key, value):
+    path = str(tmp_path / "state.json")
+    args = ["enumerate-maximal", "--dim", "2", "--up-to-iso", "--checkpoint", path]
+    assert cli.main(args) == 0
+    state = json.load(open(path))
+    state[key] = value
+    json.dump(state, open(path, "w"))
+    return args
+
+
+@pytest.mark.parametrize("key,value", [
+    ("pending", ["x"]),     # not a set at all
+    ("pending", [1 << 9]),  # beyond the 9 points of the space
+    ("pending", [3]),       # {0, 1} is not sum-free
+    ("pending", [4]),       # {2} is sum-free but not least in its orbit
+    ("found", [5]),         # {0, 2} is not sum-free
+    ("found", [2]),         # {1} is sum-free but not maximal
+    ("found", [True]),
+    ("nodes", "4"),
+])
+def test_corrupt_checkpoint_exits_two(tmp_path, capsys, key, value):
+    args = _corrupt_checkpoint(tmp_path, key, value)
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert f"error: checkpoint {key}" in capsys.readouterr().err
+
+
+def test_checkpoint_below_min_size_exits_two(tmp_path, capsys):
+    path = str(tmp_path / "state.json")
+    assert cli.main(["enumerate-maximal", "--dim", "3", "--checkpoint", path]) == 0
+    state = json.load(open(path))
+    small = min(state["found"], key=int.bit_count)
+    assert cli.main(["enumerate-maximal", "--dim", "3", "--checkpoint", path,
+                     "--min-size", str(small.bit_count() + 1)]) == 2
+    # the same set is refused as a found set of the larger search
+    state["min_size"] = small.bit_count() + 1
+    json.dump(state, open(path, "w"))
+    capsys.readouterr()
+    assert cli.main(["enumerate-maximal", "--dim", "3", "--checkpoint", path,
+                     "--min-size", str(small.bit_count() + 1)]) == 2
+    assert "error: checkpoint found" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_two(tmp_path):
+    path = tmp_path / "state.json"
+    args = ["enumerate-maximal", "--dim", "2", "--checkpoint", str(path)]
+    assert cli.main(args) == 0
+    path.write_text(path.read_text()[:-5])
+    assert cli.main(args) == 2
+    path.write_text("[]")
+    assert cli.main(args) == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["suite", "--jobs", "0"],
+    ["enumerate-maximal", "--dim", "2", "--jobs", "-4"],
+    ["verify-main", "--dim", "2", "--jobs", "0"],
+    ["compute-t", "--dim", "2", "--jobs", "0"],
+])
+def test_jobs_below_one_exit_two(args, capsys):
+    assert cli.main(args) == 2
+    assert "jobs must be at least 1" in capsys.readouterr().err

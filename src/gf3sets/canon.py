@@ -73,27 +73,26 @@ class GroupElement:
         return tuple(sp.trits[v] for v in self.imgs)
 
     @functools.cached_property
-    def perm(self) -> np.ndarray:
+    def perm(self) -> list[int]:
         """Index permutation of the whole space induced by the map."""
         sp = _sp.space(self.n)
         m = np.array(self.matrix, dtype=np.int64)
-        return ((sp.trits_np.astype(np.int64) @ m) % 3) @ np.array(
-            sp.powers, dtype=np.int64
-        )
+        powers = np.array(sp.powers, dtype=np.int64)
+        return ((sp.trits_np.astype(np.int64) @ m) % 3 @ powers).tolist()
 
     def apply_index(self, i: int) -> int:
-        return int(self.perm[i])
+        return self.perm[i]
 
     def apply_bits(self, bits: int) -> int:
-        sp = _sp.space(self.n)
-        arr = sp.bits_to_bool(bits)
-        out = np.zeros(sp.size, dtype=bool)
-        out[self.perm[arr]] = True
-        return sp.bool_to_bits(out)
+        perm = self.perm
+        out = 0
+        for i in iter_bits(bits):
+            out |= 1 << perm[i]
+        return out
 
     def compose(self, other: "GroupElement") -> "GroupElement":
         """The map applying other first, then self."""
-        return GroupElement(self.n, tuple(int(self.perm[v]) for v in other.imgs))
+        return GroupElement(self.n, tuple(self.perm[v] for v in other.imgs))
 
     def __matmul__(self, other: "GroupElement") -> "GroupElement":
         return self.compose(other)

@@ -215,8 +215,21 @@ def validate_certificate(
     validate_certificate(x, cone_of_subspace(u), _depth + 1)
 
 
+# recognition walks all 3^n - 1 origin-avoiding hyperplanes; at n = 10 their
+# table alone would take about 0.4 GB
+MAX_RECOGNIZE_DIM = 9
+
+
+def _check_recognize_dim(n: int) -> None:
+    if n > MAX_RECOGNIZE_DIM:
+        raise ValueError(
+            f"primitive recognition is capped at dimension {MAX_RECOGNIZE_DIM}, got {n}"
+        )
+
+
 def recognize_primitive(a: TernarySet) -> Optional[PrimitiveCertificate]:
     """The canonical certificate of a primitive set, or None."""
+    _check_recognize_dim(a.dim)
     if a.size == 0:
         return None
     return _recognize(a.bits, subspaces.full_space(a.dim))
@@ -231,7 +244,7 @@ def _recognize(bits: int, ambient: AffineSubspace) -> Optional[PrimitiveCertific
         return PrimitiveCertificate("hyperplane", hull)
     if ambient.dim < 2:
         return None
-    for h in subspaces.hyperplanes_within(ambient, avoid_origin=True):
+    for h in subspaces.hyperplanes_covering(ambient, bits):
         cert = _try_derived(bits, h)
         if cert is not None:
             return cert
@@ -240,7 +253,12 @@ def _recognize(bits: int, ambient: AffineSubspace) -> Optional[PrimitiveCertific
 
 def _try_derived(bits: int, h: AffineSubspace) -> Optional[PrimitiveCertificate]:
     n = h.dim_ambient
-    mirror = bits & h.neg().members_bits
+    hbits = h.members_bits
+    neg_bits = _sp.space(n).neg_set_bits(hbits)
+    # W lies in H and X in U | -U, so a set derived over H lies in H | -H
+    if bits & ~(hbits | neg_bits):
+        return None
+    mirror = bits & neg_bits
     if not mirror:
         return None
     nu = subspaces.affine_hull_bits(mirror, n)
@@ -691,6 +709,7 @@ class ClassificationReport:
 
 def classify_set(a: TernarySet) -> ClassificationReport:
     n = a.dim
+    _check_recognize_dim(n)
     sum_free = is_sum_free(a)
     maximal = is_maximal_sum_free(a) if sum_free else False
     if a.size:

@@ -282,10 +282,11 @@ def enumerate_maximal_sumfree(
         if checkpoint:
             _save_checkpoint(checkpoint, n, min_size, reduced, pending, found, nodes)
 
-    chunk = max(1, math.ceil(len(pending) / jobs / 8)) if pending else 1
+    workers = min(jobs, len(pending))
+    chunk = max(1, math.ceil(len(pending) / workers / 8)) if pending else 1
     task_args = [(n, min_size, reduced, b) for b in pending]
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_task, task_args, chunksize=chunk))
     else:
         results = map(_run_task, task_args)

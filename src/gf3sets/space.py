@@ -3,9 +3,16 @@
 A vector (t_0, ..., t_{n-1}) with trits t_i in {0, 1, 2} is stored as the
 integer index sum(t_i * 3**i).  Subsets of F_3^n are plain Python integers
 used as bitsets: bit i is set iff the vector with index i is a member.
-All heavier set operations live on a per-dimension Space object that caches
-the lookup tables they need; small spaces use pure-integer paths and large
-ones switch to numpy gathers over boolean arrays.
+
+Set operations are bit-sliced.  For each coordinate i a Space keeps three
+digit slabs: slabs[i][d] is the mask of the indices whose trit i is d.
+Adding c to trit i carries slab d onto slab (d + c) mod 3, which is a shift
+of the masked bits by a multiple of 3**i.  So translating a set by a vector
+is, coordinate by coordinate, a masked pair of big-integer shifts, and
+negation swaps slabs 1 and 2; either costs O(n) big-integer operations
+whatever the size of the set.  A sumset is the union of the translates of
+the larger set by the members of the smaller.  Scalar addition keeps a full
+table for small spaces (n <= 6).
 """
 
 from __future__ import annotations
@@ -19,9 +26,6 @@ MAX_DIM = 12
 
 # full pairwise addition tables are kept up to this many points (n <= 6)
 _FULL_TABLE_MAX_SIZE = 729
-
-# pure-python pair loops are used for sumsets up to this many index pairs
-_PAIR_LOOP_MAX = 1 << 16
 
 
 def check_dim(n: int) -> int:
@@ -59,6 +63,24 @@ def decode(index: int, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _repeat(pattern: int, period: int, size: int) -> int:
+    """pattern (period bits wide) repeated to fill size bits, by doubling."""
+    while period < size:
+        pattern |= pattern << period
+        period *= 2
+    return pattern & ((1 << size) - 1)
+
+
+def _translate(bits: int, trits: tuple[int, ...], shifts) -> int:
+    """bits + v for the vector v with the given trits (see Space._shifts)."""
+    for t, (p, s0, s01, s2, s12) in zip(trits, shifts):
+        if t == 1:
+            bits = (bits & s01) << p | (bits & s2) >> 2 * p
+        elif t == 2:
+            bits = (bits & s0) << 2 * p | (bits & s12) >> p
+    return bits
+
+
 class Space:
     """Cached lookup tables and raw bitset operations for one dimension."""
 
@@ -68,7 +90,6 @@ class Space:
         self.size = 3**n
         self.full_bits = (1 << self.size) - 1
         self.powers = tuple(3**i for i in range(n))
-        self.powers_np = np.array(self.powers, dtype=np.int64)
         # trit table: row i is the trit tuple of index i
         idx = np.arange(self.size, dtype=np.int64)
         cols = [(idx // 3**i) % 3 for i in range(n)]
@@ -76,28 +97,33 @@ class Space:
             np.stack(cols, axis=1).astype(np.int8) if n else np.zeros((1, 0), np.int8)
         )
         self.trits = [tuple(int(t) for t in row) for row in self.trits_np]
-        neg_np = ((3 - self.trits_np) % 3).astype(np.int64) @ self.powers_np
-        self.neg = [int(v) for v in neg_np]
-        self.neg_np = neg_np
+        powers_np = np.array(self.powers, dtype=np.int64)
+        self.neg = (((3 - self.trits_np) % 3).astype(np.int64) @ powers_np).tolist()
         if self.size <= _FULL_TABLE_MAX_SIZE:
             add_np = (
                 (self.trits_np[:, None, :] + self.trits_np[None, :, :]) % 3
-            ).astype(np.int64) @ self.powers_np
+            ).astype(np.int64) @ powers_np
             self.add_rows: list[list[int]] | None = [
                 [int(v) for v in row] for row in add_np
             ]
         else:
             self.add_rows = None
+        self.slabs = tuple(
+            tuple(_repeat(((1 << p) - 1) << (d * p), 3 * p, self.size) for d in range(3))
+            for p in self.powers
+        )
+        # per coordinate: (3^i, slab 0, slabs 0|1, slab 2, slabs 1|2)
+        self._shifts = tuple(
+            (p, s0, s0 | s1, s2, s1 | s2)
+            for p, (s0, s1, s2) in zip(self.powers, self.slabs)
+        )
 
     # -- scalar index arithmetic ------------------------------------------
 
     def add(self, i: int, j: int) -> int:
         if self.add_rows is not None:
             return self.add_rows[i][j]
-        return int(
-            ((self.trits_np[i].astype(np.int64) + self.trits_np[j]) % 3)
-            @ self.powers_np
-        )
+        return encode((a + b) % 3 for a, b in zip(self.trits[i], self.trits[j]))
 
     def sub(self, i: int, j: int) -> int:
         return self.add(i, self.neg[j])
@@ -110,68 +136,24 @@ class Space:
             return i
         return self.neg[i]
 
-    # -- bitset <-> numpy -------------------------------------------------
-
-    def bits_to_bool(self, bits: int) -> np.ndarray:
-        raw = bits.to_bytes((self.size + 7) // 8, "little")
-        arr = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-        return arr[: self.size].astype(bool)
-
-    def bool_to_bits(self, arr: np.ndarray) -> int:
-        packed = np.packbits(arr.astype(np.uint8), bitorder="little")
-        return int.from_bytes(packed.tobytes(), "little")
-
-    def _perm_sub(self, v: int) -> np.ndarray:
-        """perm[i] = index of (vector i) - (vector v)."""
-        tv = self.trits_np[v]
-        return ((self.trits_np + (3 - tv)) % 3).astype(np.int64) @ self.powers_np
-
     # -- bitset operations -------------------------------------------------
 
     def translate_bits(self, bits: int, v: int) -> int:
-        if v == 0 or bits == 0:
-            return bits
-        count = bits.bit_count()
-        if self.add_rows is not None and count * count <= _PAIR_LOOP_MAX:
-            row = self.add_rows[v]
-            out = 0
-            for i in iter_bits(bits):
-                out |= 1 << row[i]
-            return out
-        arr = self.bits_to_bool(bits)
-        return self.bool_to_bits(arr[self._perm_sub(v)])
+        return _translate(bits, self.trits[v], self._shifts)
 
     def neg_set_bits(self, bits: int) -> int:
-        if bits == 0:
-            return 0
-        if self.size <= _FULL_TABLE_MAX_SIZE:
-            neg = self.neg
-            out = 0
-            for i in iter_bits(bits):
-                out |= 1 << neg[i]
-            return out
-        arr = self.bits_to_bool(bits)
-        return self.bool_to_bits(arr[self.neg_np])
+        for p, (s0, s1, s2) in zip(self.powers, self.slabs):
+            bits = bits & s0 | (bits & s1) << p | (bits & s2) >> p
+        return bits
 
     def sumset_bits(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        ca, cb = a.bit_count(), b.bit_count()
-        if ca > cb:
-            a, b, ca, cb = b, a, cb, ca
-        if self.add_rows is not None and ca * cb <= _PAIR_LOOP_MAX:
-            rows = self.add_rows
-            out = 0
-            for v in iter_bits(a):
-                row = rows[v]
-                for i in iter_bits(b):
-                    out |= 1 << row[i]
-            return out
-        arr = self.bits_to_bool(b)
-        acc = np.zeros(self.size, dtype=bool)
+        if a.bit_count() > b.bit_count():
+            a, b = b, a
+        trits, shifts = self.trits, self._shifts
+        out = 0
         for v in iter_bits(a):
-            acc |= arr[self._perm_sub(v)]
-        return self.bool_to_bits(acc)
+            out |= _translate(b, trits[v], shifts)
+        return out
 
     def difference_set_bits(self, a: int, b: int) -> int:
         return self.sumset_bits(a, self.neg_set_bits(b))
@@ -182,8 +164,9 @@ class Space:
         for g in generators:
             if g == 0:
                 continue
-            shifted = self.translate_bits(bits, g)
-            bits |= shifted | self.translate_bits(shifted, g)
+            trits = self.trits[g]
+            shifted = _translate(bits, trits, self._shifts)
+            bits |= shifted | _translate(shifted, trits, self._shifts)
         return bits
 
 

@@ -342,18 +342,46 @@ def chart_encode(v: AffineSubspace, index: int) -> int:
     return _sp.encode(lam)
 
 
+def _check_linear(v: AffineSubspace) -> None:
+    if v.empty or not v.is_linear:
+        raise ValueError("hyperplanes of a subspace need a linear subspace")
+
+
+def _from_chart(v: AffineSubspace, h: AffineSubspace) -> AffineSubspace:
+    """The image in the ambient space of a subspace h of v's chart."""
+    if len(v.basis) == v.dim_ambient:
+        # the chart of the full space is the identity
+        return h
+    rows = tuple(chart_decode(v, b) for b in h.basis)
+    return _make_affine(_sp.space(v.dim_ambient), rows, chart_decode(v, h.base_point))
+
+
 def hyperplanes_within(v: AffineSubspace, avoid_origin: bool = False) -> list[AffineSubspace]:
     """Affine hyperplanes of the linear subspace v, in canonical chart order."""
-    if v.empty or not v.is_linear:
-        raise ValueError("hyperplanes_within needs a linear subspace")
-    r = len(v.basis)
-    sp = _sp.space(v.dim_ambient)
-    out = []
-    for h in enumerate_hyperplanes(r, avoid_origin):
-        rows = tuple(chart_decode(v, b) for b in h.basis)
-        base = chart_decode(v, h.base_point)
-        out.append(_make_affine(sp, rows, base))
-    return out
+    _check_linear(v)
+    return [_from_chart(v, h) for h in enumerate_hyperplanes(len(v.basis), avoid_origin)]
+
+
+def hyperplanes_covering(v: AffineSubspace, bits: int):
+    """Yield the origin-avoiding hyperplanes H of v with bits inside H | -H.
+
+    v is a linear subspace containing bits.  The hyperplanes come in the
+    order of hyperplanes_within(v, avoid_origin=True).  The two hyperplanes
+    of one chart normal are H and -H, the nonzero level sets of a linear
+    functional on v, so bits lies in their union exactly when the chart
+    image of bits lies in it.  That test reads the cached chart table, and
+    only a passing hyperplane is built in the ambient space.
+    """
+    _check_linear(v)
+    chart_bits = bits
+    if len(v.basis) < v.dim_ambient:
+        chart_bits = sum(1 << chart_encode(v, x) for x in iter_bits(bits))
+    planes = enumerate_hyperplanes(len(v.basis), avoid_origin=True)
+    for k in range(0, len(planes), 2):
+        if chart_bits & ~(planes[k].members_bits | planes[k + 1].members_bits):
+            continue
+        yield _from_chart(v, planes[k])
+        yield _from_chart(v, planes[k + 1])
 
 
 def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> list[AffineSubspace]:

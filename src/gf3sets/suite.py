@@ -354,8 +354,9 @@ def run_suite(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     names = _STANDARD if name == "standard" else _EXTENDED
     args = [(c, seed, samples) for c in names]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(args))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             checks = tuple(pool.map(_run_check, args))
     else:
         checks = tuple(map(_run_check, args))

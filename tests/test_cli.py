@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from gf3sets import cli, lev_construction, suite
+from gf3sets import TernarySet, cli, lev_construction, suite
 from gf3sets.core import format_set_text
 from gf3sets.primitive import CheckResult
 from gf3sets.search import VerificationVerdict
@@ -237,3 +237,20 @@ def test_truncated_checkpoint_exits_two(tmp_path):
 def test_jobs_below_one_exit_two(args, capsys):
     assert cli.main(args) == 2
     assert "jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_classify_refuses_dimension_ten(tmp_path, capsys):
+    path = tmp_path / "dim10.set"
+    path.write_text(format_set_text(TernarySet.from_indices(10, [1, 5])))
+    assert cli.main(["classify", str(path)]) == 2
+    assert "capped at dimension 9" in capsys.readouterr().err
+
+
+def test_classify_lev8_minus_a_point(tmp_path, capsys):
+    a, _ = lev_construction(8)
+    path = tmp_path / "lev8.set"
+    path.write_text(format_set_text(TernarySet(8, a.bits & (a.bits - 1))))
+    assert cli.main(["classify", str(path), "--format", "json"]) == 0
+    rep = _json_out(capsys)
+    assert rep["sum_free"] and not rep["maximal"]
+    assert rep["primitive"] is False and rep["certificate"] is None

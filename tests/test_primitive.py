@@ -288,3 +288,43 @@ def test_classification_report():
     bad = classify_set(TernarySet.from_indices(1, [1, 2]))
     assert not bad.sum_free and not bad.maximal
     assert bad.certificate is None and bad.subprimitive is False
+
+
+def _levels(cert):
+    while cert is not None:
+        yield cert
+        cert = cert.x
+
+
+def _prefilter_cases():
+    for n in (1, 2, 3):
+        for bits in sorted(prim._all_primitive_bits(n)):
+            yield TernarySet(n, bits)
+    for n in (4, 5, 6):
+        yield lev_construction(n)[0]
+
+
+def test_derived_levels_lie_in_the_hyperplane_and_its_mirror():
+    """The [H] prefilter of the recognizer never rejects a certificate."""
+    for a in _prefilter_cases():
+        cert = recognize_primitive(a)
+        assert cert is not None
+        for level in _levels(cert):
+            h = level.h
+            outside = level.member_bits & ~(h.members_bits | h.neg().members_bits)
+            assert outside == 0
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_recognition_refuses_large_dimensions_before_building_tables(n, monkeypatch):
+    from gf3sets import space as _sp
+
+    def refuse(dim):
+        raise AssertionError(f"space({dim}) was built")
+
+    monkeypatch.setattr(_sp, "space", refuse)
+    a = TernarySet.from_indices(n, [1])
+    with pytest.raises(ValueError, match="capped at dimension 9"):
+        recognize_primitive(a)
+    with pytest.raises(ValueError, match="capped at dimension 9"):
+        classify_set(a)

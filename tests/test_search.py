@@ -88,6 +88,34 @@ def test_jobs_do_not_change_the_report():
     )
 
 
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    def __init__(self, log, max_workers):
+        log.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+def test_workers_are_capped_at_the_task_count(monkeypatch):
+    log = []
+    monkeypatch.setattr(
+        search, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(log, max_workers)
+    )
+    pending = search._expand_frontier(3, 5, True, search._FRONTIER_DEPTH)[0]
+    assert len(pending) > 1
+    report = enumerate_maximal_sumfree(3, 5, jobs=100_000)
+    assert log == [len(pending)]
+    assert report == enumerate_maximal_sumfree(3, 5, jobs=1)
+
+
 def test_checkpoint_lifecycle(tmp_path):
     path = str(tmp_path / "state.json")
     fresh = enumerate_maximal_sumfree(3, 5, checkpoint=path)

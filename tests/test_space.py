@@ -1,11 +1,13 @@
-"""Index arithmetic tables against the naive trit oracle."""
+"""Index arithmetic tables and set kernels against the naive trit oracle."""
 
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from gf3sets import space
+from gf3sets import core, space
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -90,3 +92,102 @@ def test_check_dim_limits():
         space.check_dim(space.MAX_DIM + 1)
     with pytest.raises(TypeError):
         space.check_dim("3")
+
+
+# -- the bit-sliced kernels against the trit oracle and a per-point reference --
+
+
+def _vecs(bits, n):
+    return {oracles.to_trits(i, n) for i in space.iter_bits(bits)}
+
+
+def _bits(vectors):
+    out = 0
+    for v in vectors:
+        out |= 1 << oracles.to_index(v)
+    return out
+
+
+@st.composite
+def dim_and_sets(draw, count):
+    n = draw(st.integers(0, 4))
+    sets = [draw(st.integers(0, 2**3**n - 1)) for _ in range(count)]
+    return n, sets
+
+
+@settings(max_examples=150, deadline=None)
+@given(dim_and_sets(2), st.data())
+def test_kernels_match_oracle(case, data):
+    n, (a, b) = case
+    sp = space.space(n)
+    v = data.draw(st.integers(0, sp.size - 1))
+    va, vb, w = _vecs(a, n), _vecs(b, n), oracles.to_trits(v, n)
+    assert sp.translate_bits(a, v) == _bits(oracles.add(x, w) for x in va)
+    assert sp.neg_set_bits(a) == _bits(oracles.neg(x) for x in va)
+    assert sp.sumset_bits(a, b) == _bits(oracles.sumset(va, vb))
+    assert sp.difference_set_bits(a, b) == _bits(oracles.difference_set(va, vb))
+    if a:
+        assert core.sym_group_bits(a, n) == _bits(oracles.sym_group(va, n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.integers(0, 3**n - 1), max_size=n + 1),
+        st.integers(0, 3**n - 1),
+    )
+))
+def test_span_bits_matches_oracle(case):
+    n, gens, base = case
+    sp = space.space(n)
+    direction = oracles.span([oracles.to_trits(g, n) for g in gens], n)
+    b = oracles.to_trits(base, n)
+    assert sp.span_bits(gens, base) == _bits(oracles.add(b, d) for d in direction)
+
+
+def _neg_ref(i, n):
+    return space.encode((-t) % 3 for t in space.decode(i, n))
+
+
+def _translate_ref(bits, v, n):
+    """Per-point translate through decode/encode."""
+    w = space.decode(v, n)
+    out = 0
+    for i in space.iter_bits(bits):
+        out |= 1 << space.encode((s + t) % 3 for s, t in zip(space.decode(i, n), w))
+    return out
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_kernels_match_per_point_reference(n):
+    rng = random.Random(1000 + n)
+    sp = space.space(n)
+    for _ in range(6):
+        dense = rng.getrandbits(sp.size)
+        sparse = sum(1 << i for i in rng.sample(range(sp.size), 12))
+        v = rng.randrange(sp.size)
+        for bits in (dense, sparse):
+            assert sp.translate_bits(bits, v) == _translate_ref(bits, v, n)
+            neg = 0
+            for i in space.iter_bits(bits):
+                neg |= 1 << _neg_ref(i, n)
+            assert sp.neg_set_bits(bits) == neg
+        plus = minus = 0
+        for u in space.iter_bits(sparse):
+            plus |= _translate_ref(dense, u, n)
+            minus |= _translate_ref(dense, _neg_ref(u, n), n)
+        assert sp.sumset_bits(dense, sparse) == plus
+        assert sp.sumset_bits(sparse, dense) == plus
+        assert sp.difference_set_bits(dense, sparse) == minus
+
+
+def test_slabs_partition_each_coordinate():
+    for n in range(5):
+        sp = space.space(n)
+        for i, slabs in enumerate(sp.slabs):
+            assert slabs[0] | slabs[1] | slabs[2] == sp.full_bits
+            for d, mask in enumerate(slabs):
+                assert set(space.iter_bits(mask)) == {
+                    x for x in range(sp.size) if space.decode(x, n)[i] == d
+                }

@@ -176,6 +176,50 @@ def test_hyperplanes_within():
         sub.hyperplanes_within(sub.hyperplane_from_normal(3, 1, 1))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("ao", [False, True])
+def test_full_space_hyperplanes_match_the_chart_path(n, ao):
+    full = sub.full_space(n)
+    sp = _sp.space(n)
+    charted = [
+        sub.affine_subspace(
+            n,
+            [sub.chart_decode(full, b) for b in h.basis],
+            sub.chart_decode(full, h.base_point),
+        )
+        for h in sub.enumerate_hyperplanes(n, ao)
+    ]
+    got = sub.hyperplanes_within(full, ao)
+    assert got == list(sub.enumerate_hyperplanes(n, ao)) == charted
+    assert [h.members_bits for h in got] == [
+        sp.span_bits(h.basis, h.base_point) for h in charted
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_hyperplanes_covering_filters_hyperplanes_within(n):
+    rng = random.Random(100 + n)
+    sp = _sp.space(n)
+    spaces = [sub.full_space(n)]
+    for _ in range(6):
+        rows = [rng.randrange(1, sp.size) for _ in range(rng.randint(1, n))]
+        spaces.append(sub.linear_subspace(n, rows))
+    for v in spaces:
+        if v.dim < 1:
+            continue
+        pts = sorted(_members(v))
+        planes = sub.hyperplanes_within(v, avoid_origin=True)
+        for k in (0, 1, 2, len(pts) // 3, len(pts) - 1):
+            bits = sum(1 << p for p in rng.sample(pts[1:], min(k, len(pts) - 1)))
+            want = [
+                h for h in planes
+                if not bits & ~(h.members_bits | sp.neg_set_bits(h.members_bits))
+            ]
+            assert list(sub.hyperplanes_covering(v, bits)) == want
+    with pytest.raises(ValueError):
+        next(sub.hyperplanes_covering(sub.hyperplane_from_normal(3, 1, 1), 0))
+
+
 def test_to_json_shape():
     h = sub.affine_subspace(3, (3,), 1)
     j = h.to_json()

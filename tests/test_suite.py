@@ -56,6 +56,36 @@ def test_seed_and_samples_reach_the_checks(monkeypatch):
     assert run_suite("standard", seed=5, samples=9).checks[0].detail.endswith("/9")
 
 
+def test_workers_are_capped_at_the_check_count(monkeypatch):
+    log = []
+
+    class RecordingPool:
+        """Records max_workers and runs the checks in-process."""
+
+        def __init__(self, max_workers):
+            log.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    def ok(rng):
+        return CheckResult.holds("ok")
+
+    monkeypatch.setitem(suite._REGISTRY, "ok_a", (ok, {}))
+    monkeypatch.setitem(suite._REGISTRY, "ok_b", (ok, {}))
+    monkeypatch.setattr(suite, "_STANDARD", ("ok_a", "ok_b"))
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    rep = run_suite("standard", jobs=100_000)
+    assert log == [2]
+    assert rep.checks == run_suite("standard", jobs=1).checks
+
+
 def test_report_json_shape(monkeypatch):
     def ok(rng):
         return CheckResult.holds("tiny_ok")

@@ -361,18 +361,24 @@ def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:
     """
     if not 1 <= n <= 4:
         raise ValueError("enumeration is supported for dimensions 1 through 4")
-    if n <= 3:
+    if up_to_iso:
+        pool = _orbit_reps(n)
+    elif n <= 3:
         pool = _all_primitive_bits(n)
-        if up_to_iso:
-            pool = {canon.canonical_form_bits(b, n) for b in pool}
     else:
-        if not up_to_iso:
-            raise ValueError(
-                "the unreduced dimension-4 listing does not fit in memory; "
-                "use up_to_iso=True or iter_primitive_fixed_hyperplane"
-            )
-        pool = _dim4_orbit_reps()
+        raise ValueError(
+            "the unreduced dimension-4 listing does not fit in memory; "
+            "use up_to_iso=True or iter_primitive_fixed_hyperplane"
+        )
     return tuple(TernarySet(n, b) for b in sorted(pool, key=_set_key))
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit_reps(n: int) -> frozenset:
+    """Canonical representatives of the primitive orbits of F_3^n, n <= 4."""
+    if n <= 3:
+        return frozenset(canon.canonical_form_bits(b, n) for b in _all_primitive_bits(n))
+    return _dim4_orbit_reps()
 
 
 def _stream_multiplicity(bits: int, n: int) -> int:
@@ -389,7 +395,6 @@ def _stream_multiplicity(bits: int, n: int) -> int:
     return d
 
 
-@functools.lru_cache(maxsize=None)
 def _dim4_orbit_reps() -> frozenset:
     """Canonical representatives of the dimension-4 primitive orbits.
 

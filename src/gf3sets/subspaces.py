@@ -123,9 +123,6 @@ class AffineSubspace:
         }
 
 
-LinearSubspace = AffineSubspace
-
-
 def _reduce_index(sp: _sp.Space, basis: tuple[int, ...], index: int) -> int:
     """Reduce index against an RREF basis; 0 iff index lies in the span."""
     cur = index
@@ -197,54 +194,6 @@ def affine_hull(a: TernarySet) -> AffineSubspace:
     return affine_hull_bits(a.bits, a.dim)
 
 
-def cone_bits(bits: int, n: int) -> AffineSubspace:
-    if bits == 0:
-        raise ValueError("the cone of the empty set is undefined")
-    return linear_subspace(n, list(iter_bits(bits)))
-
-
-def cone(a: TernarySet) -> AffineSubspace:
-    """Linear span of the members of a.
-
-    For a set U with 0 not in its affine hull's translates ... the span
-    decomposes as [U], U and -U; callers relying on that decomposition
-    should check 0 is not a member first.
-    """
-    return cone_bits(a.bits, a.dim)
-
-
-def quotient_map(a: TernarySet, k: AffineSubspace) -> TernarySet:
-    """Image of a in the quotient by the linear subspace k.
-
-    The quotient F_3^n / k is encoded over the non-pivot coordinates of k's
-    RREF basis, kept in increasing coordinate order, little-endian.  Each
-    member of a is reduced so its pivot coordinates vanish; the remaining
-    coordinates are read off in that fixed order.  For k = {0} the encoding
-    is the identity.
-    """
-    if k.empty or not k.is_linear:
-        raise ValueError("quotient_map needs a linear subspace")
-    if k.dim_ambient != a.dim:
-        raise ValueError("dimension mismatch between set and subspace")
-    n = a.dim
-    sp = _sp.space(n)
-    pivots = []
-    for row in k.basis:
-        row_trits = sp.trits[row]
-        pivots.append(next(i for i, t in enumerate(row_trits) if t))
-    others = [i for i in range(n) if i not in pivots]
-    out = 0
-    for idx in iter_bits(a.bits):
-        cur = idx
-        for row, piv in zip(k.basis, pivots):
-            c = sp.trits[cur][piv]
-            if c:
-                cur = sp.sub(cur, sp.scale(row, c))
-        trits = sp.trits[cur]
-        out |= 1 << _sp.encode(trits[i] for i in others)
-    return TernarySet(n - k.dim, out)
-
-
 def hyperplane_from_normal(n: int, normal: int, c: int) -> AffineSubspace:
     """The hyperplane {x : normal . x = c} for a nonzero functional."""
     sp = _sp.space(n)
@@ -308,16 +257,6 @@ def enumerate_rref_bases(n: int, k: int):
             for (i, j), v in zip(free_cells, values):
                 rows[i][j] = v
             yield tuple(tuple(r) for r in rows)
-
-
-def gaussian_binomial(n: int, k: int) -> int:
-    if k < 0 or k > n:
-        return 0
-    num = den = 1
-    for i in range(k):
-        num *= 3 ** (n - i) - 1
-        den *= 3 ** (i + 1) - 1
-    return num // den
 
 
 def chart_decode(v: AffineSubspace, chart_index: int) -> int:
@@ -384,37 +323,32 @@ def hyperplanes_covering(v: AffineSubspace, bits: int):
         yield _from_chart(v, planes[k + 1])
 
 
-def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> list[AffineSubspace]:
-    """All k-dimensional affine subspaces contained in h."""
+@functools.lru_cache(maxsize=None)
+def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> tuple[AffineSubspace, ...]:
+    """All k-dimensional affine subspaces contained in h, by (basis, base_point).
+
+    Each direction is spanned once; its cosets inside h are then walked as
+    in halves.coset_pairs: the least index left is the canonical base point
+    of its coset, and that coset is cleared.
+    """
     if h.empty:
-        return []
+        return ()
     if k < 0 or k > h.dim:
-        return []
+        return ()
     sp = _sp.space(h.dim_ambient)
-    hdim = h.dim
-    dir_basis = h.basis
+    d = h.direction()
     out = []
-    seen = set()
-    for chart_rows in enumerate_rref_bases(hdim, k):
-        rows = []
-        for crow in chart_rows:
-            v = 0
-            for c, b in zip(crow, dir_basis):
-                if c:
-                    v = sp.add(v, sp.scale(b, c))
-            rows.append(v)
-        rows_rref = _rref([sp.trits[r] for r in rows], sp.n)
-        basis = tuple(_sp.encode(r) for r in rows_rref)
-        for point_chart in range(3**hdim):
-            point = h.base_point
-            lam = _sp.decode(point_chart, hdim)
-            for c, b in zip(lam, dir_basis):
-                if c:
-                    point = sp.add(point, sp.scale(b, c))
-            base = _canonical_base(sp, basis, point)
-            key = (basis, base)
-            if key not in seen:
-                seen.add(key)
-                out.append(AffineSubspace(sp.n, basis, base))
+    for chart_rows in enumerate_rref_bases(h.dim, k):
+        rows = [sp.trits[chart_decode(d, _sp.encode(r))] for r in chart_rows]
+        basis = tuple(_sp.encode(r) for r in _rref(rows, sp.n))
+        direction = sp.span_bits(basis)
+        rest = h.members_bits
+        while rest:
+            x = (rest & -rest).bit_length() - 1
+            coset = sp.translate_bits(direction, x)
+            e = AffineSubspace(sp.n, basis, x)
+            e.__dict__["members_bits"] = coset  # fills the cached property
+            out.append(e)
+            rest &= ~coset
     out.sort(key=lambda s: (s.basis, s.base_point))
-    return out
+    return tuple(out)

@@ -3,15 +3,17 @@
 Every check is a module-level function fed its own random stream derived
 from the suite seed and the check name, so reports are reproducible for a
 given seed no matter how the checks are scheduled or how many worker
-processes run them.  Canonical JSON carries no timing.
+processes run them.  Canonical JSON carries no timing; the wall time of
+each check is kept beside it in SuiteReport.timings.
 """
 
 from __future__ import annotations
 
 import inspect
 import random
+import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import canon, halves, kneser, primitive, search, subspaces
 from .core import (
@@ -31,6 +33,8 @@ class SuiteReport:
     suite: str
     seed: int
     checks: tuple
+    # (check name, wall seconds) per check, in check order; not in to_json()
+    timings: tuple = field(default=(), compare=False)
 
     @property
     def passed(self) -> bool:
@@ -325,16 +329,21 @@ _STANDARD = tuple(
 _EXTENDED = tuple(_REGISTRY)
 
 
-def _run_check(args: tuple) -> CheckResult:
+def _run_check(args: tuple) -> tuple:
+    """(result, wall seconds) of one check."""
     name, seed, samples = args
     fn, kwargs = _REGISTRY[name]
     if samples is not None and "samples" in inspect.signature(fn).parameters:
         kwargs = {**kwargs, "samples": samples}
     rng = random.Random(f"{seed}/{name}")
+    t0 = time.perf_counter()
     try:
-        return fn(rng, **kwargs)
+        result = fn(rng, **kwargs)
     except Exception as exc:  # a crashed check must fail the suite, not hide
-        return CheckResult.counterexample(name, f"check raised {type(exc).__name__}: {exc}")
+        result = CheckResult.counterexample(
+            name, f"check raised {type(exc).__name__}: {exc}"
+        )
+    return result, time.perf_counter() - t0
 
 
 def run_suite(
@@ -357,7 +366,12 @@ def run_suite(
     workers = min(jobs, len(args))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            checks = tuple(pool.map(_run_check, args))
+            runs = list(pool.map(_run_check, args))
     else:
-        checks = tuple(map(_run_check, args))
-    return SuiteReport(suite=name, seed=seed, checks=checks)
+        runs = list(map(_run_check, args))
+    return SuiteReport(
+        suite=name,
+        seed=seed,
+        checks=tuple(r for r, _ in runs),
+        timings=tuple((c, s) for c, (_, s) in zip(names, runs)),
+    )

@@ -90,6 +90,33 @@ def affine_hull(points, n):
     return {add(base, d) for d in direction}
 
 
+def affine_flats(points, n, k):
+    """The distinct k-dimensional affine hulls of subsets of points.
+
+    Every k-flat is the hull of k + 1 of its points, so only subsets of that
+    size are tried; a subset inside a flat already found adds nothing new.
+    """
+    found = []
+    for subset in combinations(points, k + 1):
+        if any(set(subset) <= f for f in found):
+            continue
+        hull = affine_hull(subset, n)
+        if len(hull) == 3**k:
+            found.append(frozenset(hull))
+    return set(found)
+
+
+def gaussian_binomial(n, k):
+    """Number of k-dimensional linear subspaces of F_3^n."""
+    if k < 0 or k > n:
+        return 0
+    num = den = 1
+    for i in range(k):
+        num *= 3 ** (n - i) - 1
+        den *= 3 ** (i + 1) - 1
+    return num // den
+
+
 def matrices(n):
     cols = all_vectors(n)
     return product(cols, repeat=n)

@@ -186,6 +186,23 @@ def test_fixed_hyperplane_stream_dim3():
     assert forms == {canon.canonical_form_bits(b, 3) for b in pool}
 
 
+def test_orbit_representatives_are_cached(monkeypatch):
+    calls = []
+    real = canon.canonical_form_bits
+
+    def counting(bits, n):
+        calls.append(bits)
+        return real(bits, n)
+
+    monkeypatch.setattr(canon, "canonical_form_bits", counting)
+    prim._orbit_reps.cache_clear()
+    first = enumerate_primitive(3, up_to_iso=True)
+    assert len(calls) == len(prim._all_primitive_bits(3))
+    calls.clear()
+    assert enumerate_primitive(3, up_to_iso=True) == first
+    assert calls == []
+
+
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_primitive(0)

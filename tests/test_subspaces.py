@@ -5,7 +5,6 @@ import random
 import pytest
 
 import oracles
-from gf3sets import TernarySet
 from gf3sets import space as _sp
 from gf3sets import subspaces as sub
 from gf3sets.space import iter_bits
@@ -76,28 +75,6 @@ def test_direction_translate_neg():
     assert _members(t) == {sp.add(i, 1) for i in _members(h)}
 
 
-def test_cone_is_span_of_members():
-    u = sub.affine_subspace(3, (), 1)  # single point e0
-    c = sub.cone_bits(u.members_bits, 3)
-    assert _members(c) == {0, 1, 2}
-    line = sub.affine_subspace(3, (3,), 1)
-    cone_line = sub.cone_bits(line.members_bits, 3)
-    # the cone of an affine line off the origin is the plane spanned by it
-    want = oracles.span([(1, 0, 0), (0, 1, 0)], 3)
-    assert _members(cone_line) == {oracles.to_index(v) for v in want}
-    with pytest.raises(ValueError):
-        sub.cone_bits(0, 3)
-
-
-def test_quotient_map_collapses_cosets():
-    k = sub.linear_subspace(3, (1,))  # span e0
-    a = TernarySet.from_indices(3, [1, 4, 9 + 2])
-    q = sub.quotient_map(a, k)
-    assert q.dim == 2
-    # e0 maps to 0, e0+e1 and e1 share an image, 2e0+e2 maps to e2's class
-    assert q.size == 3
-
-
 def test_hyperplane_from_normal_and_enumeration():
     for n in (1, 2, 3):
         planes = sub.enumerate_hyperplanes(n)
@@ -125,13 +102,13 @@ def test_hyperplane_members_match_dot_product():
 
 
 def test_gaussian_binomial_and_rref_bases():
-    assert sub.gaussian_binomial(4, 1) == 40
-    assert sub.gaussian_binomial(4, 2) == 130
-    assert sub.gaussian_binomial(3, 1) == 13
-    assert sub.gaussian_binomial(3, 3) == 1
+    assert oracles.gaussian_binomial(4, 1) == 40
+    assert oracles.gaussian_binomial(4, 2) == 130
+    assert oracles.gaussian_binomial(3, 1) == 13
+    assert oracles.gaussian_binomial(3, 3) == 1
     for n, k in ((2, 1), (3, 1), (3, 2)):
         bases = list(sub.enumerate_rref_bases(n, k))
-        assert len(bases) == sub.gaussian_binomial(n, k)
+        assert len(bases) == oracles.gaussian_binomial(n, k)
         spans = {
             sub.linear_subspace(n, [_sp.encode(r) for r in rows]).members_bits
             for rows in bases
@@ -149,6 +126,44 @@ def test_enumerate_affine_subspaces_counts():
     inner = sub.enumerate_affine_subspaces(h, 1)
     assert len(inner) == 4 * 3
     assert all(h.contains_subspace(e) for e in inner)
+    for n in (1, 2, 3, 4):
+        for k in range(n + 1):
+            flats = sub.enumerate_affine_subspaces(sub.full_space(n), k)
+            assert len(flats) == oracles.gaussian_binomial(n, k) * 3 ** (n - k)
+        assert sub.enumerate_affine_subspaces(sub.full_space(n), n + 1) == ()
+        assert sub.enumerate_affine_subspaces(sub.empty_subspace(n), 0) == ()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_enumerate_affine_subspaces_match_oracle(n):
+    sp = _sp.space(n)
+    for h in (sub.full_space(n),) + sub.enumerate_hyperplanes(n):
+        pts = [oracles.to_trits(i, n) for i in sorted(_members(h))]
+        for k in range(h.dim + 1):
+            flats = sub.enumerate_affine_subspaces(h, k)
+            assert [(e.basis, e.base_point) for e in flats] == sorted(
+                (e.basis, e.base_point) for e in flats
+            )
+            for e in flats:
+                assert e.dim == k and h.contains_subspace(e)
+                assert e.members_bits == sp.span_bits(e.basis, e.base_point)
+                assert e.base_point == min(_members(e))
+            want = {
+                frozenset(oracles.to_index(v) for v in f)
+                for f in oracles.affine_flats(pts, n, k)
+            }
+            assert len(flats) == len(want)
+            assert {frozenset(_members(e)) for e in flats} == want
+
+
+def test_flat_tables_are_cached():
+    h = sub.hyperplane_from_normal(3, 1, 1)
+    first = sub.enumerate_affine_subspaces(h, 1)
+    assert isinstance(first, tuple)
+    assert sub.enumerate_affine_subspaces(h, 1) is first
+    # an equal subspace built another way hits the same entry
+    again = sub.subspace_from_member_bits(h.members_bits, 3)
+    assert sub.enumerate_affine_subspaces(again, 1) is first
 
 
 def test_chart_round_trip():

@@ -96,3 +96,18 @@ def test_report_json_shape(monkeypatch):
     assert set(obj) == {"suite", "seed", "passed", "checks"}
     assert obj["seed"] == 2 and obj["passed"] is True
     assert obj["checks"][0]["name"] == "tiny_ok"
+
+
+def test_timings_cover_each_check_outside_the_json(monkeypatch):
+    # real registry checks, so worker processes need no patched state
+    names = ("t_value_1", "t_value_2", "lev_3", "half_fact")
+    monkeypatch.setattr(suite, "_STANDARD", names)
+    one = run_suite("standard", jobs=1, seed=4)
+    two = run_suite("standard", jobs=2, seed=4)
+    assert one.passed
+    assert one.to_json() == two.to_json()
+    assert "timings" not in one.to_json()
+    for rep in (one, two):
+        assert [name for name, _ in rep.timings] == list(names)
+        assert all(s >= 0.0 for _, s in rep.timings)
+    assert one == two  # timings take no part in comparison

@@ -30,6 +30,10 @@ the pointwise stabilizer of e_0..e_{j-1}.  The stabilizer order is the
 product of those orbit lengths over the levels of the span of A, times
 prod(3^n - 3^i) over the basis vectors beyond it, which complete the span
 freely.
+
+The walk reads the addition table of the space, which Space keeps for
+n <= 6 only, so canonical forms, stabilizers and lexmin tests are refused
+above that.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ import functools
 import math
 import random
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import space as _sp
 from .space import iter_bits
@@ -67,18 +69,20 @@ class GroupElement:
     def identity(cls, n: int) -> "GroupElement":
         return cls(n, tuple(3**i for i in range(n)))
 
-    @property
-    def matrix(self) -> tuple[tuple[int, ...], ...]:
-        sp = _sp.space(self.n)
-        return tuple(sp.trits[v] for v in self.imgs)
-
     @functools.cached_property
     def perm(self) -> list[int]:
-        """Index permutation of the whole space induced by the map."""
+        """Index permutation of the whole space induced by the map.
+
+        Built one coordinate at a time: the indices x + e_j and x - e_j
+        follow the indices x spanned by e_0..e_{j-1}, so their images are
+        the image of x plus and minus the image of e_j.
+        """
         sp = _sp.space(self.n)
-        m = np.array(self.matrix, dtype=np.int64)
-        powers = np.array(sp.powers, dtype=np.int64)
-        return ((sp.trits_np.astype(np.int64) @ m) % 3 @ powers).tolist()
+        perm = [0]
+        for img in self.imgs:
+            minus = sp.neg[img]
+            perm += [sp.add(x, img) for x in perm] + [sp.add(x, minus) for x in perm]
+        return perm
 
     def apply_index(self, i: int) -> int:
         return self.perm[i]
@@ -89,49 +93,6 @@ class GroupElement:
         for i in iter_bits(bits):
             out |= 1 << perm[i]
         return out
-
-    def compose(self, other: "GroupElement") -> "GroupElement":
-        """The map applying other first, then self."""
-        return GroupElement(self.n, tuple(self.perm[v] for v in other.imgs))
-
-    def __matmul__(self, other: "GroupElement") -> "GroupElement":
-        return self.compose(other)
-
-    def inverse(self) -> "GroupElement":
-        n = self.n
-        rows = [list(r) + [1 if i == k else 0 for i in range(n)]
-                for k, r in enumerate(self.matrix)]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if rows[r][col])
-            rows[col], rows[piv] = rows[piv], rows[col]
-            if rows[col][col] == 2:
-                rows[col] = [(2 * t) % 3 for t in rows[col]]
-            for r in range(n):
-                c = rows[r][col]
-                if r != col and c:
-                    rows[r] = [(a - c * b) % 3 for a, b in zip(rows[r], rows[col])]
-        return GroupElement(n, tuple(_sp.encode(r[n:]) for r in rows))
-
-
-@functools.lru_cache(maxsize=None)
-def enumerate_gl(n: int) -> tuple[GroupElement, ...]:
-    """Every element of GL(n,3), ordered by basis-image tuples; n <= 3 only."""
-    if n > 3:
-        raise ValueError("full GL enumeration is capped at dimension 3")
-    sp = _sp.space(n)
-    out = []
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == n:
-            out.append(GroupElement(n, prefix))
-            return
-        span = sp.span_bits(prefix)
-        for v in range(1, sp.size):
-            if not span >> v & 1:
-                rec(prefix + (v,))
-
-    rec(())
-    return tuple(out)
 
 
 def random_gl(n: int, rng: random.Random) -> GroupElement:
@@ -197,16 +158,19 @@ def _walk(bits: int, n: int, fixed: bool):
     recorded on the way as index permutations of the space (each moves only
     points of the span of bits).  In fixed mode the best path is the
     identity, and _Smaller is raised as soon as any strictly smaller image
-    is certain.
+    is certain.  Raises ValueError above n = 6, where Space keeps no
+    addition table.
     """
     sp = _sp.space(n)
+    add = sp.add_rows
+    if add is None:
+        raise ValueError(
+            f"canonical forms need the addition table of n <= 6, got n = {n}"
+        )
     size = sp.size
     autos: list[list[int]] = []
     if bits == 0:
         return 0, autos
-    add = sp.add_rows
-    if add is None:
-        add = [[sp.add(i, j) for j in range(size)] for i in range(size)]
     neg = sp.neg
     state = {"best": bits if fixed else None, "hmap": range(size)}
 

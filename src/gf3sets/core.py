@@ -111,10 +111,6 @@ class TernarySet:
                 raise ValueError("mixed dimensions in from_vectors")
         return cls.from_indices(dim, (v.index for v in vectors))
 
-    @classmethod
-    def from_trit_rows(cls, dim: int, rows: Iterable[Iterable[int]]) -> "TernarySet":
-        return cls.from_indices(dim, (_sp.encode(row) for row in rows))
-
     # -- basic queries -----------------------------------------------------
 
     @property

@@ -18,7 +18,6 @@ explicit half-of-a-hyperplane example in any dimension from 3 up.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -29,7 +28,6 @@ from typing import Optional
 
 from . import canon, primitive, subspaces
 from . import space as _sp
-from .canon import GroupElement
 from .core import (
     TernarySet,
     blocked_cover_bits,
@@ -105,6 +103,38 @@ def _cover_increment(sp: _sp.Space, sbits: int, v: int) -> int:
     return plus | minus_a | minus_b | 1 << sp.neg[v] | 1 << v
 
 
+def _node(n: int, bits: int) -> tuple:
+    """Search node of a partial set: (bits, size, largest member, cover)."""
+    cover = blocked_cover_bits(TernarySet(n, bits))
+    return bits, bits.bit_count(), bits.bit_length() - 1, cover
+
+
+def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
+            found: dict) -> list:
+    """Visit one node: record it in found when it is maximal and large
+    enough, and return the children that remain to be searched."""
+    sbits, size, maxv, cover = node
+    full = sp.full_bits
+    if cover == full:
+        if size >= min_size:
+            found[sbits] = None
+        return []
+    free_above = ~cover & full & -(1 << (maxv + 1))
+    if size < min_size:
+        # pair rule: of x and -x at most one can ever join
+        f = free_above.bit_count()
+        paired = (free_above & sp.neg_set_bits(free_above)).bit_count()
+        if size + f - paired // 2 < min_size:
+            return []
+    children = []
+    for v in iter_bits(free_above):
+        child = sbits | 1 << v
+        if reduced and not canon.is_lexmin_bits(child, sp.n):
+            continue
+        children.append((child, size + 1, v, cover | _cover_increment(sp, sbits, v)))
+    return children
+
+
 def _search_from(
     n: int,
     min_size: int,
@@ -114,68 +144,37 @@ def _search_from(
 ) -> int:
     """DFS continuation below one partial set; returns nodes visited."""
     sp = _sp.space(n)
-    full = sp.full_bits
-    cover = blocked_cover_bits(TernarySet(n, start_bits))
-    maxv = start_bits.bit_length() - 1  # -1 for the empty set
-    stack = [(start_bits, start_bits.bit_count(), maxv, cover)]
+    stack = [_node(n, start_bits)]
     nodes = 0
     while stack:
-        sbits, size, maxv, cover = stack.pop()
         nodes += 1
-        if cover == full:
-            if size >= min_size:
-                found[sbits] = None
-            continue
-        free_above = ~cover & full & -(1 << (maxv + 1))
-        if size < min_size:
-            # pair rule: of x and -x at most one can ever join
-            f = free_above.bit_count()
-            paired = (free_above & sp.neg_set_bits(free_above)).bit_count()
-            if size + f - paired // 2 < min_size:
-                continue
-        for v in iter_bits(free_above):
-            child = sbits | 1 << v
-            if reduced and not canon.is_lexmin_bits(child, n):
-                continue
-            stack.append((child, size + 1, v, cover | _cover_increment(sp, sbits, v)))
+        stack += _expand(sp, min_size, reduced, stack.pop(), found)
     return nodes
 
 
-def _expand_frontier(n: int, min_size: int, reduced: bool, depth: int):
+def _expand_frontier(n: int, min_size: int, reduced: bool, jobs: int):
     """Grow the search tree breadth-first to a task frontier.
 
-    Returns (tasks, found, nodes): partial sets of the frontier size whose
-    subtrees remain to be searched, maximal sets already seen above the
-    frontier, and the node count so far.
+    Layers are expanded until one holds at least 8 * jobs partial sets or
+    comes out narrower than the layer before it.  Returns (tasks, found,
+    nodes): the partial sets of that layer, whose subtrees remain to be
+    searched, maximal sets already seen above it, and the node count so
+    far.
     """
     sp = _sp.space(n)
-    full = sp.full_bits
     found: dict = {}
-    tasks = []
-    layer = [(0, 0, -1, blocked_cover_bits(TernarySet.empty(n)))]
+    layer = [_node(n, 0)]
     nodes = 0
-    for _ in range(depth):
+    while len(layer) < 8 * jobs:
         nxt = []
-        for sbits, size, maxv, cover in layer:
-            nodes += 1
-            if cover == full:
-                if size >= min_size:
-                    found[sbits] = None
-                continue
-            free_above = ~cover & full & -(1 << (maxv + 1))
-            if size < min_size:
-                f = free_above.bit_count()
-                paired = (free_above & sp.neg_set_bits(free_above)).bit_count()
-                if size + f - paired // 2 < min_size:
-                    continue
-            for v in iter_bits(free_above):
-                child = sbits | 1 << v
-                if reduced and not canon.is_lexmin_bits(child, n):
-                    continue
-                nxt.append((child, size + 1, v, cover | _cover_increment(sp, sbits, v)))
+        for node in layer:
+            nxt += _expand(sp, min_size, reduced, node, found)
+        nodes += len(layer)
+        narrower = len(nxt) < len(layer)
         layer = nxt
-    tasks = [sbits for sbits, _, _, _ in layer]
-    return tasks, found, nodes
+        if narrower:
+            break
+    return [node[0] for node in layer], found, nodes
 
 
 def _run_task(args) -> tuple:
@@ -185,7 +184,13 @@ def _run_task(args) -> tuple:
     return sorted(found), nodes
 
 
-_FRONTIER_DEPTH = 3
+def _run_tasks(task_args: list, workers: int):
+    """Yield the task results in task order, each as soon as it is done."""
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(_run_task, task_args)
+    else:
+        yield from map(_run_task, task_args)
 
 
 def _load_checkpoint(path: str, n: int, min_size: int, reduced: bool):
@@ -255,9 +260,10 @@ def enumerate_maximal_sumfree(
     plain counts are recovered through orbit sizes; without it every set is
     visited (dimension at most 3: the unreduced dimension-4 tree is far too
     large, and exists here as a cross-check oracle anyway).  jobs splits
-    the frontier subtrees across processes; results and reports are
-    identical for any worker count.  checkpoint names a JSON file used to
-    resume an interrupted run and is rewritten as subtrees complete.
+    the frontier subtrees across processes, and the frontier is grown to
+    about 8 subtrees per job; results and reports are identical for any
+    worker count.  checkpoint names a JSON file used to resume an
+    interrupted run and is rewritten after every finished subtree.
     """
     _sp.check_dim(n)
     if not 1 <= n <= 4:
@@ -277,27 +283,17 @@ def enumerate_maximal_sumfree(
         found = {b: None for b in state["found"]}
         nodes = state["nodes"]
     else:
-        pending, shallow, nodes = _expand_frontier(n, min_size, reduced, _FRONTIER_DEPTH)
-        found = shallow
+        pending, found, nodes = _expand_frontier(n, min_size, reduced, jobs)
         if checkpoint:
             _save_checkpoint(checkpoint, n, min_size, reduced, pending, found, nodes)
 
-    workers = min(jobs, len(pending))
-    chunk = max(1, math.ceil(len(pending) / workers / 8)) if pending else 1
     task_args = [(n, min_size, reduced, b) for b in pending]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_task, task_args, chunksize=chunk))
-    else:
-        results = map(_run_task, task_args)
-
-    done = 0
-    for got, sub_nodes in results:
+    results = _run_tasks(task_args, min(jobs, len(pending)))
+    for done, (got, sub_nodes) in enumerate(results, 1):
         for b in got:
             found[b] = None
         nodes += sub_nodes
-        done += 1
-        if checkpoint and (done % (8 * jobs) == 0 or done == len(pending)):
+        if checkpoint:
             _save_checkpoint(
                 checkpoint, n, min_size, reduced, pending[done:], found, nodes
             )
@@ -582,17 +578,6 @@ def _prop_prop_empty_slice(a: TernarySet, h) -> CheckResult:
     return CheckResult.not_applicable(name, "no hyperplane satisfies the hypotheses")
 
 
-@functools.lru_cache(maxsize=None)
-def _grid_slice_bits(n: int, i: int, j: int) -> int:
-    sp = _sp.space(n)
-    bits = 0
-    for idx in range(sp.size):
-        t = sp.trits[idx]
-        if t[0] == i and t[1] == j:
-            bits |= 1 << idx
-    return bits
-
-
 def _prop_conclusion_grid(a: TernarySet, h) -> CheckResult:
     name = "conclusion_grid"
     n = a.dim
@@ -602,13 +587,15 @@ def _prop_conclusion_grid(a: TernarySet, h) -> CheckResult:
         return CheckResult.not_applicable(name, "set is not sum-free")
     if 2 * a.size <= 3 ** (n - 1):
         return CheckResult.not_applicable(name, "set is not above half a hyperplane")
-    if 2 * (a.bits & _grid_slice_bits(n, 0, 1)).bit_count() <= 3 ** (n - 2):
+    # the (i, j) slice: the points whose first two trits are i and j
+    first, second = _sp.space(n).slabs[:2]
+    if 2 * (a.bits & first[0] & second[1]).bit_count() <= 3 ** (n - 2):
         return CheckResult.not_applicable(
             name, "the (0,1) slice is not above half its size"
         )
     for i in range(3):
-        one = a.bits & _grid_slice_bits(n, 1, i)
-        two = a.bits & _grid_slice_bits(n, 2, (1 - i) % 3)
+        one = a.bits & first[1] & second[i]
+        two = a.bits & first[2] & second[(1 - i) % 3]
         if one and two:
             return CheckResult.not_applicable(
                 name, f"both paired slices at i={i} are occupied"

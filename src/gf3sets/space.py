@@ -20,8 +20,6 @@ from __future__ import annotations
 import functools
 from typing import Iterable, Iterator
 
-import numpy as np
-
 MAX_DIM = 12
 
 # full pairwise addition tables are kept up to this many points (n <= 6)
@@ -90,24 +88,24 @@ class Space:
         self.size = 3**n
         self.full_bits = (1 << self.size) - 1
         self.powers = tuple(3**i for i in range(n))
-        # trit table: row i is the trit tuple of index i
-        idx = np.arange(self.size, dtype=np.int64)
-        cols = [(idx // 3**i) % 3 for i in range(n)]
-        self.trits_np = (
-            np.stack(cols, axis=1).astype(np.int8) if n else np.zeros((1, 0), np.int8)
-        )
-        self.trits = [tuple(int(t) for t in row) for row in self.trits_np]
-        powers_np = np.array(self.powers, dtype=np.int64)
-        self.neg = (((3 - self.trits_np) % 3).astype(np.int64) @ powers_np).tolist()
-        if self.size <= _FULL_TABLE_MAX_SIZE:
-            add_np = (
-                (self.trits_np[:, None, :] + self.trits_np[None, :, :]) % 3
-            ).astype(np.int64) @ powers_np
-            self.add_rows: list[list[int]] | None = [
-                [int(v) for v in row] for row in add_np
-            ]
-        else:
-            self.add_rows = None
+        # Each table grows one coordinate at a time: with p = 3^i, the
+        # indices x + d*p for d = 0, 1, 2 follow the indices x of the first
+        # i coordinates, and their entries follow those of x.
+        trits: list[tuple[int, ...]] = [()]
+        neg = [0]
+        add_rows = [[0]] if self.size <= _FULL_TABLE_MAX_SIZE else None
+        for p in self.powers:
+            trits = [t + (d,) for d in range(3) for t in trits]
+            neg = [x + (-d % 3) * p for d in range(3) for x in neg]
+            if add_rows is not None:
+                add_rows = [
+                    [x + (d + e) % 3 * p for e in range(3) for x in row]
+                    for d in range(3)
+                    for row in add_rows
+                ]
+        self.trits = trits
+        self.neg = neg
+        self.add_rows: list[list[int]] | None = add_rows
         self.slabs = tuple(
             tuple(_repeat(((1 << p) - 1) << (d * p), 3 * p, self.size) for d in range(3))
             for p in self.powers

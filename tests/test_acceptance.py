@@ -110,7 +110,8 @@ def test_criterion_5_dim4_verification(tmp_path):
 
     # resume from a frontier-only state and from the finished state
     front = str(tmp_path / "front.json")
-    tasks, shallow, nodes = search._expand_frontier(4, 14, True, search._FRONTIER_DEPTH)
+    tasks, shallow, nodes = search._expand_frontier(4, 14, True, 1)
+    assert len(tasks) >= 8
     search._save_checkpoint(front, 4, 14, True, tasks, shallow, nodes)
     assert enumerate_maximal_sumfree(4, min_size=14, checkpoint=front) == fresh
 

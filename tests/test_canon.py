@@ -2,6 +2,8 @@
 
 import functools
 import random
+import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -21,29 +23,12 @@ def test_group_orders():
     assert gl_order(4) == 24261120
 
 
-@pytest.mark.parametrize("n", [1, 2])
-def test_enumerate_gl_matches_oracle(n):
-    got = {g.imgs for g in canon.enumerate_gl(n)}
-    want = {
-        tuple(oracles.to_index(row) for row in mat)
-        for mat in oracles.gl_elements(n)
-    }
-    assert got == want
-    assert len(got) == gl_order(n)
-
-
-def test_enumerate_gl_count_dim3():
-    assert len(canon.enumerate_gl(3)) == 11232
-    with pytest.raises(ValueError):
-        canon.enumerate_gl(4)
-
-
 def test_group_element_action_matches_oracle():
     rng = random.Random(1)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for _ in range(20):
             g = canon.random_gl(n, rng)
-            mat = g.matrix
+            mat = [space(n).trits[v] for v in g.imgs]
             for idx in range(3**n):
                 want = oracles.to_index(
                     oracles.apply_matrix(mat, oracles.to_trits(idx, n))
@@ -54,23 +39,27 @@ def test_group_element_action_matches_oracle():
             assert set(iter_bits(got)) == {g.apply_index(i) for i in iter_bits(bits)}
 
 
-def test_compose_and_inverse():
-    rng = random.Random(2)
-    for n in (1, 2, 3):
-        ident = canon.GroupElement.identity(n)
-        for _ in range(15):
-            g = canon.random_gl(n, rng)
-            h = canon.random_gl(n, rng)
-            gh = g @ h
-            for idx in range(3**n):
-                assert gh.apply_index(idx) == g.apply_index(h.apply_index(idx))
-            assert (g @ g.inverse()).imgs == ident.imgs
-            assert (g.inverse() @ g).imgs == ident.imgs
-
-
 def test_invalid_group_element_rejected():
     with pytest.raises(ValueError):
         canon.GroupElement(2, (1, 2))  # e_1 image is a multiple of e_0 image
+
+
+def test_canonical_forms_are_refused_above_dimension_6():
+    bits = 1 << 1 | 1 << 3 | 1 << 9  # e_0, e_1, e_2
+    space(7)  # the trit tables are built; no addition table may be
+    tracemalloc.start()
+    try:
+        t0 = time.monotonic()
+        for fn in (canon.canonicalize_bits, canon.canonical_form_bits,
+                   canon.is_lexmin_bits):
+            with pytest.raises(ValueError):
+                fn(bits, 7)
+        elapsed = time.monotonic() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1.0
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("n", [1, 2])

@@ -79,13 +79,16 @@ def test_report_json_shape_and_equality():
     assert twin == report
 
 
+def _canonical_json(report) -> str:
+    return json.dumps(report.to_json(), sort_keys=True)
+
+
 def test_jobs_do_not_change_the_report():
     one = enumerate_maximal_sumfree(3, 5, jobs=1)
-    two = enumerate_maximal_sumfree(3, 5, jobs=2)
-    assert one == two
-    assert json.dumps(one.to_json(), sort_keys=True) == json.dumps(
-        two.to_json(), sort_keys=True
-    )
+    for jobs in (2, 8):
+        other = enumerate_maximal_sumfree(3, 5, jobs=jobs)
+        assert other == one
+        assert _canonical_json(other) == _canonical_json(one)
 
 
 class _RecordingPool:
@@ -104,16 +107,86 @@ class _RecordingPool:
         return map(fn, iterable)
 
 
-def test_workers_are_capped_at_the_task_count(monkeypatch):
+@pytest.fixture
+def pool_log(monkeypatch):
+    """Runs the search's worker pools in-process; lists their max_workers."""
     log = []
     monkeypatch.setattr(
         search, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(log, max_workers)
     )
-    pending = search._expand_frontier(3, 5, True, search._FRONTIER_DEPTH)[0]
-    assert len(pending) > 1
+    return log
+
+
+def test_workers_are_capped_at_the_task_count(pool_log):
+    pending = search._expand_frontier(3, 5, True, 100_000)[0]
+    assert 1 < len(pending) < 100_000
     report = enumerate_maximal_sumfree(3, 5, jobs=100_000)
-    assert log == [len(pending)]
+    assert pool_log == [len(pending)]
     assert report == enumerate_maximal_sumfree(3, 5, jobs=1)
+
+
+@pytest.mark.parametrize("n,up_to_iso", [(2, False), (3, False), (3, True)])
+def test_frontier_width_does_not_change_the_report(pool_log, n, up_to_iso):
+    widths = {len(search._expand_frontier(n, 1, up_to_iso, jobs)[0])
+              for jobs in (1, 2, 8, 100)}
+    assert len(widths) > 1 or up_to_iso
+    one = _canonical_json(enumerate_maximal_sumfree(n, 1, up_to_iso, jobs=1))
+    for jobs in (2, 8, 100):
+        assert _canonical_json(enumerate_maximal_sumfree(n, 1, up_to_iso, jobs=jobs)) == one
+
+
+def test_frontier_grows_to_eight_tasks_per_job_or_until_the_tree_narrows():
+    # reduced dim-4 layer widths by depth: 1, 1, 1, 2, 5, 10, 24, 58, 119, ...
+    for jobs, width, nodes in ((1, 10, 10), (2, 24, 20), (8, 119, 102)):
+        tasks, _, got = search._expand_frontier(4, 14, True, jobs)
+        assert (len(tasks), got) == (width, nodes)
+    # unreduced dim-2 layer widths: 1, 8, 24, 8
+    tasks, _, nodes = search._expand_frontier(2, 1, False, 8)
+    assert (len(tasks), nodes) == (8, 33)
+
+
+def test_parallel_search_saves_after_every_task(monkeypatch, pool_log, tmp_path):
+    log = []
+    run_task, save = search._run_task, search._save_checkpoint
+
+    def logged_run(args):
+        log.append("run")
+        return run_task(args)
+
+    def logged_save(path, n, min_size, reduced, pending, found, nodes):
+        log.append(("save", len(pending)))
+        save(path, n, min_size, reduced, pending, found, nodes)
+
+    monkeypatch.setattr(search, "_run_task", logged_run)
+    monkeypatch.setattr(search, "_save_checkpoint", logged_save)
+    tasks = search._expand_frontier(3, 5, True, 2)[0]
+    assert len(tasks) > 1
+    enumerate_maximal_sumfree(3, 5, jobs=2, checkpoint=str(tmp_path / "state.json"))
+    assert pool_log == [2]
+    want = [("save", len(tasks))]
+    for left in range(len(tasks) - 1, -1, -1):
+        want += ["run", ("save", left)]
+    assert log == want
+
+
+@pytest.mark.parametrize("up_to_iso", [True, False])
+def test_resume_from_every_prefix_of_the_pending_list(tmp_path, up_to_iso):
+    fresh = _canonical_json(enumerate_maximal_sumfree(3, 5, up_to_iso))
+    frontiers = {}
+    for jobs in (1, 2):
+        tasks, shallow, nodes = search._expand_frontier(3, 5, up_to_iso, jobs)
+        frontiers[tuple(tasks)] = (shallow, nodes)
+    for tasks, (shallow, nodes) in frontiers.items():
+        found = dict(shallow)
+        for k in range(len(tasks) + 1):
+            path = str(tmp_path / f"resume-{k}.json")
+            search._save_checkpoint(path, 3, 5, up_to_iso, list(tasks[k:]), found, nodes)
+            resumed = enumerate_maximal_sumfree(3, 5, up_to_iso, checkpoint=path)
+            assert _canonical_json(resumed) == fresh, k
+            if k < len(tasks):
+                got, sub_nodes = search._run_task((3, 5, up_to_iso, tasks[k]))
+                found.update(dict.fromkeys(got))
+                nodes += sub_nodes
 
 
 def test_checkpoint_lifecycle(tmp_path):
@@ -129,7 +202,7 @@ def test_checkpoint_lifecycle(tmp_path):
     assert again == fresh
 
     # a frontier-only checkpoint resumes to the same place
-    tasks, shallow, nodes = search._expand_frontier(3, 5, True, search._FRONTIER_DEPTH)
+    tasks, shallow, nodes = search._expand_frontier(3, 5, True, 1)
     front = str(tmp_path / "front.json")
     search._save_checkpoint(front, 3, 5, True, tasks, shallow, nodes)
     assert enumerate_maximal_sumfree(3, 5, checkpoint=front) == fresh

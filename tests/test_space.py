@@ -1,12 +1,17 @@
 """Index arithmetic tables and set kernels against the naive trit oracle."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+import gf3sets
 from gf3sets import core, space
 
 
@@ -180,6 +185,40 @@ def test_kernels_match_per_point_reference(n):
         assert sp.sumset_bits(dense, sparse) == plus
         assert sp.sumset_bits(sparse, dense) == plus
         assert sp.difference_set_bits(dense, sparse) == minus
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_tables_match_decode_reference(n):
+    sp = space.space(n)
+    assert sp.trits == [space.decode(i, n) for i in range(sp.size)]
+    assert sp.neg == [_neg_ref(i, n) for i in range(sp.size)]
+    assert (sp.add_rows is None) == (n > 6)
+    rng = random.Random(2000 + n)
+    for _ in range(200):
+        i, j = rng.randrange(sp.size), rng.randrange(sp.size)
+        want = space.encode(
+            (s + t) % 3 for s, t in zip(space.decode(i, n), space.decode(j, n))
+        )
+        assert sp.add(i, j) == want
+
+
+def test_no_numpy_in_a_fresh_interpreter():
+    # pytest's own process may already hold numpy through hypothesis
+    code = (
+        "import random, sys\n"
+        "import gf3sets\n"
+        "from gf3sets import canon, space\n"
+        "for n in range(9):\n"
+        "    space.space(n)\n"
+        "canon.random_gl(4, random.Random(0)).apply_bits(0b1011)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(gf3sets.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    subprocess.run(
+        [sys.executable, "-c", code],
+        check=True, timeout=120, env={**os.environ, "PYTHONPATH": path},
+    )
 
 
 def test_slabs_partition_each_coordinate():

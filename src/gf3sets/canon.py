@@ -7,8 +7,18 @@ this order.  Minimization walks image choices w_j for the standard basis
 vectors e_j, one at a time and only among members of A outside the span
 already chosen; fixing w_0..w_{j-1} pins the image's membership on the
 index block [0, 3^j), so subtrees losing against the current best on that
-prefix are cut without expanding them (the new block is compared index by
-index, and a candidate is dropped at its first losing bit).
+prefix are cut without expanding them.
+
+The candidates for w_j are split against the best all at once.  If h maps
+the indices below 3^j to their images, position 3^j + r of the new block
+holds h(r) + w_j and position 2*3^j + r holds h(r) - w_j.  So the
+candidates with a member at those positions are the sets A - h(r) and
+h(r) - A, each one translate of A or -A, kept per walk as it is first
+needed.  Reading the best's new block bit by bit, a few big-integer ANDs
+split the candidates into those that make a smaller image, those tied
+with the best, and those cut.  A fixed-mode walk stops as soon as the
+smaller part is not empty; a minimizing walk splits again whenever its
+best changes.
 
 The walk is pruned by automorphisms, after McKay ("Practical graph
 isomorphism", 1981; McKay and Piperno, 2014):
@@ -20,8 +30,9 @@ isomorphism", 1981; McKay and Piperno, 2014):
   searched.
 * At every node, a candidate w_j in the same orbit as a sibling already
   searched is skipped.  Orbits are taken under the recorded automorphisms
-  that fix w_0..w_{j-1} pointwise (union-find over the points), and such
-  an automorphism carries the searched subtree onto the skipped one.
+  that fix w_0..w_{j-1} pointwise (one bitset holds the orbits of the
+  searched siblings), and such an automorphism carries the searched
+  subtree onto the skipped one.
 
 Stabilizers are counted by orbits, not by leaves.  A fixed-mode walk of the
 canonical form starts with the identity path and finds, for every level j,
@@ -44,7 +55,7 @@ import random
 from dataclasses import dataclass
 
 from . import space as _sp
-from .space import iter_bits
+from .space import iter_bits, orbit_bits
 
 
 def gl_order(n: int) -> int:
@@ -83,9 +94,6 @@ class GroupElement:
             minus = sp.neg[img]
             perm += [sp.add(x, img) for x in perm] + [sp.add(x, minus) for x in perm]
         return perm
-
-    def apply_index(self, i: int) -> int:
-        return self.perm[i]
 
     def apply_bits(self, bits: int) -> int:
         perm = self.perm
@@ -145,12 +153,6 @@ class _Smaller(Exception):
     pass
 
 
-def _find(parent: list[int], x: int) -> int:
-    while parent[x] != x:
-        parent[x] = x = parent[parent[x]]
-    return x
-
-
 def _walk(bits: int, n: int, fixed: bool):
     """Minimize bits over GL(n,3), or (fixed) test bits against itself.
 
@@ -172,6 +174,13 @@ def _walk(bits: int, n: int, fixed: bool):
     if bits == 0:
         return 0, autos
     neg = sp.neg
+    translate = sp.translate_bits
+    neg_bits = sp.neg_set_bits(bits)
+    # plus[x] = bits - x and minus[x] = x - bits, the w with x + w and with
+    # x - w in bits: each is one translate, made when first needed
+    plus: list = [None] * size
+    minus: list = [None] * size
+    tables = ((plus, bits, neg), (minus, neg_bits, range(size)))
     state = {"best": bits if fixed else None, "hmap": range(size)}
 
     def leaf(j: int, hmap: list[int], prefix: int):
@@ -197,56 +206,76 @@ def _walk(bits: int, n: int, fixed: bool):
             return k
         return None
 
+    def split(hmap: list[int], want: int, cands: int) -> tuple[int, int]:
+        """(smaller, tied): the candidates whose new block beats, or
+        equals, the block want, compared least index first; the rest lose."""
+        smaller = 0
+        for table, source, shift in tables:
+            for x in hmap:
+                t = table[x]
+                if t is None:
+                    t = table[x] = translate(source, shift[x])
+                if want & 1:
+                    cands &= t
+                else:
+                    smaller |= cands & t
+                    cands &= ~t
+                if not cands:
+                    return smaller, 0
+                want >>= 1
+        return smaller, cands
+
     def rec(j: int, hmap: list[int], span: int, prefix: int):
         if bits & ~span == 0:
             return leaf(j, hmap, prefix)
-        block = 3**j
+        block = len(hmap)
         low = (1 << block) - 1
-        mask = (1 << 3 * block) - 1
         path = [hmap[3**i] for i in range(j)]
-        parent = None  # union-find of the orbits of autos fixing path
-        seen = 0
-        searched = []
-        for w in iter_bits(bits & ~span):
-            for a in autos[seen:]:
-                if all(a[p] == p for p in path):
-                    if parent is None:
-                        parent = list(range(size))
-                    for x, y in enumerate(a):
-                        if x != y:
-                            parent[_find(parent, x)] = _find(parent, y)
-            seen = len(autos)
-            if parent is not None:
-                r = _find(parent, w)
-                if any(_find(parent, u) == r for u in searched):
-                    continue
-            searched.append(w)
+        gens = []  # the recorded autos that fix the path
+        seen = 0  # how many recorded autos were sorted into gens
+        searched = 0  # the candidates searched so far
+        skip = 0  # their orbits under gens
+        rest = bits & ~span  # the candidates not yet visited
+        split_best = -1  # the best that smaller and tied were split against
+        while True:
+            best = state["best"]
+            if best != split_best:
+                split_best = best
+                c = -1 if best is None else _compare(prefix, best & low)
+                if c > 0:
+                    return None
+                if c < 0:
+                    smaller, tied = rest, 0
+                else:
+                    smaller, tied = split(hmap, best >> block, rest)
+                if fixed and smaller:
+                    raise _Smaller
+            live = (smaller | tied) & rest
+            if not live:
+                return None
+            bit = live & -live
+            rest &= -(bit << 1)
+            w = bit.bit_length() - 1
+            if len(autos) > seen:
+                new = [a for a in autos[seen:] if all(a[p] == p for p in path)]
+                seen = len(autos)
+                if new:
+                    gens += new
+                    skip = orbit_bits(searched, gens)
+            if skip & bit:
+                continue
+            searched |= bit
+            skip |= orbit_bits(bit, gens)
+            c = -1 if smaller & bit else 0
+            # images of x + e_j, then of x - e_j, for the x of the block
             row1 = add[w]
             row2 = add[neg[w]]
-            best = state["best"]
-            c = -1 if best is None else _compare(prefix, best & low)
+            images = list(map(row1.__getitem__, hmap))
+            images += map(row2.__getitem__, hmap)
+            # the images are distinct points off the span: sum their bits
+            new_span = span | sum(map((1).__lshift__, images))
             if c == 0:
-                # compare the new block with the best, least index first
-                for base, row in ((block, row1), (2 * block, row2)):
-                    want = best >> base
-                    for r, hr in enumerate(hmap):
-                        bit = bits >> row[hr] & 1
-                        if bit != want >> r & 1:
-                            c = -1 if bit else 1
-                            break
-                    if c:
-                        break
-            if c > 0:
-                continue
-            if c < 0 and fixed:
-                raise _Smaller
-            # images of x + e_j, then of x - e_j, for the x of the block
-            images = [row1[hr] for hr in hmap] + [row2[hr] for hr in hmap]
-            new_span = span
-            for p in images:
-                new_span |= 1 << p
-            if c == 0:
-                t = best & mask
+                t = best & ((1 << 3 * block) - 1)
             else:
                 t = prefix
                 for r, p in enumerate(images, block):
@@ -255,32 +284,35 @@ def _walk(bits: int, n: int, fixed: bool):
             back = rec(j + 1, hmap + images, new_span, t)
             if back is not None and back < j:
                 return back
-        return None
 
     rec(0, [0], 1, bits & 1)
     return state["best"], autos
+
+
+def automorphisms_bits(bits: int, n: int) -> list[list[int]]:
+    """Automorphisms of a set least in its orbit, as its fixed-mode walk
+    records them: index permutations of the space, linear on the span of
+    bits and the identity off it.  They reach every orbit that
+    canonicalize_bits counts.  Raises ValueError if bits is not least in
+    its orbit."""
+    try:
+        return _walk(bits, n, fixed=True)[1]
+    except _Smaller:
+        raise ValueError("the set is not least in its orbit") from None
 
 
 def canonicalize_bits(bits: int, n: int) -> tuple[int, int]:
     """(canonical form, setwise stabilizer order), the order counted by
     orbits along the identity path of a fixed-mode walk of the form."""
     best = _walk(bits, n, fixed=False)[0]
-    autos = _walk(best, n, fixed=True)[1]
+    autos = automorphisms_bits(best, n)
     d = 0
     while best >> 3**d:
         d += 1
     stab = math.prod(3**n - 3**i for i in range(d, n))
     for j in range(d):
         gens = [a for a in autos if all(a[3**i] == 3**i for i in range(j))]
-        orbit = {3**j}
-        frontier = [3**j]
-        while frontier:
-            x = frontier.pop()
-            for a in gens:
-                if a[x] not in orbit:
-                    orbit.add(a[x])
-                    frontier.append(a[x])
-        stab *= len(orbit)
+        stab *= orbit_bits(1 << 3**j, gens).bit_count()
     return best, stab
 
 
@@ -288,9 +320,14 @@ def canonical_form_bits(bits: int, n: int) -> int:
     return _walk(bits, n, fixed=False)[0]
 
 
-def is_lexmin_bits(bits: int, n: int) -> bool:
+def is_lexmin_bits(bits: int, n: int, autos: list | None = None) -> bool:
+    """Whether bits is least in its orbit.  On acceptance, the
+    automorphisms the walk recorded (see automorphisms_bits) are appended
+    to autos when it is given."""
     try:
-        _walk(bits, n, fixed=True)
+        found = _walk(bits, n, fixed=True)[1]
     except _Smaller:
         return False
+    if autos is not None:
+        autos += found
     return True

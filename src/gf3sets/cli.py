@@ -105,7 +105,7 @@ def _cmd_verify_main(args) -> int:
 
 
 def _cmd_compute_t(args) -> int:
-    value = search.compute_t(args.dim, jobs=args.jobs)
+    value = search.compute_t(args.dim, jobs=args.jobs, checkpoint=args.checkpoint)
     if args.format == "json":
         _print_json({"n": args.dim, "t": value})
     else:
@@ -226,7 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("compute-t",
                         help="largest aperiodic maximal sum-free size")
-    _add_common(p, dim=True, jobs=True)
+    _add_common(p, dim=True, jobs=True, checkpoint=True)
     p.set_defaults(func=_cmd_compute_t)
 
     p = subs.add_parser("construct-lev",

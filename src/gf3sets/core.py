@@ -147,13 +147,6 @@ class TernarySet:
         _same_dim(self, other)
         return TernarySet(self.dim, self.bits & ~other.bits)
 
-    def complement(self) -> "TernarySet":
-        return TernarySet(self.dim, self.bits ^ (1 << 3**self.dim) - 1)
-
-    def issubset(self, other: "TernarySet") -> bool:
-        _same_dim(self, other)
-        return self.bits & ~other.bits == 0
-
     __or__ = union
     __and__ = intersection
     __sub__ = difference
@@ -203,24 +196,29 @@ def is_sum_free(a: TernarySet) -> bool:
     return sp.sumset_bits(a.bits, a.bits) & a.bits == 0
 
 
+def _sums_and_differences(a: TernarySet) -> int:
+    """(a + a) | (a - a) as a bitset: the |a| translates of a | -a."""
+    sp = _sp.space(a.dim)
+    return sp.sumset_bits(a.bits, a.bits | sp.neg_set_bits(a.bits))
+
+
 def blocked_cover_bits(a: TernarySet) -> int:
     """Bitset of elements that cannot extend a while keeping it sum-free.
 
     v outside this cover has sum-free a | {v}.  The cover is
-    a | (a+a) | (a-a) | (-a) | {0}.
+    a | (a+a) | (a-a) | (-a) | {0}, where -a lies in a + a (-x = x + x).
     """
-    sp = _sp.space(a.dim)
-    bits = a.bits
-    plus = sp.sumset_bits(bits, bits)
-    minus = sp.difference_set_bits(bits, bits)
-    return bits | plus | minus | sp.neg_set_bits(bits) | 1
+    return a.bits | _sums_and_differences(a) | 1
 
 
 def is_maximal_sum_free(a: TernarySet) -> bool:
-    """Sum-free and not properly contained in any sum-free set."""
-    if not is_sum_free(a):
-        return False
-    return blocked_cover_bits(a) == (1 << 3**a.dim) - 1
+    """Sum-free and not properly contained in any sum-free set.
+
+    a is sum-free exactly when (a + a) | (a - a) misses a, because
+    x - y = z means x = y + z; so one kernel decides both conditions.
+    """
+    sums = _sums_and_differences(a)
+    return sums & a.bits == 0 and a.bits | sums | 1 == (1 << 3**a.dim) - 1
 
 
 def sym_group_bits(bits: int, n: int) -> int:

@@ -6,6 +6,19 @@ the full linear group, so each isomorphism class of maximal sets is
 reported exactly once (dropping the largest element of a least orbit
 member leaves a least orbit member, which makes the prefix tree of
 canonical sets closed under truncation and the generation exhaustive).
+A child that the symmetry of its parent already shows not to be least
+in its orbit needs no lexmin test (after McKay, "Isomorph-free exhaustive
+generation", 1998).  A node S carries the automorphisms that the
+accepting walk of S recorded, and two rules drop such children S | {v}
+before any test:
+
+(i) the linear maps fixing the span of S pointwise act transitively on
+    the points outside it, so of the children outside the span only the
+    least is kept;
+(ii) a child v inside the span is dropped when its orbit under the
+    recorded automorphisms holds a smaller point u, since S | {u} is then
+    an image of S | {v} and the smaller set.
+
 Blocked elements are maintained incrementally: adding v to S extends the
 forbidden region by v+S, v-S, S-v and -v, so a node is maximal exactly
 when the forbidden region covers everything.
@@ -37,7 +50,7 @@ from .core import (
     sym_group_bits,
 )
 from .primitive import CheckResult, PrimitiveCertificate
-from .space import iter_bits
+from .space import iter_bits, orbit_bits
 from .subspaces import AffineSubspace
 
 CHECKPOINT_VERSION = 1
@@ -103,17 +116,40 @@ def _cover_increment(sp: _sp.Space, sbits: int, v: int) -> int:
     return plus | minus_a | minus_b | 1 << sp.neg[v] | 1 << v
 
 
-def _node(n: int, bits: int) -> tuple:
-    """Search node of a partial set: (bits, size, largest member, cover)."""
+def _node(n: int, bits: int, reduced: bool) -> tuple:
+    """Search node of a partial set: (bits, size, largest member, cover,
+    automorphisms).  The automorphisms come from the fixed walk of bits in
+    a reduced search, and are None otherwise."""
     cover = blocked_cover_bits(TernarySet(n, bits))
-    return bits, bits.bit_count(), bits.bit_length() - 1, cover
+    autos = canon.automorphisms_bits(bits, n) if reduced else None
+    return bits, bits.bit_count(), bits.bit_length() - 1, cover, autos
+
+
+def _prune_by_symmetry(sbits: int, free: int, autos: list) -> int:
+    """The points v of free left by rules (i) and (ii) of the module
+    docstring.  sbits is least in its orbit, so its span is [0, m) for a
+    power m of 3, and autos are automorphisms of it, linear on that span."""
+    m = 1
+    while sbits >> m:
+        m *= 3
+    inside = free & ((1 << m) - 1)
+    outside = free >> m << m
+    met = 0  # the orbits of the points of inside seen so far
+    for v in iter_bits(inside):
+        if not met >> v & 1:
+            orbit = orbit_bits(1 << v, autos)
+            met |= orbit
+            if orbit & (1 << v) - 1 == 0:
+                continue
+        inside ^= 1 << v
+    return inside | outside & -outside
 
 
 def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
             found: dict) -> list:
     """Visit one node: record it in found when it is maximal and large
     enough, and return the children that remain to be searched."""
-    sbits, size, maxv, cover = node
+    sbits, size, maxv, cover, autos = node
     full = sp.full_bits
     if cover == full:
         if size >= min_size:
@@ -126,12 +162,16 @@ def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
         paired = (free_above & sp.neg_set_bits(free_above)).bit_count()
         if size + f - paired // 2 < min_size:
             return []
+    if reduced:
+        free_above = _prune_by_symmetry(sbits, free_above, autos)
     children = []
     for v in iter_bits(free_above):
         child = sbits | 1 << v
-        if reduced and not canon.is_lexmin_bits(child, sp.n):
+        child_autos = [] if reduced else None
+        if reduced and not canon.is_lexmin_bits(child, sp.n, child_autos):
             continue
-        children.append((child, size + 1, v, cover | _cover_increment(sp, sbits, v)))
+        children.append((child, size + 1, v, cover | _cover_increment(sp, sbits, v),
+                         child_autos))
     return children
 
 
@@ -144,7 +184,7 @@ def _search_from(
 ) -> int:
     """DFS continuation below one partial set; returns nodes visited."""
     sp = _sp.space(n)
-    stack = [_node(n, start_bits)]
+    stack = [_node(n, start_bits, reduced)]
     nodes = 0
     while stack:
         nodes += 1
@@ -163,7 +203,7 @@ def _expand_frontier(n: int, min_size: int, reduced: bool, jobs: int):
     """
     sp = _sp.space(n)
     found: dict = {}
-    layer = [_node(n, 0)]
+    layer = [_node(n, 0, reduced)]
     nodes = 0
     while len(layer) < 8 * jobs:
         nxt = []
@@ -445,7 +485,7 @@ def verify_main_theorem(
     return VerificationVerdict(n, True, forward, backward, None, details)
 
 
-def compute_t(n: int, jobs: int = 1) -> int:
+def compute_t(n: int, jobs: int = 1, checkpoint: Optional[str] = None) -> int:
     """Largest size of an aperiodic maximal sum-free subset of F_3^n.
 
     Aperiodicity is a GL-invariant, so orbit representatives decide it.
@@ -453,12 +493,16 @@ def compute_t(n: int, jobs: int = 1) -> int:
     run from the theorem threshold upward; that is exact because an
     aperiodic maximal set of size 14 exists (the explicit construction),
     so the maximum is at least 14 and any larger candidate would have been
-    enumerated.
+    enumerated.  checkpoint is passed to the search: at n = 4 a finished
+    checkpoint of verify_main_theorem(4), which searches from the same
+    size, replays at once.
     """
     if not 1 <= n <= 4:
         raise ValueError("t is computed for dimensions 1 through 4")
     min_size = 14 if n == 4 else 1
-    report = enumerate_maximal_sumfree(n, min_size, up_to_iso=True, jobs=jobs)
+    report = enumerate_maximal_sumfree(
+        n, min_size, up_to_iso=True, jobs=jobs, checkpoint=checkpoint
+    )
     best = 0
     for s, _, sym_dim in report.representatives:
         if sym_dim == 0:

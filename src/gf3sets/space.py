@@ -42,6 +42,21 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
+def orbit_bits(points: int, perms: list[list[int]]) -> int:
+    """The union of the orbits of the points of a bitset under the group
+    generated by perms, index permutations of the space."""
+    out = points
+    todo = list(iter_bits(points))
+    while todo:
+        x = todo.pop()
+        for a in perms:
+            y = a[x]
+            if not out >> y & 1:
+                out |= 1 << y
+                todo.append(y)
+    return out
+
+
 def encode(trits: Iterable[int]) -> int:
     index = 0
     power = 1

@@ -121,7 +121,7 @@ def test_criterion_5_dim4_verification(tmp_path):
     assert verdict.details["hyperplane_orbit_size"] == 80
     assert verdict.details["orbit_reps_match"]
 
-    assert compute_t(4) == 14 == (3**3 + 1) // 2
+    assert compute_t(4, checkpoint=ck) == 14 == (3**3 + 1) // 2
     assert time.monotonic() - t0 < 8 * 3600.0
 
 

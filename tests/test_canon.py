@@ -33,10 +33,10 @@ def test_group_element_action_matches_oracle():
                 want = oracles.to_index(
                     oracles.apply_matrix(mat, oracles.to_trits(idx, n))
                 )
-                assert g.apply_index(idx) == want
+                assert g.perm[idx] == want
             bits = rng.getrandbits(3**n)
             got = g.apply_bits(bits)
-            assert set(iter_bits(got)) == {g.apply_index(i) for i in iter_bits(bits)}
+            assert set(iter_bits(got)) == {g.perm[i] for i in iter_bits(bits)}
 
 
 def test_invalid_group_element_rejected():
@@ -73,6 +73,32 @@ def test_canonicalization_matches_oracle_exhaustively(n):
         best, hits = oracles.orbit_min(trits, n, group)
         assert tuple(got.indices()) == (best or ())
         assert stab == hits if bits else stab == gl_order(n)
+
+
+def test_lexmin_and_canonical_form_match_oracle_dim2_exhaustively():
+    group = oracles.gl_elements(2)
+    lexmin = 0
+    for bits in range(1 << 9):
+        trits = [oracles.to_trits(i, 2) for i in iter_bits(bits)]
+        least = TernarySet.from_indices(2, oracles.orbit_min(trits, 2, group)[0] or ()).bits
+        assert canon.canonical_form_bits(bits, 2) == least
+        assert canon.is_lexmin_bits(bits, 2) == (bits == least)
+        lexmin += bits == least
+    assert lexmin == 36  # one per orbit of GL(2, 3) on the 2^9 sets
+
+
+def test_lexmin_and_canonical_form_match_oracle_dim3_sampled():
+    group = _gl3()
+    rng = random.Random(6)
+    for _ in range(8):
+        bits = TernarySet.from_indices(3, rng.sample(range(27), rng.randrange(1, 9))).bits
+        trits = [oracles.to_trits(i, 3) for i in iter_bits(bits)]
+        least = TernarySet.from_indices(3, oracles.orbit_min(trits, 3, group)[0]).bits
+        assert canon.canonical_form_bits(bits, 3) == least
+        assert canon.is_lexmin_bits(bits, 3) == (bits == least)
+        assert canon.is_lexmin_bits(least, 3)
+        image = canon.random_gl(3, rng).apply_bits(least)
+        assert canon.is_lexmin_bits(image, 3) == (image == least)
 
 
 def test_canonicalization_matches_oracle_dim3_sampled():
@@ -192,3 +218,34 @@ def test_orbit_stabilizer_for_subspaces_dim4(dim, point):
     assert len(canon.orbit_of_bits(a.bits, 4)) * stab == gl_order(4)
     if dim == 3 and point:
         assert stab == 303264
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_recorded_automorphisms_fix_the_set_on_its_span(n):
+    sp = space(n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(affine_unions(n))
+    def check(bits):
+        form = canon.canonical_form_bits(bits, n)
+        autos = canon.automorphisms_bits(form, n)
+        got = []
+        assert canon.is_lexmin_bits(form, n, got) and got == autos
+        m = 1
+        while form >> m:
+            m *= 3  # the span of a set least in its orbit is [0, m)
+        for a in autos:
+            assert sorted(a) == list(range(3**n))
+            assert a[m:] == list(range(m, 3**n))
+            assert sum(1 << a[x] for x in iter_bits(form)) == form
+            for p in sp.powers:
+                if p < m:
+                    assert all(a[sp.add(x, p)] == sp.add(a[x], a[p]) for x in range(m))
+
+    check()
+
+
+def test_automorphisms_are_refused_off_the_least_orbit_member():
+    assert canon.automorphisms_bits(0, 2) == []
+    with pytest.raises(ValueError):
+        canon.automorphisms_bits(1 << 2, 2)  # {-e_0}; its least image is {e_0}

@@ -99,6 +99,23 @@ def test_compute_t_output(capsys):
     assert cli.main(["compute-t", "--dim", "9"]) == 2
 
 
+def test_compute_t_resumes_from_checkpoint(tmp_path, capsys):
+    path = str(tmp_path / "t3.json")
+    args = ["compute-t", "--dim", "3", "--format", "json", "--checkpoint", path]
+    assert cli.main(args) == 0
+    assert _json_out(capsys) == {"n": 3, "t": 5}
+    state = json.loads(open(path).read())
+    assert state["pending"] == [] and state["min_size"] == 1
+    assert cli.main(args) == 0  # replays the finished checkpoint
+    assert _json_out(capsys) == {"n": 3, "t": 5}
+    # a checkpoint of another search is refused
+    other = str(tmp_path / "v3.json")
+    assert cli.main(["verify-main", "--dim", "3", "--checkpoint", other]) == 0
+    capsys.readouterr()
+    assert cli.main(["compute-t", "--dim", "3", "--checkpoint", other]) == 2
+    assert "error: checkpoint min_size mismatch" in capsys.readouterr().err
+
+
 def test_runtime_errors_exit_one(monkeypatch, capsys):
     def boom(*a, **k):
         raise RuntimeError("inconclusive")

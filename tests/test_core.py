@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gf3sets import (
@@ -21,6 +23,7 @@ from gf3sets import (
     sym_group,
 )
 from gf3sets.core import blocked_cover_bits, sym_group_bits
+from gf3sets.space import iter_bits
 
 
 def _random_set(rng, n):
@@ -115,6 +118,28 @@ def test_blocked_cover_is_the_extension_obstruction():
                 continue
             assert is_sum_free(extended) == (not blocked >> v & 1)
     assert sp_checked > 20
+
+
+# Sparse sets: dense random sets are almost never sum-free.
+@st.composite
+def sparse_sets(draw):
+    n = draw(st.integers(1, 4))
+    points = draw(st.lists(st.integers(0, 3**n - 1), max_size=3**(n - 1) + 2))
+    return TernarySet.from_indices(n, points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_sets())
+def test_fused_maximality_kernel_matches_oracle(a):
+    n = a.dim
+    trits = [oracles.to_trits(i, n) for i in a.indices()]
+    assert is_maximal_sum_free(a) == oracles.is_maximal_sum_free(trits, n)
+    if oracles.is_sum_free(trits):
+        blocked = {
+            oracles.to_index(v) for v in oracles.all_vectors(n)
+            if v in trits or not oracles.is_sum_free(trits + [v])
+        }
+        assert set(iter_bits(blocked_cover_bits(a))) == blocked
 
 
 def test_ternary_set_basics():

@@ -5,6 +5,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gf3sets import (
@@ -18,8 +20,9 @@ from gf3sets import (
     validate_certificate,
     verify_main_theorem,
 )
-from gf3sets import search
+from gf3sets import canon, search
 from gf3sets import subspaces as sub
+from gf3sets.space import iter_bits
 
 
 def test_reduced_and_unreduced_engines_agree():
@@ -39,6 +42,40 @@ def test_census_matches_brute_force(n):
     brute = oracles.maximal_sumfree_sets(n, 1)
     assert report.counts_by_size == dict(Counter(len(s) for s in brute))
     assert sum(report.counts_by_size.values()) == len(brute)
+
+
+def _check_symmetry_pruning(bits: int, n: int) -> tuple[int, int]:
+    """Prune every child of a set least in its orbit, as the search does;
+    no dropped child may be least in its orbit.  Returns the numbers of
+    children dropped outside the span (rule i) and inside it (rule ii)."""
+    free = ((1 << 3**n) - 1) & -(1 << bits.bit_length())
+    kept = search._prune_by_symmetry(bits, free, canon.automorphisms_bits(bits, n))
+    assert kept & ~free == 0
+    dropped = free & ~kept
+    for v in iter_bits(dropped):
+        assert not canon.is_lexmin_bits(bits | 1 << v, n), (bits, v)
+    m = 1
+    while bits >> m:
+        m *= 3
+    return (dropped >> m).bit_count(), (dropped & (1 << m) - 1).bit_count()
+
+
+def test_symmetry_pruning_drops_no_lexmin_child_dim2_exhaustively():
+    outside = inside = 0
+    for bits in range(1 << 9):
+        if canon.is_lexmin_bits(bits, 2):
+            i, ii = _check_symmetry_pruning(bits, 2)
+            outside += i
+            inside += ii
+    assert outside > 0 and inside > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.data())
+def test_symmetry_pruning_drops_no_lexmin_child(n, data):
+    points = data.draw(st.lists(st.integers(0, 3**n - 1), max_size=6))
+    bits = canon.canonical_form_bits(TernarySet.from_indices(n, points).bits, n)
+    _check_symmetry_pruning(bits, n)
 
 
 def test_known_census_dim3():

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from . import kneser, primitive, search, subspaces, suite
+from . import primitive, search, statements, subspaces, suite
 from .core import ParseError, TernarySet, format_set_text, parse_set_text
 
 
@@ -157,10 +157,10 @@ def _cmd_check(args) -> int:
             kwargs["b"] = _read_set(args.b)
         if args.j is not None:
             kwargs["j"] = _parse_hyperplane(args.j, a.dim)
-        result = primitive.check_lemma(args.lemma, a, **kwargs)
+        result = statements.check_lemma(args.lemma, a, **kwargs)
     else:
         h = _parse_hyperplane(args.h, a.dim) if args.h is not None else None
-        result = search.check_proposition(args.prop, a, h=h)
+        result = statements.check_proposition(args.prop, a, h=h)
     if args.format == "json":
         _print_json(result.to_json())
     else:
@@ -242,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("check", help="test one named statement on a set")
     _add_common(p)
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--lemma", choices=primitive._LEMMA_IDS)
-    group.add_argument("--prop", choices=search._PROP_IDS)
+    group.add_argument("--lemma", choices=statements.statement_ids("lemma"))
+    group.add_argument("--prop", choices=statements.statement_ids("proposition"))
     p.add_argument("--k", type=int, help="flat dimension for dense_affine")
     p.add_argument("--b", metavar="FILE", help="subset file for disjoint_transfer")
     p.add_argument("--j", metavar="NORMAL,LABEL",

@@ -1,10 +1,9 @@
-"""Vectors and subsets of F_3^n, with the sum-free set operations.
+"""Subsets of F_3^n, with the sum-free set operations.
 
-The two value types here are deliberately thin wrappers around the integer
-encodings from the space module: a TernaryVector is (dim, index) and a
-TernarySet is (dim, bitset).  Both are immutable and hashable, so they can
-be used as dictionary keys and shared freely between threads; every
-operation allocates a fresh object.
+The set type here is deliberately a thin wrapper around the integer
+encodings from the space module: a TernarySet is (dim, bitset).  It is
+immutable and hashable, so it can be used as a dictionary key and shared
+freely between threads; every operation allocates a fresh object.
 
 Sets can be read and written in a small text format:
 
@@ -21,7 +20,7 @@ are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import space as _sp
 from .space import iter_bits
@@ -33,41 +32,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
-
-
-@dataclass(frozen=True, slots=True)
-class TernaryVector:
-    dim: int
-    index: int
-
-    def __post_init__(self):
-        _sp.check_dim(self.dim)
-        if not 0 <= self.index < 3**self.dim:
-            raise ValueError(
-                f"index {self.index} out of range for dimension {self.dim}"
-            )
-
-    @classmethod
-    def from_trits(cls, trits: Iterable[int]) -> "TernaryVector":
-        trits = tuple(trits)
-        return cls(len(trits), _sp.encode(trits))
-
-    @property
-    def trits(self) -> tuple[int, ...]:
-        return _sp.decode(self.index, self.dim)
-
-    def __add__(self, other: "TernaryVector") -> "TernaryVector":
-        _same_dim(self, other)
-        return TernaryVector(self.dim, _sp.space(self.dim).add(self.index, other.index))
-
-    def __neg__(self) -> "TernaryVector":
-        return TernaryVector(self.dim, _sp.space(self.dim).neg[self.index])
-
-    def __sub__(self, other: "TernaryVector") -> "TernaryVector":
-        return self + (-other)
-
-    def __str__(self) -> str:
-        return " ".join(str(t) for t in self.trits)
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,17 +64,6 @@ class TernarySet:
             bits |= 1 << i
         return cls(dim, bits)
 
-    @classmethod
-    def from_vectors(cls, vectors: Iterable[TernaryVector]) -> "TernarySet":
-        vectors = list(vectors)
-        if not vectors:
-            raise ValueError("from_vectors needs at least one vector; use empty(dim)")
-        dim = vectors[0].dim
-        for v in vectors:
-            if v.dim != dim:
-                raise ValueError("mixed dimensions in from_vectors")
-        return cls.from_indices(dim, (v.index for v in vectors))
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -120,15 +73,8 @@ class TernarySet:
     def indices(self) -> list[int]:
         return list(iter_bits(self.bits))
 
-    def vectors(self) -> list[TernaryVector]:
-        return [TernaryVector(self.dim, i) for i in iter_bits(self.bits)]
-
-    def __contains__(self, item) -> bool:
-        i = item.index if isinstance(item, TernaryVector) else item
-        return bool((self.bits >> i) & 1)
-
-    def __iter__(self) -> Iterator[TernaryVector]:
-        return iter(self.vectors())
+    def __contains__(self, index: int) -> bool:
+        return bool((self.bits >> index) & 1)
 
     def __len__(self) -> int:
         return self.size
@@ -151,9 +97,8 @@ class TernarySet:
     __and__ = intersection
     __sub__ = difference
 
-    def translate(self, v: TernaryVector | int) -> "TernarySet":
-        idx = v.index if isinstance(v, TernaryVector) else v
-        return TernarySet(self.dim, _sp.space(self.dim).translate_bits(self.bits, idx))
+    def translate(self, v: int) -> "TernarySet":
+        return TernarySet(self.dim, _sp.space(self.dim).translate_bits(self.bits, v))
 
 
 def _same_dim(a, b) -> None:
@@ -257,7 +202,6 @@ def is_aperiodic(a: TernarySet) -> bool:
 def parse_set_text(text: str) -> TernarySet:
     dim = None
     bits = 0
-    seen_any = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -291,10 +235,8 @@ def parse_set_text(text: str) -> TernarySet:
         if (bits >> index) & 1:
             raise ParseError(f"duplicate vector {line!r}", lineno)
         bits |= 1 << index
-        seen_any = True
     if dim is None:
         raise ParseError("missing 'dim N' header", 1)
-    del seen_any
     return TernarySet(dim, bits)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from . import canon, subspaces
 from . import space as _sp
 from .core import TernarySet, difference_set, sumset, sym_group_bits
-from .primitive import CheckResult
+from .statements import CheckResult
 from .space import iter_bits
 from .subspaces import AffineSubspace
 

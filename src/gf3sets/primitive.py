@@ -29,52 +29,10 @@ from .core import (
     blocked_cover_bits,
     is_sum_free,
     is_maximal_sum_free,
-    k_fold_sumset,
     sym_group_bits,
 )
 from .space import iter_bits
 from .subspaces import AffineSubspace
-
-
-@dataclass(frozen=True)
-class CheckResult:
-    """Outcome of a single verification check.
-
-    status is one of "holds", "not_applicable" (a hypothesis failed, so the
-    statement says nothing) or "counterexample".  A hypothesis failure is
-    never reported as success.
-    """
-
-    name: str
-    status: str
-    detail: str = ""
-    witness: Optional[dict] = None
-
-    def __post_init__(self):
-        if self.status not in ("holds", "not_applicable", "counterexample"):
-            raise ValueError(f"unknown status {self.status!r}")
-
-    @classmethod
-    def holds(cls, name: str, detail: str = "", witness=None) -> "CheckResult":
-        return cls(name, "holds", detail, witness)
-
-    @classmethod
-    def not_applicable(cls, name: str, detail: str = "") -> "CheckResult":
-        return cls(name, "not_applicable", detail)
-
-    @classmethod
-    def counterexample(cls, name: str, detail: str = "", witness=None) -> "CheckResult":
-        return cls(name, "counterexample", detail, witness)
-
-    @property
-    def ok(self) -> bool:
-        return self.status != "counterexample"
-
-    def to_json(self) -> dict:
-        out = {"name": self.name, "status": self.status, "detail": self.detail}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
 
 
 class CertificateError(ValueError):
@@ -400,22 +358,17 @@ def _dim4_orbit_reps() -> frozenset:
 
     Canonicalizing each of the two hundred thousand stream members would
     work but wastes minutes on a handful of orbits, so the stream is first
-    bucketed by an invariant signature (set size plus the sorted profile of
-    hyperplane intersection sizes), which is constant on orbits.  Within a
-    bucket, members are canonicalized until the found orbits account for
-    the whole bucket: an orbit with representative R meets the stream in
-    exactly |orbit(R)| * d(R) / 80 sets, where d(R) is the decomposition
+    bucketed by set size, which is constant on orbits.  Within a bucket,
+    members are canonicalized until the found orbits account for the whole
+    bucket: an orbit with representative R meets the stream in exactly
+    |orbit(R)| * d(R) / 80 sets, where d(R) is the decomposition
     multiplicity and 80 the number of origin-avoiding hyperplanes the
     linear group permutes transitively.
     """
-    stream = list(iter_primitive_fixed_hyperplane(4))
-    planes = tuple(
-        h.members_bits for h in subspaces.enumerate_hyperplanes(4, avoid_origin=True)
-    )
+    planes = subspaces.enumerate_hyperplanes(4, avoid_origin=True)
     buckets = {}
-    for b in stream:
-        sig = tuple(sorted((b & p).bit_count() for p in planes))
-        buckets.setdefault(sig, []).append(b)
+    for b in iter_primitive_fixed_hyperplane(4):
+        buckets.setdefault(b.bit_count(), []).append(b)
     order = canon.gl_order(4)
     reps = set()
     for members in buckets.values():
@@ -493,192 +446,6 @@ def _primitive_superset_dim4(bits: int) -> Optional[int]:
     return rec(bits, 0)
 
 
-_LEMMA_IDS = (
-    "card_formula",
-    "sym_containment",
-    "four_sum",
-    "hyperplane_bound",
-    "affine_above_sym",
-    "dense_affine",
-    "disjoint_transfer",
-)
-
-
-def check_lemma(lemma_id: str, a: TernarySet, *, b: Optional[TernarySet] = None,
-                j: Optional[AffineSubspace] = None, k: Optional[int] = None) -> CheckResult:
-    """Run one structural check against a concrete set.
-
-    Checks whose hypotheses fail report not_applicable; a hypothesis failure
-    is never scored as a pass.
-    """
-    if lemma_id not in _LEMMA_IDS:
-        raise ValueError(f"unknown check {lemma_id!r}; choose from {_LEMMA_IDS}")
-    return globals()[f"_check_{lemma_id}"](a, b=b, j=j, k=k)
-
-
-def _check_card_formula(a: TernarySet, **_) -> CheckResult:
-    name = "card_formula"
-    cert = recognize_primitive(a)
-    if cert is None:
-        return CheckResult.not_applicable(name, "set is not primitive")
-    n = a.dim
-    sym = bin(sym_group_bits(a.bits, n)).count("1")
-    expected = (3**n + 3 * sym) // 6
-    if 6 * a.size == 3**n + 3 * sym:
-        return CheckResult.holds(name, f"size {a.size} matches ({3**n} + 3*{sym})/6")
-    return CheckResult.counterexample(
-        name,
-        f"size {a.size}, symmetry group size {sym}, expected {expected}",
-        witness={"set": a.indices(), "sym_size": sym},
-    )
-
-
-def _check_sym_containment(a: TernarySet, **_) -> CheckResult:
-    name = "sym_containment"
-    cert = recognize_primitive(a)
-    if cert is None or cert.kind != "derived":
-        return CheckResult.not_applicable(name, "set is not a derived primitive")
-    n = a.dim
-    sym_a = sym_group_bits(a.bits, n)
-    sym_x = sym_group_bits(cert.x.member_bits, n)
-    du = cert.u.direction().members_bits
-    if sym_a == sym_x and sym_a & ~du == 0:
-        return CheckResult.holds(
-            name, "symmetry groups of the set and its X part agree inside [U]"
-        )
-    return CheckResult.counterexample(
-        name,
-        "symmetry group mismatch or escape from the direction space of U",
-        witness={
-            "set": a.indices(),
-            "sym_set": sorted(iter_bits(sym_a)),
-            "sym_x": sorted(iter_bits(sym_x)),
-        },
-    )
-
-
-def _check_four_sum(a: TernarySet, **_) -> CheckResult:
-    name = "four_sum"
-    if recognize_primitive(a) is None:
-        return CheckResult.not_applicable(name, "set is not primitive")
-    if 0 in k_fold_sumset(a, 4):
-        return CheckResult.counterexample(
-            name, "0 is a sum of four members", witness={"set": a.indices()}
-        )
-    return CheckResult.holds(name, "no four members sum to 0")
-
-
-def _check_hyperplane_bound(a: TernarySet, **_) -> CheckResult:
-    name = "hyperplane_bound"
-    cert = recognize_primitive(a)
-    if cert is None or cert.kind == "hyperplane":
-        return CheckResult.not_applicable(
-            name, "set is not a derived primitive"
-        )
-    n = a.dim
-    bound = 3 ** (n - 1)
-    for jp in subspaces.enumerate_hyperplanes(n):
-        inside = bin(a.bits & jp.members_bits).count("1")
-        if a.size + inside > bound:
-            return CheckResult.counterexample(
-                name,
-                f"|A| + |A cap J| = {a.size} + {inside} > {bound}",
-                witness={"set": a.indices(), "J": jp.to_json()},
-            )
-    return CheckResult.holds(name, f"|A| + |A cap J| <= {bound} for every hyperplane J")
-
-
-def _check_affine_above_sym(a: TernarySet, **_) -> CheckResult:
-    name = "affine_above_sym"
-    cert = recognize_primitive(a)
-    if cert is None or cert.kind == "hyperplane":
-        return CheckResult.not_applicable(name, "set is not a derived primitive")
-    n = a.dim
-    sym_size = bin(sym_group_bits(a.bits, n)).count("1")
-    d = round(_log3(sym_size)) + 1
-    for e in subspaces.enumerate_affine_subspaces(subspaces.full_space(n), d):
-        if e.members_bits & ~a.bits == 0:
-            return CheckResult.holds(
-                name,
-                f"contains an affine subspace of dimension {d} > symmetry dimension {d - 1}",
-                witness={"E": e.to_json()},
-            )
-    return CheckResult.counterexample(
-        name,
-        f"no affine subspace of dimension {d} fits inside the set",
-        witness={"set": a.indices()},
-    )
-
-
-def _log3(size: int) -> float:
-    return math.log(size, 3)
-
-
-def _check_dense_affine(a: TernarySet, *, k: Optional[int] = None, **_) -> CheckResult:
-    name = "dense_affine"
-    if k is None or k < 1:
-        return CheckResult.not_applicable(name, "needs a dimension k >= 1")
-    n = a.dim
-    if k > n:
-        return CheckResult.not_applicable(name, "k exceeds the ambient dimension")
-    if subspaces.affine_hull_bits(a.bits, n).dim != n:
-        return CheckResult.not_applicable(name, "set lies in a hyperplane")
-    if 6 * a.size <= 3**n + 3 ** (k - 1):
-        return CheckResult.not_applicable(
-            name, f"size {a.size} is not above ({3**n} + 3^{k - 1})/6"
-        )
-    if not is_subprimitive(a):
-        return CheckResult.not_applicable(name, "set is not subprimitive")
-    need = (5 * 3**k + 3) // 6
-    best = None
-    for e in subspaces.enumerate_affine_subspaces(subspaces.full_space(n), k):
-        got = bin(a.bits & e.members_bits).count("1")
-        if 6 * got >= 5 * 3**k + 3:
-            return CheckResult.holds(
-                name,
-                f"an affine subspace of dimension {k} holds {got} members",
-                witness={"E": e.to_json()},
-            )
-        if best is None or got > best:
-            best = got
-    return CheckResult.counterexample(
-        name,
-        f"no affine subspace of dimension {k} holds {need} members (best {best})",
-        witness={"set": a.indices()},
-    )
-
-
-def _check_disjoint_transfer(a: TernarySet, *, b: Optional[TernarySet] = None,
-                             j: Optional[AffineSubspace] = None, **_) -> CheckResult:
-    name = "disjoint_transfer"
-    if b is None or j is None:
-        return CheckResult.not_applicable(name, "needs a subset B and a hyperplane J")
-    cert = recognize_primitive(a)
-    if cert is None or cert.kind == "hyperplane":
-        return CheckResult.not_applicable(name, "set is not a derived primitive")
-    n = a.dim
-    if j.empty or j.dim != n - 1:
-        return CheckResult.not_applicable(name, "J is not a hyperplane")
-    if b.dim != n or b.bits & ~a.bits:
-        return CheckResult.not_applicable(name, "B is not a subset of A")
-    if 6 * b.size <= 3**n:
-        return CheckResult.not_applicable(name, "B is not above a sixth of the space")
-    if b.bits & j.members_bits:
-        return CheckResult.not_applicable(name, "J meets B")
-    if a.bits & j.members_bits:
-        return CheckResult.counterexample(
-            name,
-            "J avoids B but meets A",
-            witness={
-                "set": a.indices(),
-                "B": b.indices(),
-                "J": j.to_json(),
-                "overlap": sorted(iter_bits(a.bits & j.members_bits)),
-            },
-        )
-    return CheckResult.holds(name, "every hyperplane avoiding B avoids A")
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     """Everything the classifier can say about one set."""
@@ -720,7 +487,7 @@ def classify_set(a: TernarySet) -> ClassificationReport:
     if a.size:
         sym = sym_group_bits(a.bits, n)
         sym_size = bin(sym).count("1")
-        sym_dim = round(_log3(sym_size))
+        sym_dim = round(math.log(sym_size, 3))
         aperiodic = sym == 1
     else:
         sym_size = None

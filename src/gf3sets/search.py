@@ -46,12 +46,10 @@ from .core import (
     blocked_cover_bits,
     is_maximal_sum_free,
     is_sum_free,
-    k_fold_sumset,
     sym_group_bits,
 )
-from .primitive import CheckResult, PrimitiveCertificate
+from .primitive import PrimitiveCertificate
 from .space import iter_bits, orbit_bits
-from .subspaces import AffineSubspace
 
 CHECKPOINT_VERSION = 1
 
@@ -534,259 +532,3 @@ def lev_construction(n: int) -> tuple[TernarySet, PrimitiveCertificate]:
     cert = PrimitiveCertificate("derived", h, u, TernarySet(n, wbits), x)
     return TernarySet(n, wbits | 1 << 2), cert
 
-
-_PROP_IDS = (
-    "prop_hyperplane_cover",
-    "prop_empty_slice",
-    "conclusion_grid",
-    "five_in_cube",
-    "four_point",
-    "line_everywhere",
-    "parallel_lines",
-    "dim4",
-    "no_zero_4A",
-    "codim2_slice",
-)
-
-
-def check_proposition(
-    prop_id: str, a: TernarySet, *, h: Optional[AffineSubspace] = None
-) -> CheckResult:
-    """Test one implication on a concrete set; hypothesis failures are
-    reported as not_applicable, never as success."""
-    if prop_id not in _PROP_IDS:
-        raise ValueError(f"unknown proposition {prop_id!r}; choose from {_PROP_IDS}")
-    return globals()[f"_prop_{prop_id}"](a, h)
-
-
-def _subprimitive_conclusion(name: str, a: TernarySet, extra: dict) -> CheckResult:
-    sup = primitive._primitive_superset(a)
-    if sup is None:
-        return CheckResult.counterexample(
-            name, "set is not subprimitive", witness={"set": a.indices(), **extra}
-        )
-    return CheckResult.holds(
-        name,
-        "subprimitive",
-        witness={"primitive_superset": sorted(iter_bits(sup)), **extra},
-    )
-
-
-def _prop_prop_hyperplane_cover(a: TernarySet, h) -> CheckResult:
-    name = "prop_hyperplane_cover"
-    n = a.dim
-    if n > 4:
-        return CheckResult.not_applicable(name, "needs the verified range n <= 4")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if 6 * a.size <= 3**n:
-        return CheckResult.not_applicable(name, "set is not above a sixth of the space")
-    cands = [h] if h is not None else list(
-        subspaces.enumerate_hyperplanes(n, avoid_origin=True)
-    )
-    for cand in cands:
-        if cand.dim != n - 1 or 0 in cand:
-            continue
-        if a.bits & cand.direction().members_bits:
-            continue
-        neg = cand.neg()
-        hull = subspaces.affine_hull_bits(a.bits & neg.members_bits, n)
-        if hull == neg:
-            continue
-        return _subprimitive_conclusion(name, a, {"H": cand.to_json()})
-    return CheckResult.not_applicable(name, "no hyperplane satisfies the hypotheses")
-
-
-def _prop_prop_empty_slice(a: TernarySet, h) -> CheckResult:
-    name = "prop_empty_slice"
-    n = a.dim
-    if n > 4:
-        return CheckResult.not_applicable(name, "needs the verified range n <= 4")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if 6 * a.size <= 3**n:
-        return CheckResult.not_applicable(name, "set is not above a sixth of the space")
-    cands = [h] if h is not None else list(
-        subspaces.enumerate_hyperplanes(n, avoid_origin=True)
-    )
-    for cand in cands:
-        if cand.dim != n - 1 or 0 in cand:
-            continue
-        if a.bits & cand.members_bits:
-            continue
-        direction = cand.direction()
-        hull = subspaces.affine_hull_bits(a.bits & direction.members_bits, n)
-        if hull == direction:
-            continue
-        return _subprimitive_conclusion(name, a, {"H": cand.to_json()})
-    return CheckResult.not_applicable(name, "no hyperplane satisfies the hypotheses")
-
-
-def _prop_conclusion_grid(a: TernarySet, h) -> CheckResult:
-    name = "conclusion_grid"
-    n = a.dim
-    if n < 2 or n > 4:
-        return CheckResult.not_applicable(name, "needs 2 <= n <= 4")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if 2 * a.size <= 3 ** (n - 1):
-        return CheckResult.not_applicable(name, "set is not above half a hyperplane")
-    # the (i, j) slice: the points whose first two trits are i and j
-    first, second = _sp.space(n).slabs[:2]
-    if 2 * (a.bits & first[0] & second[1]).bit_count() <= 3 ** (n - 2):
-        return CheckResult.not_applicable(
-            name, "the (0,1) slice is not above half its size"
-        )
-    for i in range(3):
-        one = a.bits & first[1] & second[i]
-        two = a.bits & first[2] & second[(1 - i) % 3]
-        if one and two:
-            return CheckResult.not_applicable(
-                name, f"both paired slices at i={i} are occupied"
-            )
-    return _subprimitive_conclusion(name, a, {})
-
-
-def _lines_within(a: TernarySet) -> list:
-    full = subspaces.full_space(a.dim)
-    return [
-        e
-        for e in subspaces.enumerate_affine_subspaces(full, 1)
-        if e.members_bits & ~a.bits == 0
-    ]
-
-
-def _prop_five_in_cube(a: TernarySet, h) -> CheckResult:
-    name = "five_in_cube"
-    if a.dim != 3:
-        return CheckResult.not_applicable(name, "the statement concerns dimension 3")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if a.size < 5:
-        return CheckResult.not_applicable(name, "set has fewer than 5 members")
-    sup = primitive._primitive_superset(a)
-    lines = _lines_within(a)
-    if sup is not None and lines:
-        return CheckResult.holds(
-            name,
-            "subprimitive and contains a line",
-            witness={
-                "primitive_superset": sorted(iter_bits(sup)),
-                "line": lines[0].to_json(),
-            },
-        )
-    reason = "not subprimitive" if sup is None else "contains no line"
-    return CheckResult.counterexample(name, reason, witness={"set": a.indices()})
-
-
-def _prop_four_point(a: TernarySet, h) -> CheckResult:
-    name = "four_point"
-    if a.dim != 3:
-        return CheckResult.not_applicable(name, "the statement concerns dimension 3")
-    if a.size != 4:
-        return CheckResult.not_applicable(name, "set does not have 4 members")
-    if not primitive.is_subprimitive(a):
-        return CheckResult.not_applicable(name, "set is not subprimitive")
-    hull = subspaces.affine_hull_bits(a.bits, 3)
-    if hull.dim <= 2:
-        return CheckResult.holds(name, "contained in a plane", witness={"plane": hull.to_json()})
-    sp = _sp.space(3)
-    members = a.indices()
-    for p in members:
-        total = 0
-        for q in members:
-            if q != p:
-                total = sp.add(total, q)
-        if total == p:
-            return CheckResult.holds(
-                name, "one member is the sum of the other three", witness={"point": p}
-            )
-    return CheckResult.counterexample(
-        name, "neither planar nor a three-term sum", witness={"set": members}
-    )
-
-
-def _prop_line_everywhere(a: TernarySet, h) -> CheckResult:
-    name = "line_everywhere"
-    n = a.dim
-    if n < 3:
-        return CheckResult.not_applicable(name, "needs dimension at least 3")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if 6 * a.size <= 3**n:
-        return CheckResult.not_applicable(name, "set is not above a sixth of the space")
-    lines = _lines_within(a)
-    if lines:
-        return CheckResult.holds(name, "contains a line", witness={"line": lines[0].to_json()})
-    return CheckResult.counterexample(name, "contains no line", witness={"set": a.indices()})
-
-
-def _prop_parallel_lines(a: TernarySet, h) -> CheckResult:
-    name = "parallel_lines"
-    if a.dim != 4:
-        return CheckResult.not_applicable(name, "the statement concerns dimension 4")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if a.size < 14:
-        return CheckResult.not_applicable(name, "set has fewer than 14 members")
-    by_direction: dict = {}
-    for line in _lines_within(a):
-        by_direction.setdefault(line.basis, []).append(line)
-    pair = next((ls for ls in by_direction.values() if len(ls) >= 2), None)
-    if pair is None:
-        return CheckResult.not_applicable(name, "no two parallel lines inside the set")
-    return _subprimitive_conclusion(
-        name, a, {"lines": [pair[0].to_json(), pair[1].to_json()]}
-    )
-
-
-def _prop_dim4(a: TernarySet, h) -> CheckResult:
-    name = "dim4"
-    if a.dim != 4:
-        return CheckResult.not_applicable(name, "the statement concerns dimension 4")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if a.size < 14:
-        return CheckResult.not_applicable(name, "set has fewer than 14 members")
-    return _subprimitive_conclusion(name, a, {})
-
-
-def _prop_no_zero_4A(a: TernarySet, h) -> CheckResult:
-    name = "no_zero_4A"
-    n = a.dim
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if 6 * a.size <= 3**n:
-        return CheckResult.not_applicable(name, "set is not above a sixth of the space")
-    if 0 in k_fold_sumset(a, 4):
-        return CheckResult.counterexample(
-            name, "0 is a sum of four members", witness={"set": a.indices()}
-        )
-    return CheckResult.holds(name, "no four members sum to 0")
-
-
-def _prop_codim2_slice(a: TernarySet, h) -> CheckResult:
-    name = "codim2_slice"
-    n = a.dim
-    if n < 3 or n > 4:
-        return CheckResult.not_applicable(name, "needs the verified range 3 <= n <= 4")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if 6 * a.size <= 3**n:
-        return CheckResult.not_applicable(name, "set is not above a sixth of the space")
-    q = 3 ** (n - 2)
-    best = -1
-    for e in subspaces.enumerate_affine_subspaces(subspaces.full_space(n), n - 2):
-        got = (a.bits & e.members_bits).bit_count()
-        if 2 * got >= q + 3:
-            return CheckResult.holds(
-                name,
-                f"a codimension-2 subspace holds {got} of {q} points",
-                witness={"Q": e.to_json()},
-            )
-        best = max(best, got)
-    return CheckResult.counterexample(
-        name,
-        f"no codimension-2 subspace holds {(q + 3) // 2} points (best {best})",
-        witness={"set": a.indices()},
-    )

@@ -323,18 +323,40 @@ def hyperplanes_covering(v: AffineSubspace, bits: int):
         yield _from_chart(v, planes[k + 1])
 
 
+# the largest flat table the library needs, the 88,452 lines of F_3^6,
+# fits; the lines of F_3^7 (796,797 of them, some 0.4 GB) do not
+MAX_FLATS = 100_000
+
+
+def _flat_count(d: int, k: int) -> int:
+    """Number of k-dimensional affine subspaces of a d-dimensional one:
+    the Gaussian binomial [d, k]_3 times the 3^(d - k) cosets of each."""
+    num = den = 1
+    for i in range(k):
+        num *= 3 ** (d - i) - 1
+        den *= 3 ** (i + 1) - 1
+    return num // den * 3 ** (d - k)
+
+
 @functools.lru_cache(maxsize=None)
 def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> tuple[AffineSubspace, ...]:
     """All k-dimensional affine subspaces contained in h, by (basis, base_point).
 
     Each direction is spanned once; its cosets inside h are then walked as
     in halves.coset_pairs: the least index left is the canonical base point
-    of its coset, and that coset is cleared.
+    of its coset, and that coset is cleared.  A table of more than
+    MAX_FLATS subspaces is refused with ValueError before it is built.
     """
     if h.empty:
         return ()
     if k < 0 or k > h.dim:
         return ()
+    count = _flat_count(h.dim, k)
+    if count > MAX_FLATS:
+        raise ValueError(
+            f"{count} affine subspaces of dimension {k} in dimension {h.dim} "
+            f"exceed the table bound of {MAX_FLATS}"
+        )
     sp = _sp.space(h.dim_ambient)
     d = h.direction()
     out = []

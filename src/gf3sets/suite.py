@@ -15,14 +15,14 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import canon, halves, kneser, primitive, search, subspaces
+from . import canon, halves, kneser, primitive, search, statements, subspaces
 from .core import (
     TernarySet,
     is_aperiodic,
     is_maximal_sum_free,
     is_sum_free,
 )
-from .primitive import CheckResult
+from .statements import CheckResult
 from .space import iter_bits, space
 
 SUITE_NAMES = ("standard", "extended")
@@ -184,7 +184,7 @@ def _primitive_pool(max_dim: int = 3) -> list:
 
 def _chk_lemma_sweep(rng: random.Random, lemma_id: str) -> CheckResult:
     name = f"lemma_{lemma_id}"
-    results = [primitive.check_lemma(lemma_id, a) for a in _primitive_pool()]
+    results = [statements.check_lemma(lemma_id, a) for a in _primitive_pool()]
     return _counterexamples(name, results, f"{len(results)} primitive sets")
 
 
@@ -197,7 +197,7 @@ def _chk_lemma_dense_affine(rng: random.Random, samples: int = 500) -> CheckResu
         g = canon.random_gl(3, rng)
         moved = TernarySet(3, g.apply_bits(a.bits))
         for k in (1, 2, 3):
-            results.append(primitive.check_lemma("dense_affine", moved, k=k))
+            results.append(statements.check_lemma("dense_affine", moved, k=k))
     return _counterexamples(name, results, f"{len(results)} (set, k) instances")
 
 
@@ -213,9 +213,9 @@ def _chk_lemma_disjoint_transfer(rng: random.Random, samples: int = 200) -> Chec
         a = TernarySet(3, g.apply_bits(base.bits))
         for j in planes:  # keep only instances whose hypotheses can fire
             if a.bits & j.members_bits == 0:
-                results.append(primitive.check_lemma("disjoint_transfer", a, b=a, j=j))
+                results.append(statements.check_lemma("disjoint_transfer", a, b=a, j=j))
         results.append(
-            primitive.check_lemma(
+            statements.check_lemma(
                 "disjoint_transfer", a, b=a, j=planes[rng.randrange(len(planes))]
             )
         )
@@ -232,7 +232,7 @@ def _chk_five_in_cube_sample(rng: random.Random, samples: int = 500) -> CheckRes
         a = TernarySet.from_indices(3, picks)
         if not is_sum_free(a):
             continue
-        res = search.check_proposition("five_in_cube", a)
+        res = statements.check_proposition("five_in_cube", a)
         if res.status == "counterexample":
             return CheckResult.counterexample(
                 name, res.detail, witness={"set": a.indices()}
@@ -252,9 +252,9 @@ def _chk_prop_spot_checks(rng: random.Random) -> CheckResult:
         a = TernarySet(3, g.apply_bits(base.bits))
         for prop in ("prop_hyperplane_cover", "prop_empty_slice", "line_everywhere",
                      "no_zero_4A", "codim2_slice"):
-            results.append(search.check_proposition(prop, a))
+            results.append(statements.check_proposition(prop, a))
         four = TernarySet.from_indices(3, a.indices()[:4])
-        results.append(search.check_proposition("four_point", four))
+        results.append(statements.check_proposition("four_point", four))
     applicable = sum(r.status == "holds" for r in results)
     bad = [r for r in results if r.status == "counterexample"]
     if bad:
@@ -275,10 +275,10 @@ def _chk_dim4_sweep(rng: random.Random, samples: int = 40) -> CheckResult:
     for a in pool:
         for prop in ("dim4", "parallel_lines", "no_zero_4A", "line_everywhere",
                      "codim2_slice"):
-            results.append(search.check_proposition(prop, a))
+            results.append(statements.check_proposition(prop, a))
         for lemma in ("card_formula", "sym_containment", "four_sum",
                       "hyperplane_bound", "affine_above_sym"):
-            results.append(primitive.check_lemma(lemma, a))
+            results.append(statements.check_lemma(lemma, a))
     planes = subspaces.enumerate_hyperplanes(4)
     for big in (a for a in pool if a.size == 15):
         for drop in big.indices():  # proper subsets still above the mass bound
@@ -286,7 +286,7 @@ def _chk_dim4_sweep(rng: random.Random, samples: int = 40) -> CheckResult:
             for j in planes:
                 if b.bits & j.members_bits == 0:
                     results.append(
-                        primitive.check_lemma("disjoint_transfer", big, b=b, j=j)
+                        statements.check_lemma("disjoint_transfer", big, b=b, j=j)
                     )
     return _counterexamples(name, results, f"{len(results)} dimension-4 instances")
 

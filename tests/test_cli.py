@@ -7,7 +7,7 @@ import pytest
 
 from gf3sets import TernarySet, cli, lev_construction, suite
 from gf3sets.core import format_set_text
-from gf3sets.primitive import CheckResult
+from gf3sets.statements import CheckResult
 from gf3sets.search import VerificationVerdict
 from gf3sets.subspaces import hyperplane_from_normal
 
@@ -167,7 +167,7 @@ def test_check_prop_paths(lev3_file, capsys):
 
 def test_check_counterexample_exits_one(monkeypatch, lev3_file):
     forced = CheckResult.counterexample("five_in_cube", "forced for the exit test")
-    monkeypatch.setattr(cli.search, "check_proposition", lambda *a, **k: forced)
+    monkeypatch.setattr(cli.statements, "check_proposition", lambda *a, **k: forced)
     assert cli.main(["check", "--prop", "five_in_cube", lev3_file]) == 1
 
 

@@ -10,7 +10,6 @@ import oracles
 from gf3sets import (
     ParseError,
     TernarySet,
-    TernaryVector,
     difference_set,
     format_set_text,
     is_aperiodic,
@@ -31,7 +30,7 @@ def _random_set(rng, n):
 
 
 def _as_trits(a):
-    return {v.trits for v in a.vectors()}
+    return {oracles.to_trits(i, a.dim) for i in a.indices()}
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -98,7 +97,7 @@ def test_sym_group_of_coset_union():
     # a union of cosets of a subgroup is stabilized by that subgroup
     sub = {(0, 0, 0), (1, 0, 0), (2, 0, 0)}
     shifted = {oracles.add(v, (0, 1, 0)) for v in sub}
-    a = TernarySet.from_vectors(TernaryVector.from_trits(t) for t in sub | shifted)
+    a = TernarySet.from_indices(3, (oracles.to_index(t) for t in sub | shifted))
     assert _as_trits(sym_group(a).members()) >= sub
 
 

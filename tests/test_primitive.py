@@ -7,6 +7,7 @@ import pytest
 
 from gf3sets import (
     CertificateError,
+    CheckResult,
     PrimitiveCertificate,
     TernarySet,
     check_lemma,
@@ -280,10 +281,10 @@ def test_check_lemma_not_applicable_paths():
 
 def test_check_result_guards():
     with pytest.raises(ValueError):
-        prim.CheckResult("x", "maybe")
-    r = prim.CheckResult.counterexample("x", "boom", witness={"set": [1]})
+        CheckResult("x", "maybe")
+    r = CheckResult.counterexample("x", "boom", witness={"set": [1]})
     assert not r.ok and r.to_json()["witness"] == {"set": [1]}
-    assert prim.CheckResult.not_applicable("x").ok
+    assert CheckResult.not_applicable("x").ok
 
 
 def test_classification_report():

@@ -1,0 +1,120 @@
+"""The statement registry: frozen outputs, CLI reachability, flat-table bound."""
+
+import functools
+import hashlib
+import json
+
+import pytest
+
+from gf3sets import (
+    TernarySet,
+    check_lemma,
+    check_proposition,
+    cli,
+    enumerate_primitive,
+    lev_construction,
+)
+from gf3sets import subspaces as sub
+from gf3sets.core import format_set_text
+from gf3sets.statements import STATEMENTS
+from gf3sets.subspaces import hyperplane_from_normal
+
+# sha256 prefixes of json.dumps([r.to_json() for r in results], sort_keys=True)
+# over _cases(); any change to a status, detail or witness changes them
+FROZEN = {
+    "affine_above_sym": "5ad2a01ff375b70e",
+    "card_formula": "3424fa76d1d7788a",
+    "codim2_slice": "15cce48f7555f575",
+    "conclusion_grid": "1829f09b665a54a6",
+    "dense_affine": "5c2c432594e9c1ae",
+    "dim4": "be8a240ab57f9dbd",
+    "disjoint_transfer": "b57e0928c01e7bbd",
+    "five_in_cube": "e9ef2dfed342a865",
+    "four_point": "c37033e9a9614ce6",
+    "four_sum": "e3fb9c1b90b73787",
+    "hyperplane_bound": "0ebc3ae95397944c",
+    "line_everywhere": "eaece2cef535e22e",
+    "no_zero_4A": "a4327edd5b68e93f",
+    "parallel_lines": "93953061fd1c3925",
+    "prop_empty_slice": "175cd6fc45b008ea",
+    "prop_hyperplane_cover": "4174dd1e570497d0",
+    "sym_containment": "dfe3c83bb9fd9fcc",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _cases():
+    """(set, lemma keywords, proposition keywords) for every pool entry.
+
+    The pool: lev(3), lev(4), every primitive orbit representative up to
+    dimension 4, a non-sum-free pair and a singleton at dimension 3, and
+    the --k, --b/--j and --h inputs the CLI tests pass with lev(3).
+    """
+    lev3 = lev_construction(3)[0]
+    sets = [lev3, lev_construction(4)[0]]
+    for n in range(1, 5):
+        sets += enumerate_primitive(n, up_to_iso=True)
+    sets += [TernarySet.from_indices(3, (1, 2)), TernarySet.from_indices(3, (1,))]
+    avoiding = next(
+        j
+        for nm in range(1, 27)
+        for lb in range(3)
+        if (j := hyperplane_from_normal(3, nm, lb)).members_bits & lev3.bits == 0
+    )
+    return (
+        [(a, {}, {}) for a in sets]
+        + [(lev3, {"k": 1}, None), (lev3, {"b": lev3, "j": avoiding}, None)]
+        + [(lev3, None, {"h": hyperplane_from_normal(3, 1, 2)})]
+    )
+
+
+@pytest.mark.parametrize("sid", list(STATEMENTS))
+def test_statement_outputs_are_frozen(sid):
+    if STATEMENTS[sid][0] == "lemma":
+        results = [check_lemma(sid, a, **kw) for a, kw, _ in _cases() if kw is not None]
+    else:
+        results = [check_proposition(sid, a, **kw) for a, _, kw in _cases() if kw is not None]
+    text = json.dumps([r.to_json() for r in results], sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == FROZEN[sid]
+
+
+def test_every_statement_has_exactly_one_cli_flag(capsys):
+    parser = cli._build_parser()
+    flag_of = {"lemma": "--lemma", "proposition": "--prop"}
+    for sid, (kind, _) in STATEMENTS.items():
+        accepted = []
+        for flag in ("--lemma", "--prop"):
+            try:
+                parser.parse_args(["check", flag, sid, "a.set"])
+            except SystemExit:
+                continue
+            accepted.append(flag)
+        assert accepted == [flag_of[kind]], sid
+    capsys.readouterr()
+
+
+def test_unknown_ids_are_refused_per_kind():
+    a = lev_construction(3)[0]
+    with pytest.raises(ValueError, match="card_formula"):
+        check_lemma("line_everywhere", a)
+    with pytest.raises(ValueError, match="line_everywhere"):
+        check_proposition("card_formula", a)
+
+
+def test_flat_tables_above_the_bound_are_refused_before_building(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a refused table must not be enumerated")
+
+    monkeypatch.setattr(sub, "enumerate_rref_bases", refuse)
+    lev7 = lev_construction(7)[0]
+    with pytest.raises(ValueError, match="table bound"):
+        check_proposition("line_everywhere", lev7)
+    with pytest.raises(ValueError, match="table bound"):
+        check_lemma("affine_above_sym", lev7)
+
+
+def test_cli_check_above_the_flat_bound_exits_two(tmp_path, capsys):
+    path = tmp_path / "lev7.set"
+    path.write_text(format_set_text(lev_construction(7)[0]))
+    assert cli.main(["check", "--prop", "line_everywhere", str(path)]) == 2
+    assert "table bound" in capsys.readouterr().err

@@ -130,6 +130,7 @@ def test_enumerate_affine_subspaces_counts():
         for k in range(n + 1):
             flats = sub.enumerate_affine_subspaces(sub.full_space(n), k)
             assert len(flats) == oracles.gaussian_binomial(n, k) * 3 ** (n - k)
+            assert sub._flat_count(n, k) == len(flats)
         assert sub.enumerate_affine_subspaces(sub.full_space(n), n + 1) == ()
         assert sub.enumerate_affine_subspaces(sub.empty_subspace(n), 0) == ()
 

@@ -4,7 +4,7 @@ import pytest
 
 from gf3sets import run_suite
 from gf3sets import suite
-from gf3sets.primitive import CheckResult
+from gf3sets.statements import CheckResult
 
 
 def test_unknown_suite_name():

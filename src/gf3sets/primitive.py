@@ -250,21 +250,23 @@ def _all_primitive_bits(n: int) -> frozenset:
     """Every primitive subset of F_3^n as a bitset; n <= 3 only."""
     if n > 3:
         raise ValueError("full primitive enumeration is capped at dimension 3")
-    out = set()
     planes = subspaces.enumerate_hyperplanes(n, avoid_origin=True)
-    for h in planes:
-        out.add(h.members_bits)
-    for h in planes:
-        for udim in range(h.dim):
-            for u in subspaces.enumerate_affine_subspaces(h, udim):
-                cu = cone_of_subspace(u)
-                cands = _x_candidates(u, cu, h)
-                if not cands:
-                    continue
-                for w in halves.enumerate_halves(h, u):
-                    for xb in cands:
-                        out.add(w.bits | xb)
-    return frozenset(out)
+    return frozenset(b for h in planes for b in _primitive_bits_over(h))
+
+
+def _primitive_bits_over(h: AffineSubspace):
+    """Yield, as bitsets, the primitive sets whose decomposition uses the
+    origin-avoiding hyperplane h: h itself, then each W | X split over h."""
+    yield h.members_bits
+    for udim in range(h.dim):
+        for u in subspaces.enumerate_affine_subspaces(h, udim):
+            cu = cone_of_subspace(u)
+            cands = _x_candidates(u, cu, h)
+            if not cands:
+                continue
+            for w in halves.enumerate_halves(h, u):
+                for xb in cands:
+                    yield w.bits | xb
 
 
 def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> list:
@@ -297,17 +299,9 @@ def iter_primitive_fixed_hyperplane(n: int):
     repeats.  Together with transitivity of the linear group on these
     hyperplanes, the stream covers all primitive sets up to isomorphism.
     """
-    h = subspaces.enumerate_hyperplanes(n, avoid_origin=True)[0]
-    yield h.members_bits
-    for udim in range(h.dim):
-        for u in subspaces.enumerate_affine_subspaces(h, udim):
-            cu = cone_of_subspace(u)
-            cands = _x_candidates(u, cu, h)
-            if not cands:
-                continue
-            for w in halves.enumerate_halves(h, u):
-                for xb in cands:
-                    yield w.bits | xb
+    yield from _primitive_bits_over(
+        subspaces.enumerate_hyperplanes(n, avoid_origin=True)[0]
+    )
 
 
 def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:

@@ -439,35 +439,29 @@ def verify_main_theorem(
             )
         forward += 1
 
-    backward = 0
     if n <= 3:
-        prim_sets = primitive.enumerate_primitive(n)
-        for a in prim_sets:
-            if a.size < threshold or not is_maximal_sum_free(a):
-                return VerificationVerdict(
-                    n, False, forward, backward,
-                    a.indices(), {**details, "direction": "backward"},
-                )
-            backward += 1
+        stream = primitive.enumerate_primitive(n)
     else:
-        orbit = canon.orbit_of_bits(
-            subspaces.enumerate_hyperplanes(4, avoid_origin=True)[0].members_bits, 4
-        )
+        planes = subspaces.enumerate_hyperplanes(4, avoid_origin=True)
+        orbit = canon.orbit_of_bits(planes[0].members_bits, 4)
         details["hyperplane_orbit_size"] = len(orbit)
-        if len(orbit) != len(subspaces.enumerate_hyperplanes(4, avoid_origin=True)):
+        if len(orbit) != len(planes):
             return VerificationVerdict(
-                n, False, forward, backward, None,
+                n, False, forward, 0, None,
                 {**details, "direction": "backward",
                  "failure": "hyperplane transitivity"},
             )
-        for bits in primitive.iter_primitive_fixed_hyperplane(4):
-            a = TernarySet(4, bits)
-            if a.size < threshold or not is_maximal_sum_free(a):
-                return VerificationVerdict(
-                    n, False, forward, backward,
-                    a.indices(), {**details, "direction": "backward"},
-                )
-            backward += 1
+        stream = (
+            TernarySet(4, bits) for bits in primitive.iter_primitive_fixed_hyperplane(4)
+        )
+    backward = 0
+    for a in stream:
+        if a.size < threshold or not is_maximal_sum_free(a):
+            return VerificationVerdict(
+                n, False, forward, backward,
+                a.indices(), {**details, "direction": "backward"},
+            )
+        backward += 1
 
     max_reps = {tuple(s) for s, _, _ in report.representatives}
     prim_reps = {

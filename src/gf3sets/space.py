@@ -172,15 +172,19 @@ class Space:
         return self.sumset_bits(a, self.neg_set_bits(b))
 
     def span_bits(self, generators: Iterable[int], base: int = 0) -> int:
-        """Bitset of the coset base + span(generators)."""
-        bits = 1 << base
+        """Bitset of the coset base + span(generators).
+
+        A generator already in the span is skipped, so at most n of them
+        triple the span, however many are given.
+        """
+        bits = 1
         for g in generators:
-            if g == 0:
+            if bits >> g & 1:
                 continue
             trits = self.trits[g]
             shifted = _translate(bits, trits, self._shifts)
             bits |= shifted | _translate(shifted, trits, self._shifts)
-        return bits
+        return _translate(bits, self.trits[base], self._shifts) if base else bits
 
 
 @functools.lru_cache(maxsize=None)

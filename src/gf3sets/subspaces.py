@@ -6,41 +6,24 @@ row echelon form (pivots at the lowest coordinate positions, pivot entry 1,
 pivot columns cleared elsewhere, rows ordered by pivot), and the base point
 is the member of the coset with the smallest vector index.  The empty
 subspace is a distinct value, not the same thing as the zero subspace {0}.
+
+Both parts of the canonical form are read off the member bitset.  The base
+point is its lowest bit.  Translating the coset by minus the base point
+gives the direction space L, and the digit slabs of space.Space find its
+RREF rows: coordinate p is a pivot iff some member of L has trit 1 at p and
+trit 0 at every coordinate before p, and the row of pivot p is the one
+member of L with trit 1 at p and trit 0 at every other pivot.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import space as _sp
 from .core import TernarySet
 from .space import iter_bits
-
-
-def _rref(rows: list[tuple[int, ...]], n: int) -> list[tuple[int, ...]]:
-    """Reduced row echelon basis (as trit tuples) of the span of rows."""
-    basis: list[tuple[int, list[int]]] = []  # (pivot, row)
-    for raw in rows:
-        row = list(raw)
-        for piv, b in basis:
-            c = row[piv]
-            if c:
-                for k in range(n):
-                    row[k] = (row[k] - c * b[k]) % 3
-        piv = next((k for k, t in enumerate(row) if t), None)
-        if piv is None:
-            continue
-        if row[piv] == 2:
-            row = [(2 * t) % 3 for t in row]
-        for i, (p2, b2) in enumerate(basis):
-            c = b2[piv]
-            if c:
-                basis[i] = (p2, [(b2[k] - c * row[k]) % 3 for k in range(n)])
-        basis.append((piv, row))
-    basis.sort()
-    return [tuple(r) for _, r in basis]
 
 
 @dataclass(frozen=True)
@@ -80,40 +63,30 @@ class AffineSubspace:
         return TernarySet(self.dim_ambient, self.members_bits)
 
     def __contains__(self, index: int) -> bool:
-        if self.empty:
-            return False
-        sp = _sp.space(self.dim_ambient)
-        return _reduce_index(sp, self.basis, sp.sub(index, self.base_point)) == 0
+        return bool(self.members_bits >> index & 1)
 
     def contains_subspace(self, other: "AffineSubspace") -> bool:
-        if other.empty:
-            return True
-        if self.empty:
-            return False
-        sp = _sp.space(self.dim_ambient)
-        if other.base_point not in self:
-            return False
-        return all(
-            _reduce_index(sp, self.basis, row) == 0 for row in other.basis
-        )
+        return not other.members_bits & ~self.members_bits
 
     def direction(self) -> "AffineSubspace":
         """The linear subspace of differences [self] = self - self."""
         if self.empty:
             raise ValueError("the empty subspace has no direction space")
-        return AffineSubspace(self.dim_ambient, self.basis, 0)
+        sp = _sp.space(self.dim_ambient)
+        lin = sp.translate_bits(self.members_bits, sp.neg[self.base_point])
+        return _from_members(sp, lin, self.basis)
 
     def translate(self, v: int) -> "AffineSubspace":
         if self.empty:
             return self
         sp = _sp.space(self.dim_ambient)
-        return _make_affine(sp, self.basis, sp.add(self.base_point, v))
+        return _from_members(sp, sp.translate_bits(self.members_bits, v), self.basis)
 
     def neg(self) -> "AffineSubspace":
         if self.empty:
             return self
         sp = _sp.space(self.dim_ambient)
-        return _make_affine(sp, self.basis, sp.neg[self.base_point])
+        return _from_members(sp, sp.neg_set_bits(self.members_bits), self.basis)
 
     def to_json(self) -> dict:
         n = self.dim_ambient
@@ -123,33 +96,45 @@ class AffineSubspace:
         }
 
 
-def _reduce_index(sp: _sp.Space, basis: tuple[int, ...], index: int) -> int:
-    """Reduce index against an RREF basis; 0 iff index lies in the span."""
-    cur = index
-    for row in basis:
-        if cur == 0:
+def _direction_basis(sp: _sp.Space, lin: int) -> tuple[int, ...]:
+    """RREF basis rows, as vector indices, of the linear subspace whose
+    member bitset is lin (see the module docstring)."""
+    pivots = []
+    lead = lin  # members whose trits before coordinate p are all 0
+    for p, (s0, s1, _) in enumerate(sp.slabs):
+        if lead == 1:
             break
-        piv = next(k for k, t in enumerate(sp.trits[row]) if t)
-        c = sp.trits[cur][piv]
-        if c:
-            cur = sp.sub(cur, sp.scale(row, c))
-    return cur
+        if lead & s1:
+            pivots.append(p)
+        lead &= s0
+    rows = []
+    for p in pivots:
+        row = lin & sp.slabs[p][1]
+        for q in pivots:
+            if q != p:
+                row &= sp.slabs[q][0]
+        rows.append(row.bit_length() - 1)
+    return tuple(rows)
 
 
-def _canonical_base(sp: _sp.Space, basis: tuple[int, ...], point: int) -> int:
-    bits = sp.span_bits(basis, point)
-    return (bits & -bits).bit_length() - 1
+def _from_members(sp: _sp.Space, bits: int, basis=None) -> AffineSubspace:
+    """The subspace whose member bitset is bits, a nonempty coset.
 
-
-def _make_affine(sp: _sp.Space, basis_rows, point: int) -> AffineSubspace:
-    rows = _rref([sp.trits[r] for r in basis_rows], sp.n)
-    basis = tuple(_sp.encode(r) for r in rows)
-    return AffineSubspace(sp.n, basis, _canonical_base(sp, basis, point))
+    basis, when the caller already knows it, is the coset's RREF direction
+    basis; otherwise it is read off the members.
+    """
+    base = (bits & -bits).bit_length() - 1
+    if basis is None:
+        basis = _direction_basis(sp, sp.translate_bits(bits, sp.neg[base]))
+    out = AffineSubspace(sp.n, basis, base)
+    out.__dict__["members_bits"] = bits  # fills the cached property
+    return out
 
 
 def affine_subspace(n: int, direction_rows, point: int) -> AffineSubspace:
     """Coset point + span(direction_rows), canonicalized."""
-    return _make_affine(_sp.space(n), tuple(direction_rows), point)
+    sp = _sp.space(n)
+    return _from_members(sp, sp.span_bits(direction_rows, point))
 
 
 def linear_subspace(n: int, rows) -> AffineSubspace:
@@ -161,7 +146,8 @@ def empty_subspace(n: int) -> AffineSubspace:
 
 
 def full_space(n: int) -> AffineSubspace:
-    return AffineSubspace(n, tuple(3**i for i in range(n)), 0)
+    sp = _sp.space(n)
+    return _from_members(sp, sp.full_bits, sp.powers)
 
 
 def subspace_from_member_bits(bits: int, n: int) -> AffineSubspace:
@@ -169,24 +155,21 @@ def subspace_from_member_bits(bits: int, n: int) -> AffineSubspace:
 
     Raises ValueError if the bitset is not an affine subspace.
     """
-    if bits == 0:
-        return empty_subspace(n)
-    sp = _sp.space(n)
-    base = (bits & -bits).bit_length() - 1
-    gens = [sp.sub(i, base) for i in iter_bits(bits)]
-    out = _make_affine(sp, gens, base)
+    out = affine_hull_bits(bits, n)
     if out.members_bits != bits:
         raise ValueError("bitset is not an affine subspace")
     return out
 
 
 def affine_hull_bits(bits: int, n: int) -> AffineSubspace:
+    """Smallest affine subspace containing the bitset: its least member plus
+    the span of the differences to it."""
     if bits == 0:
         return empty_subspace(n)
     sp = _sp.space(n)
     base = (bits & -bits).bit_length() - 1
-    gens = [sp.sub(i, base) for i in iter_bits(bits)]
-    return _make_affine(sp, gens, base)
+    diffs = sp.translate_bits(bits, sp.neg[base])
+    return _from_members(sp, sp.span_bits(iter_bits(diffs), base))
 
 
 def affine_hull(a: TernarySet) -> AffineSubspace:
@@ -195,27 +178,27 @@ def affine_hull(a: TernarySet) -> AffineSubspace:
 
 
 def hyperplane_from_normal(n: int, normal: int, c: int) -> AffineSubspace:
-    """The hyperplane {x : normal . x = c} for a nonzero functional."""
+    """The hyperplane {x : normal . x = c} for a nonzero functional.
+
+    The level sets of the functional are built on the digit slabs, one
+    coordinate at a time: level c after coordinate i is the union over the
+    digits d of (level c - a_i d before it) & slabs[i][d].
+    """
     sp = _sp.space(n)
     if not 0 < normal < sp.size:
         raise ValueError(f"normal must be a nonzero index below {sp.size}")
-    a = sp.trits[normal]
-    piv = next(i for i, t in enumerate(a) if t)
-    if a[piv] == 2:
-        a = tuple((2 * t) % 3 for t in a)
-        c = (2 * c) % 3
-    rows = []
-    for j in range(n):
-        if j == piv:
-            continue
-        row = [0] * n
-        row[j] = 1
-        row[piv] = (-a[j]) % 3
-        rows.append(tuple(row))
-    basis = tuple(_sp.encode(r) for r in _rref(rows, n))
-    # minimal member: zero everywhere except the pivot coordinate
-    base = c * 3**piv
-    return AffineSubspace(n, basis, base)
+    if c not in (0, 1, 2):
+        raise ValueError(f"label must be 0, 1 or 2, got {c}")
+    levels = (sp.full_bits, 0, 0)
+    for a, slabs in zip(sp.trits[normal], sp.slabs):
+        if a:
+            levels = tuple(
+                levels[e] & slabs[0]
+                | levels[(e - a) % 3] & slabs[1]
+                | levels[(e - 2 * a) % 3] & slabs[2]
+                for e in range(3)
+            )
+    return _from_members(sp, levels[c])
 
 
 @functools.lru_cache(maxsize=None)
@@ -291,8 +274,9 @@ def _from_chart(v: AffineSubspace, h: AffineSubspace) -> AffineSubspace:
     if len(v.basis) == v.dim_ambient:
         # the chart of the full space is the identity
         return h
-    rows = tuple(chart_decode(v, b) for b in h.basis)
-    return _make_affine(_sp.space(v.dim_ambient), rows, chart_decode(v, h.base_point))
+    sp = _sp.space(v.dim_ambient)
+    rows = [chart_decode(v, b) for b in h.basis]
+    return _from_members(sp, sp.span_bits(rows, chart_decode(v, h.base_point)))
 
 
 def hyperplanes_within(v: AffineSubspace, avoid_origin: bool = False) -> list[AffineSubspace]:
@@ -361,16 +345,12 @@ def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> tuple[AffineSubspac
     d = h.direction()
     out = []
     for chart_rows in enumerate_rref_bases(h.dim, k):
-        rows = [sp.trits[chart_decode(d, _sp.encode(r))] for r in chart_rows]
-        basis = tuple(_sp.encode(r) for r in _rref(rows, sp.n))
-        direction = sp.span_bits(basis)
+        direction = sp.span_bits(chart_decode(d, _sp.encode(r)) for r in chart_rows)
+        basis = _direction_basis(sp, direction)
         rest = h.members_bits
         while rest:
-            x = (rest & -rest).bit_length() - 1
-            coset = sp.translate_bits(direction, x)
-            e = AffineSubspace(sp.n, basis, x)
-            e.__dict__["members_bits"] = coset  # fills the cached property
-            out.append(e)
+            coset = sp.translate_bits(direction, (rest & -rest).bit_length() - 1)
+            out.append(_from_members(sp, coset, basis))
             rest &= ~coset
     out.sort(key=lambda s: (s.basis, s.base_point))
     return tuple(out)

@@ -291,37 +291,31 @@ def _chk_dim4_sweep(rng: random.Random, samples: int = 40) -> CheckResult:
     return _counterexamples(name, results, f"{len(results)} dimension-4 instances")
 
 
-_REGISTRY: dict = {}
-
-
-def _register() -> None:
-    _REGISTRY.update({
-        "verify_main_1": (_chk_verify_main, {"n": 1}),
-        "verify_main_2": (_chk_verify_main, {"n": 2}),
-        "verify_main_3": (_chk_verify_main, {"n": 3}),
-        "t_value_1": (_chk_t_value, {"n": 1, "expected": 1}),
-        "t_value_2": (_chk_t_value, {"n": 2, "expected": 0}),
-        "t_value_3": (_chk_t_value, {"n": 3, "expected": 5}),
-        **{f"lev_{n}": (_chk_lev, {"n": n}) for n in range(3, 9)},
-        "kneser_random": (_chk_kneser_random, {}),
-        "kneser_witness": (_chk_kneser_witness, {}),
-        "kneser_corollaries": (_chk_kneser_corollaries, {}),
-        "half_fact": (_chk_half_fact, {}),
-        **{
-            f"lemma_{lid}": (_chk_lemma_sweep, {"lemma_id": lid})
-            for lid in ("card_formula", "sym_containment", "four_sum",
-                        "hyperplane_bound", "affine_above_sym")
-        },
-        "lemma_dense_affine": (_chk_lemma_dense_affine, {}),
-        "lemma_disjoint_transfer": (_chk_lemma_disjoint_transfer, {}),
-        "five_in_cube_sample": (_chk_five_in_cube_sample, {}),
-        "prop_spot_checks": (_chk_prop_spot_checks, {}),
-        "verify_main_4": (_chk_verify_main, {"n": 4}),
-        "dim4_sweep": (_chk_dim4_sweep, {}),
-    })
-
-
-_register()
+_REGISTRY = {
+    "verify_main_1": (_chk_verify_main, {"n": 1}),
+    "verify_main_2": (_chk_verify_main, {"n": 2}),
+    "verify_main_3": (_chk_verify_main, {"n": 3}),
+    "t_value_1": (_chk_t_value, {"n": 1, "expected": 1}),
+    "t_value_2": (_chk_t_value, {"n": 2, "expected": 0}),
+    "t_value_3": (_chk_t_value, {"n": 3, "expected": 5}),
+    **{f"lev_{n}": (_chk_lev, {"n": n}) for n in range(3, 9)},
+    "kneser_random": (_chk_kneser_random, {}),
+    "kneser_witness": (_chk_kneser_witness, {}),
+    "kneser_corollaries": (_chk_kneser_corollaries, {}),
+    "half_fact": (_chk_half_fact, {}),
+    # every lemma is swept over the primitive sets, except the two that
+    # take a parameter; the overrides keep the lemmas' registry positions
+    **{
+        f"lemma_{lid}": (_chk_lemma_sweep, {"lemma_id": lid})
+        for lid in statements.statement_ids("lemma")
+    },
+    "lemma_dense_affine": (_chk_lemma_dense_affine, {}),
+    "lemma_disjoint_transfer": (_chk_lemma_disjoint_transfer, {}),
+    "five_in_cube_sample": (_chk_five_in_cube_sample, {}),
+    "prop_spot_checks": (_chk_prop_spot_checks, {}),
+    "verify_main_4": (_chk_verify_main, {"n": 4}),
+    "dim4_sweep": (_chk_dim4_sweep, {}),
+}
 
 _STANDARD = tuple(
     n for n in _REGISTRY if n not in ("verify_main_4", "dim4_sweep")
@@ -355,12 +349,15 @@ def run_suite(
     """Run one suite; the report is identical for any worker count.
 
     samples, when given, overrides the default sample count of every
-    randomized check (the exhaustive ones are unaffected).
+    randomized check (the exhaustive ones are unaffected); it must be at
+    least 1.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     names = _STANDARD if name == "standard" else _EXTENDED
     args = [(c, seed, samples) for c in names]
     workers = min(jobs, len(args))

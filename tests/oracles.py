@@ -81,6 +81,26 @@ def span(vectors, n):
     return out
 
 
+def rref(rows, n):
+    """Reduced row echelon basis of the span of rows, ordered by pivot.
+
+    Column by column: a remaining row nonzero in the column is scaled to a
+    leading 1 and cleared from every other row, kept or remaining.
+    """
+    rest = [list(r) for r in rows]
+    out = []
+    for col in range(n):
+        pick = next((r for r in rest if r[col]), None)
+        if pick is None:
+            continue
+        rest.remove(pick)
+        pick = [(pick[col] * x) % 3 for x in pick]  # 1 and 2 are self-inverse
+        rest = [[(x - r[col] * y) % 3 for x, y in zip(r, pick)] for r in rest]
+        out = [[(x - r[col] * y) % 3 for x, y in zip(r, pick)] for r in out]
+        out.append(pick)
+    return [tuple(r) for r in out]
+
+
 def affine_hull(points, n):
     points = list(points)
     if not points:

@@ -165,6 +165,16 @@ def test_check_prop_paths(lev3_file, capsys):
                      lev3_file]) == 0
 
 
+@pytest.mark.parametrize("spec", ["1,5", "1,3", "1,-1"])
+@pytest.mark.parametrize("option", [
+    ["--prop", "prop_hyperplane_cover", "--h"],
+    ["--lemma", "disjoint_transfer", "--j"],
+])
+def test_hyperplane_label_out_of_range_exits_two(option, spec, lev3_file, capsys):
+    assert cli.main(["check", *option, spec, lev3_file]) == 2
+    assert "label must be 0, 1 or 2" in capsys.readouterr().err
+
+
 def test_check_counterexample_exits_one(monkeypatch, lev3_file):
     forced = CheckResult.counterexample("five_in_cube", "forced for the exit test")
     monkeypatch.setattr(cli.statements, "check_proposition", lambda *a, **k: forced)
@@ -233,6 +243,12 @@ def test_checkpoint_below_min_size_exits_two(tmp_path, capsys):
     assert cli.main(["enumerate-maximal", "--dim", "3", "--checkpoint", path,
                      "--min-size", str(small.bit_count() + 1)]) == 2
     assert "error: checkpoint found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_suite_samples_below_one_exit_two(samples, capsys):
+    assert cli.main(["suite", "--samples", samples]) == 2
+    assert "samples must be at least 1" in capsys.readouterr().err
 
 
 def test_truncated_checkpoint_exits_two(tmp_path):

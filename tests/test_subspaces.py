@@ -1,8 +1,11 @@
 """Affine geometry against the oracle's closure computations."""
 
 import random
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gf3sets import space as _sp
@@ -53,6 +56,43 @@ def test_canonical_representation_is_stable():
     assert d != a and _members(d) != _members(a)
 
 
+def _oracle_form(n, rows, point):
+    """(RREF basis, least member, members) of point + span(rows), by the oracle."""
+    basis = oracles.rref([oracles.to_trits(r, n) for r in rows], n)
+    members = set()
+    for coeffs in product(range(3), repeat=len(basis)):
+        x = oracles.to_trits(point, n)
+        for c, b in zip(coeffs, basis):
+            for _ in range(c):
+                x = oracles.add(x, b)
+        members.add(oracles.to_index(x))
+    return tuple(oracles.to_index(b) for b in basis), min(members), members
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_canonical_form_matches_oracle_rref(data):
+    n = data.draw(st.integers(1, 5))
+    idx = st.integers(0, 3**n - 1)
+    rows = data.draw(st.lists(idx, max_size=n + 2))
+    point = data.draw(idx)
+    basis, least, members = _oracle_form(n, rows, point)
+    got = sub.affine_subspace(n, rows, point)
+    assert (got.basis, got.base_point) == (basis, least)
+    assert _members(got) == members
+    assert sub.subspace_from_member_bits(got.members_bits, n) == got
+
+    pts = data.draw(st.lists(idx, min_size=1, max_size=6))
+    diffs = [
+        oracles.to_index(oracles.sub(oracles.to_trits(p, n), oracles.to_trits(pts[0], n)))
+        for p in pts
+    ]
+    basis, least, members = _oracle_form(n, diffs, pts[0])
+    hull = sub.affine_hull_bits(sum(1 << p for p in set(pts)), n)
+    assert (hull.basis, hull.base_point) == (basis, least)
+    assert _members(hull) == members
+
+
 def test_membership_and_containment():
     h = sub.hyperplane_from_normal(3, 1, 1)  # {x : x_0 = 1}
     assert 1 in h and 4 in h and 0 not in h and 2 not in h
@@ -91,14 +131,18 @@ def test_hyperplane_from_normal_and_enumeration():
 
 
 def test_hyperplane_members_match_dot_product():
-    h = sub.hyperplane_from_normal(3, 5, 2)  # normal (2,1,0)
-    normal = oracles.to_trits(5, 3)
-    want = {
-        oracles.to_index(v)
-        for v in oracles.all_vectors(3)
-        if sum(a * b for a, b in zip(v, normal)) % 3 == 2
-    }
-    assert _members(h) == want
+    for n in (1, 2, 3):
+        for index in range(1, 3**n):
+            normal = oracles.to_trits(index, n)
+            for label in range(3):
+                h = sub.hyperplane_from_normal(n, index, label)
+                want = {
+                    oracles.to_index(v)
+                    for v in oracles.all_vectors(n)
+                    if sum(a * b for a, b in zip(v, normal)) % 3 == label
+                }
+                assert _members(h) == want
+                assert h.base_point == min(want)
 
 
 def test_gaussian_binomial_and_rref_bases():

@@ -3,7 +3,7 @@
 import pytest
 
 from gf3sets import run_suite
-from gf3sets import suite
+from gf3sets import statements, suite
 from gf3sets.statements import CheckResult
 
 
@@ -18,6 +18,16 @@ def test_registry_and_suite_contents():
     assert "verify_main_4" not in suite._STANDARD
     assert "verify_main_4" in suite._EXTENDED
     assert "dim4_sweep" in suite._EXTENDED
+
+
+def test_every_lemma_has_one_suite_check():
+    lemma_checks = [name for name in suite._STANDARD if name.startswith("lemma_")]
+    assert lemma_checks == [f"lemma_{lid}" for lid in statements.statement_ids("lemma")]
+    assert suite._REGISTRY["lemma_dense_affine"][0] is suite._chk_lemma_dense_affine
+    assert (
+        suite._REGISTRY["lemma_disjoint_transfer"][0]
+        is suite._chk_lemma_disjoint_transfer
+    )
 
 
 def test_crashing_check_is_a_counterexample(monkeypatch):

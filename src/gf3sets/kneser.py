@@ -150,7 +150,7 @@ def find_stabilizer_witness(
     else:
         k = subspaces.subspace_from_member_bits(sym_group_bits(s.bits, n), n)
     c0 = (c.bits & -c.bits).bit_length() - 1
-    coset = subspaces.affine_subspace(n, k.basis, c0)
+    coset = k.translate(c0)
 
     kset = TernarySet(n, k.members_bits)
     a_plus_k = sumset(a, kset).size if a.size else 0

@@ -110,12 +110,12 @@ def _subspace_from_json(obj: dict) -> AffineSubspace:
 
 
 def cone_of_subspace(u: AffineSubspace) -> AffineSubspace:
-    """Linear span of the members of a nonempty affine subspace."""
+    """Linear span of the members of a nonempty affine subspace: [U], U
+    and -U are its three cosets of [U] (all one when U is linear)."""
     if u.empty:
         raise ValueError("the empty subspace spans nothing")
-    return subspaces.affine_subspace(
-        u.dim_ambient, u.basis + (u.base_point,), 0
-    )
+    bits = u.direction().members_bits | u.members_bits | u.neg().members_bits
+    return AffineSubspace(u.dim_ambient, bits)
 
 
 def validate_certificate(

@@ -326,7 +326,7 @@ def enumerate_maximal_sumfree(
             _save_checkpoint(checkpoint, n, min_size, reduced, pending, found, nodes)
 
     task_args = [(n, min_size, reduced, b) for b in pending]
-    results = _run_tasks(task_args, min(jobs, len(pending)))
+    results = _run_tasks(task_args, min(jobs, len(pending), os.cpu_count() or 1))
     for done, (got, sub_nodes) in enumerate(results, 1):
         for b in got:
             found[b] = None
@@ -340,36 +340,27 @@ def enumerate_maximal_sumfree(
 
 
 def _build_report(n, min_size, up_to_iso, found, nodes, wall) -> EnumerationReport:
+    """Tally the found sets; a reduced search found one least member per
+    orbit, which stands for order // stabilizer sets.  Stabilizers and
+    symmetry groups are computed once per orbit."""
     order = canon.gl_order(n)
     counts: dict = {}
     orbit_counts: dict = {}
     sym_counts: dict = {}
-    reps = []
-    if up_to_iso:
-        for b in sorted(found, key=primitive._set_key):
-            stab = canon.canonicalize_bits(b, n)[1]
-            size = b.bit_count()
-            sym_dim = round(math.log(sym_group_bits(b, n).bit_count(), 3))
-            reps.append((tuple(iter_bits(b)), stab, sym_dim))
+    forms: dict = {}  # canonical form -> (stabilizer order, sym_dim)
+    for b in found:
+        size = b.bit_count()
+        form = canon.canonical_form_bits(b, n)
+        if form not in forms:
+            stab = canon.canonicalize_bits(form, n)[1]
+            forms[form] = (stab, round(math.log(sym_group_bits(form, n).bit_count(), 3)))
             orbit_counts[size] = orbit_counts.get(size, 0) + 1
-            counts[size] = counts.get(size, 0) + order // stab
-            key = (size, sym_dim)
-            sym_counts[key] = sym_counts.get(key, 0) + order // stab
-    else:
-        rep_bits: dict = {}
-        for b in found:
-            size = b.bit_count()
-            counts[size] = counts.get(size, 0) + 1
-            sym_dim = round(math.log(sym_group_bits(b, n).bit_count(), 3))
-            key = (size, sym_dim)
-            sym_counts[key] = sym_counts.get(key, 0) + 1
-            rep_bits[canon.canonical_form_bits(b, n)] = None
-        for b in sorted(rep_bits, key=primitive._set_key):
-            stab = canon.canonicalize_bits(b, n)[1]
-            sym_dim = round(math.log(sym_group_bits(b, n).bit_count(), 3))
-            reps.append((tuple(iter_bits(b)), stab, sym_dim))
-            size = b.bit_count()
-            orbit_counts[size] = orbit_counts.get(size, 0) + 1
+        stab, sym_dim = forms[form]
+        weight = order // stab if up_to_iso else 1
+        counts[size] = counts.get(size, 0) + weight
+        key = (size, sym_dim)
+        sym_counts[key] = sym_counts.get(key, 0) + weight
+    reps = [(tuple(iter_bits(f)), *forms[f]) for f in sorted(forms, key=primitive._set_key)]
     return EnumerationReport(
         n=n,
         min_size=min_size,

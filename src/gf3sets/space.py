@@ -138,17 +138,6 @@ class Space:
             return self.add_rows[i][j]
         return encode((a + b) % 3 for a, b in zip(self.trits[i], self.trits[j]))
 
-    def sub(self, i: int, j: int) -> int:
-        return self.add(i, self.neg[j])
-
-    def scale(self, i: int, c: int) -> int:
-        c %= 3
-        if c == 0:
-            return 0
-        if c == 1:
-            return i
-        return self.neg[i]
-
     # -- bitset operations -------------------------------------------------
 
     def translate_bits(self, bits: int, v: int) -> int:

@@ -1,18 +1,23 @@
 """Affine and linear subspaces of F_3^n.
 
-A subspace is stored in a canonical form so that equal subspaces compare
-equal structurally: the direction space is a tuple of basis rows in reduced
-row echelon form (pivots at the lowest coordinate positions, pivot entry 1,
-pivot columns cleared elsewhere, rows ordered by pivot), and the base point
-is the member of the coset with the smallest vector index.  The empty
-subspace is a distinct value, not the same thing as the zero subspace {0}.
+A subspace is its member bitset and nothing else, so equal subspaces
+compare and hash equal by construction.  The empty subspace has the bitset
+0; it is a distinct value, not the same thing as the zero subspace {0}.
 
-Both parts of the canonical form are read off the member bitset.  The base
-point is its lowest bit.  Translating the coset by minus the base point
-gives the direction space L, and the digit slabs of space.Space find its
-RREF rows: coordinate p is a pivot iff some member of L has trit 1 at p and
-trit 0 at every coordinate before p, and the row of pivot p is the one
-member of L with trit 1 at p and trit 0 at every other pivot.
+The canonical description used for JSON and for ordering is read off the
+bits.  The base point is the lowest member.  The direction basis is in
+reduced row echelon form (pivots at the lowest coordinate positions, pivot
+entry 1, pivot columns cleared elsewhere, rows ordered by pivot).
+Translating the coset by minus the base point gives the direction space L,
+and the digit slabs of space.Space find its RREF rows: coordinate p is a
+pivot iff some member of L has trit 1 at p and trit 0 at every coordinate
+before p, and the row of pivot p is the one member of L with trit 1 at p
+and trit 0 at every other pivot.
+
+So a member of L is fixed by its trits at the pivots: the member
+sum(lambda_k * row_k) has trit lambda_k at the k-th pivot.  The chart of a
+linear subspace of dimension k is F_3^k, and chart_decode and chart_encode
+map between the two by those pivot trits.
 """
 
 from __future__ import annotations
@@ -28,36 +33,46 @@ from .space import iter_bits
 
 @dataclass(frozen=True)
 class AffineSubspace:
-    """Canonical affine subspace; construct through the factory functions."""
+    """Affine subspace as its member bitset; construct through the factory
+    functions, which only ever pass a coset or 0."""
 
     dim_ambient: int
-    basis: tuple[int, ...]  # direction basis rows as vector indices, RREF order
-    base_point: int  # index-minimal member; 0 for the empty subspace
-    empty: bool = False
+    members_bits: int  # 0 for the empty subspace
 
-    def __post_init__(self):
-        _sp.check_dim(self.dim_ambient)
-        if self.empty and (self.basis or self.base_point):
-            raise ValueError("empty subspace carries no basis or base point")
+    @functools.cached_property
+    def _chart(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """(RREF basis rows, their pivot coordinates) of the direction."""
+        sp = _sp.space(self.dim_ambient)
+        lin = sp.translate_bits(self.members_bits, sp.neg[self.base_point])
+        return _direction_basis(sp, lin)
+
+    @property
+    def basis(self) -> tuple[int, ...]:
+        """Direction basis rows as vector indices, in RREF order."""
+        return self._chart[0]
+
+    @property
+    def base_point(self) -> int:
+        """The index-minimal member; 0 for the empty subspace."""
+        bits = self.members_bits
+        return (bits & -bits).bit_length() - 1 if bits else 0
+
+    @property
+    def empty(self) -> bool:
+        return not self.members_bits
 
     @property
     def dim(self) -> int:
         """Affine dimension; the empty subspace has dimension -1."""
-        return -1 if self.empty else len(self.basis)
+        return len(self.basis) if self.members_bits else -1
 
     @property
     def size(self) -> int:
-        return 0 if self.empty else 3 ** len(self.basis)
+        return self.members_bits.bit_count()
 
     @property
     def is_linear(self) -> bool:
-        return not self.empty and self.base_point == 0
-
-    @functools.cached_property
-    def members_bits(self) -> int:
-        if self.empty:
-            return 0
-        return _sp.space(self.dim_ambient).span_bits(self.basis, self.base_point)
+        return bool(self.members_bits & 1)
 
     def members(self) -> TernarySet:
         return TernarySet(self.dim_ambient, self.members_bits)
@@ -72,21 +87,15 @@ class AffineSubspace:
         """The linear subspace of differences [self] = self - self."""
         if self.empty:
             raise ValueError("the empty subspace has no direction space")
-        sp = _sp.space(self.dim_ambient)
-        lin = sp.translate_bits(self.members_bits, sp.neg[self.base_point])
-        return _from_members(sp, lin, self.basis)
+        return self.translate(_sp.space(self.dim_ambient).neg[self.base_point])
 
     def translate(self, v: int) -> "AffineSubspace":
-        if self.empty:
-            return self
         sp = _sp.space(self.dim_ambient)
-        return _from_members(sp, sp.translate_bits(self.members_bits, v), self.basis)
+        return AffineSubspace(self.dim_ambient, sp.translate_bits(self.members_bits, v))
 
     def neg(self) -> "AffineSubspace":
-        if self.empty:
-            return self
         sp = _sp.space(self.dim_ambient)
-        return _from_members(sp, sp.neg_set_bits(self.members_bits), self.basis)
+        return AffineSubspace(self.dim_ambient, sp.neg_set_bits(self.members_bits))
 
     def to_json(self) -> dict:
         n = self.dim_ambient
@@ -96,9 +105,9 @@ class AffineSubspace:
         }
 
 
-def _direction_basis(sp: _sp.Space, lin: int) -> tuple[int, ...]:
-    """RREF basis rows, as vector indices, of the linear subspace whose
-    member bitset is lin (see the module docstring)."""
+def _direction_basis(sp: _sp.Space, lin: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(RREF basis rows as vector indices, pivot coordinates) of the linear
+    subspace whose member bitset is lin (see the module docstring)."""
     pivots = []
     lead = lin  # members whose trits before coordinate p are all 0
     for p, (s0, s1, _) in enumerate(sp.slabs):
@@ -114,27 +123,12 @@ def _direction_basis(sp: _sp.Space, lin: int) -> tuple[int, ...]:
             if q != p:
                 row &= sp.slabs[q][0]
         rows.append(row.bit_length() - 1)
-    return tuple(rows)
-
-
-def _from_members(sp: _sp.Space, bits: int, basis=None) -> AffineSubspace:
-    """The subspace whose member bitset is bits, a nonempty coset.
-
-    basis, when the caller already knows it, is the coset's RREF direction
-    basis; otherwise it is read off the members.
-    """
-    base = (bits & -bits).bit_length() - 1
-    if basis is None:
-        basis = _direction_basis(sp, sp.translate_bits(bits, sp.neg[base]))
-    out = AffineSubspace(sp.n, basis, base)
-    out.__dict__["members_bits"] = bits  # fills the cached property
-    return out
+    return tuple(rows), tuple(pivots)
 
 
 def affine_subspace(n: int, direction_rows, point: int) -> AffineSubspace:
-    """Coset point + span(direction_rows), canonicalized."""
-    sp = _sp.space(n)
-    return _from_members(sp, sp.span_bits(direction_rows, point))
+    """The coset point + span(direction_rows)."""
+    return AffineSubspace(n, _sp.space(n).span_bits(direction_rows, point))
 
 
 def linear_subspace(n: int, rows) -> AffineSubspace:
@@ -142,12 +136,11 @@ def linear_subspace(n: int, rows) -> AffineSubspace:
 
 
 def empty_subspace(n: int) -> AffineSubspace:
-    return AffineSubspace(n, (), 0, empty=True)
+    return AffineSubspace(_sp.check_dim(n), 0)
 
 
 def full_space(n: int) -> AffineSubspace:
-    sp = _sp.space(n)
-    return _from_members(sp, sp.full_bits, sp.powers)
+    return AffineSubspace(n, _sp.space(n).full_bits)
 
 
 def subspace_from_member_bits(bits: int, n: int) -> AffineSubspace:
@@ -169,7 +162,7 @@ def affine_hull_bits(bits: int, n: int) -> AffineSubspace:
     sp = _sp.space(n)
     base = (bits & -bits).bit_length() - 1
     diffs = sp.translate_bits(bits, sp.neg[base])
-    return _from_members(sp, sp.span_bits(iter_bits(diffs), base))
+    return AffineSubspace(n, sp.span_bits(iter_bits(diffs), base))
 
 
 def affine_hull(a: TernarySet) -> AffineSubspace:
@@ -198,7 +191,7 @@ def hyperplane_from_normal(n: int, normal: int, c: int) -> AffineSubspace:
                 | levels[(e - 2 * a) % 3] & slabs[2]
                 for e in range(3)
             )
-    return _from_members(sp, levels[c])
+    return AffineSubspace(n, levels[c])
 
 
 @functools.lru_cache(maxsize=None)
@@ -243,29 +236,25 @@ def enumerate_rref_bases(n: int, k: int):
 
 
 def chart_decode(v: AffineSubspace, chart_index: int) -> int:
-    """Map a chart index of the linear subspace v back to the ambient index."""
-    sp = _sp.space(v.dim_ambient)
-    lam = _sp.decode(chart_index, len(v.basis))
-    out = 0
-    for c, row in zip(lam, v.basis):
-        if c:
-            out = sp.add(out, sp.scale(row, c))
-    return out
+    """Map a chart index of the linear subspace v back to the ambient index:
+    the member of v whose trits at the pivots of v are the chart trits."""
+    slabs = _sp.space(v.dim_ambient).slabs
+    bits = v.members_bits
+    for p in v._chart[1]:
+        chart_index, t = divmod(chart_index, 3)
+        bits &= slabs[p][t]
+    return bits.bit_length() - 1
 
 
 def chart_encode(v: AffineSubspace, index: int) -> int:
-    """Coordinates of an ambient member of the linear subspace v in its chart."""
-    sp = _sp.space(v.dim_ambient)
-    trits = sp.trits[index]
-    lam = []
-    for row in v.basis:
-        piv = next(i for i, t in enumerate(sp.trits[row]) if t)
-        lam.append(trits[piv])
-    return _sp.encode(lam)
+    """Coordinates of an ambient member of the linear subspace v in its
+    chart: its trits at the pivots of v."""
+    trits = _sp.space(v.dim_ambient).trits[index]
+    return _sp.encode(trits[p] for p in v._chart[1])
 
 
 def _check_linear(v: AffineSubspace) -> None:
-    if v.empty or not v.is_linear:
+    if not v.is_linear:
         raise ValueError("hyperplanes of a subspace need a linear subspace")
 
 
@@ -274,9 +263,9 @@ def _from_chart(v: AffineSubspace, h: AffineSubspace) -> AffineSubspace:
     if len(v.basis) == v.dim_ambient:
         # the chart of the full space is the identity
         return h
-    sp = _sp.space(v.dim_ambient)
     rows = [chart_decode(v, b) for b in h.basis]
-    return _from_members(sp, sp.span_bits(rows, chart_decode(v, h.base_point)))
+    bits = _sp.space(v.dim_ambient).span_bits(rows, chart_decode(v, h.base_point))
+    return AffineSubspace(v.dim_ambient, bits)
 
 
 def hyperplanes_within(v: AffineSubspace, avoid_origin: bool = False) -> list[AffineSubspace]:
@@ -326,10 +315,12 @@ def _flat_count(d: int, k: int) -> int:
 def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> tuple[AffineSubspace, ...]:
     """All k-dimensional affine subspaces contained in h, by (basis, base_point).
 
-    Each direction is spanned once; its cosets inside h are then walked as
-    in halves.coset_pairs: the least index left is the canonical base point
-    of its coset, and that coset is cleared.  A table of more than
-    MAX_FLATS subspaces is refused with ValueError before it is built.
+    Each direction is spanned once, and the directions are sorted by basis.
+    The cosets of one direction inside h are then walked as in
+    halves.coset_pairs: the least index left is the base point of its
+    coset, and that coset is cleared, so they come in base point order.  A
+    table of more than MAX_FLATS subspaces is refused with ValueError
+    before it is built.
     """
     if h.empty:
         return ()
@@ -341,16 +332,21 @@ def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> tuple[AffineSubspac
             f"{count} affine subspaces of dimension {k} in dimension {h.dim} "
             f"exceed the table bound of {MAX_FLATS}"
         )
-    sp = _sp.space(h.dim_ambient)
+    n = h.dim_ambient
+    sp = _sp.space(n)
     d = h.direction()
+    directions = sorted(
+        (
+            AffineSubspace(n, sp.span_bits(chart_decode(d, _sp.encode(r)) for r in rows))
+            for rows in enumerate_rref_bases(h.dim, k)
+        ),
+        key=lambda e: e.basis,
+    )
     out = []
-    for chart_rows in enumerate_rref_bases(h.dim, k):
-        direction = sp.span_bits(chart_decode(d, _sp.encode(r)) for r in chart_rows)
-        basis = _direction_basis(sp, direction)
+    for e in directions:
         rest = h.members_bits
         while rest:
-            coset = sp.translate_bits(direction, (rest & -rest).bit_length() - 1)
-            out.append(_from_members(sp, coset, basis))
+            coset = sp.translate_bits(e.members_bits, (rest & -rest).bit_length() - 1)
+            out.append(AffineSubspace(n, coset))
             rest &= ~coset
-    out.sort(key=lambda s: (s.basis, s.base_point))
     return tuple(out)

@@ -10,6 +10,7 @@ each check is kept beside it in SuiteReport.timings.
 from __future__ import annotations
 
 import inspect
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -360,7 +361,7 @@ def run_suite(
         raise ValueError(f"samples must be at least 1, got {samples}")
     names = _STANDARD if name == "standard" else _EXTENDED
     args = [(c, seed, samples) for c in names]
-    workers = min(jobs, len(args))
+    workers = min(jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             runs = list(pool.map(_run_check, args))

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import os
 from collections import Counter
 
 import pytest
@@ -146,8 +147,10 @@ class _RecordingPool:
 
 @pytest.fixture
 def pool_log(monkeypatch):
-    """Runs the search's worker pools in-process; lists their max_workers."""
+    """Runs the search's worker pools in-process; lists their max_workers.
+    The machine reports more CPUs than any test has tasks."""
     log = []
+    monkeypatch.setattr(os, "cpu_count", lambda: 1_000_000)
     monkeypatch.setattr(
         search, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(log, max_workers)
     )
@@ -159,6 +162,15 @@ def test_workers_are_capped_at_the_task_count(pool_log):
     assert 1 < len(pending) < 100_000
     report = enumerate_maximal_sumfree(3, 5, jobs=100_000)
     assert pool_log == [len(pending)]
+    assert report == enumerate_maximal_sumfree(3, 5, jobs=1)
+
+
+@pytest.mark.parametrize("cpus,want", [(2, [2]), (1, []), (None, [])])
+def test_workers_are_capped_at_the_cpu_count(monkeypatch, pool_log, cpus, want):
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert len(search._expand_frontier(3, 5, True, 100_000)[0]) > 2
+    report = enumerate_maximal_sumfree(3, 5, jobs=100_000)
+    assert pool_log == want
     assert report == enumerate_maximal_sumfree(3, 5, jobs=1)
 
 

@@ -32,16 +32,6 @@ def test_add_sub_neg_tables(n):
         for j in range(sp.size):
             v = oracles.to_trits(j, n)
             assert sp.add(i, j) == oracles.to_index(oracles.add(u, v))
-            assert sp.sub(i, j) == oracles.to_index(oracles.sub(u, v))
-
-
-def test_scale():
-    sp = space.space(3)
-    for i in range(sp.size):
-        u = oracles.to_trits(i, 3)
-        assert sp.scale(i, 2) == oracles.to_index(oracles.neg(u))
-        assert sp.scale(i, 0) == 0
-        assert sp.scale(i, 1) == i
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -1,5 +1,6 @@
 """Affine geometry against the oracle's closure computations."""
 
+import dataclasses
 import random
 from itertools import product
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import oracles
 from gf3sets import space as _sp
 from gf3sets import subspaces as sub
+from gf3sets.primitive import cone_of_subspace
 from gf3sets.space import iter_bits
 
 
@@ -284,3 +286,81 @@ def test_to_json_shape():
     h = sub.affine_subspace(3, (3,), 1)
     j = h.to_json()
     assert j == {"basis": [[0, 1, 0]], "base_point": [1, 0, 0]}
+
+
+def test_a_subspace_is_its_member_bitset():
+    fields = [f.name for f in dataclasses.fields(sub.AffineSubspace)]
+    assert fields == ["dim_ambient", "members_bits"]
+    e = sub.empty_subspace(3)
+    assert e == sub.affine_hull_bits(0, 3) == e.translate(5) == e.neg()
+    assert (e.empty, e.dim, e.size, e.basis, e.base_point) == (True, -1, 0, (), 0)
+    with pytest.raises(ValueError):
+        e.direction()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_equal_exactly_when_the_member_bitsets_are(data):
+    n = data.draw(st.integers(1, 5))
+    sp = _sp.space(n)
+    idx = st.integers(0, sp.size - 1)
+    rows = data.draw(st.lists(idx, max_size=n))
+    point = data.draw(idx)
+    s = sub.affine_subspace(n, rows, point)
+    # the same coset from redundant, scaled and summed rows and another member
+    trits = [oracles.to_trits(r, n) for r in rows]
+    extra = [oracles.neg(t) for t in trits] + [
+        oracles.add(a, b) for a, b in zip(trits, trits[1:])
+    ]
+    redundant = data.draw(st.permutations(rows + [oracles.to_index(t) for t in extra]))
+    member = data.draw(st.sampled_from(sorted(iter_bits(s.members_bits))))
+    v = data.draw(idx)
+    same = [
+        sub.affine_subspace(n, redundant, member),
+        sub.affine_hull_bits(s.members_bits, n),
+        s.translate(v).translate(sp.neg[v]),
+        s.neg().neg(),
+        sub.affine_subspace(n, rows, 0).translate(member),
+        s.direction().translate(point),
+    ]
+    assert all(t == s and hash(t) == hash(s) for t in same)
+    assert len({s, *same}) == 1
+    others = [
+        sub.affine_subspace(n, data.draw(st.lists(idx, max_size=n)), data.draw(idx)),
+        sub.affine_hull_bits(data.draw(st.integers(0, sp.full_bits)), n),
+        s.translate(v),
+        s.neg(),
+        s.direction(),
+    ]
+    for t in others:
+        assert (t == s) == (t.members_bits == s.members_bits)
+        if not t.empty:  # the empty subspace writes the JSON of {0}
+            assert (t == s) == (t.to_json() == s.to_json())
+        if t == s:
+            assert hash(t) == hash(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_cone_of_subspace_is_the_span_of_the_members(data):
+    n = data.draw(st.integers(1, 5))
+    idx = st.integers(0, 3**n - 1)
+    u = sub.affine_subspace(n, data.draw(st.lists(idx, max_size=3)), data.draw(idx))
+    want = oracles.span([oracles.to_trits(m, n) for m in _members(u)], n)
+    assert _members(cone_of_subspace(u)) == {oracles.to_index(x) for x in want}
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_chart_decode_sums_the_scaled_rref_rows(data):
+    n = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.integers(1, 3**n - 1), max_size=n))
+    v = sub.linear_subspace(n, rows)
+    basis = oracles.rref([oracles.to_trits(r, n) for r in rows], n)
+    for i in range(3 ** len(basis)):
+        want = (0,) * n
+        for lam, b in zip(oracles.to_trits(i, len(basis)), basis):
+            for _ in range(lam):
+                want = oracles.add(want, b)
+        assert sub.chart_decode(v, i) == oracles.to_index(want)
+        assert sub.chart_encode(v, oracles.to_index(want)) == i

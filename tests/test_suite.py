@@ -1,5 +1,7 @@
 """Suite runner mechanics: registry, seeding, crash capture, report shape."""
 
+import os
+
 import pytest
 
 from gf3sets import run_suite
@@ -91,9 +93,25 @@ def test_workers_are_capped_at_the_check_count(monkeypatch):
     monkeypatch.setitem(suite._REGISTRY, "ok_b", (ok, {}))
     monkeypatch.setattr(suite, "_STANDARD", ("ok_a", "ok_b"))
     monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1_000_000)
     rep = run_suite("standard", jobs=100_000)
     assert log == [2]
     assert rep.checks == run_suite("standard", jobs=1).checks
+
+
+def test_one_cpu_runs_the_checks_in_process(monkeypatch):
+    def no_pool(max_workers):
+        raise AssertionError(f"a pool of {max_workers} workers was started")
+
+    def ok(rng):
+        return CheckResult.holds("ok")
+
+    monkeypatch.setitem(suite._REGISTRY, "ok_a", (ok, {}))
+    monkeypatch.setitem(suite._REGISTRY, "ok_b", (ok, {}))
+    monkeypatch.setattr(suite, "_STANDARD", ("ok_a", "ok_b"))
+    monkeypatch.setattr(suite, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    assert run_suite("standard", jobs=8).checks == run_suite("standard", jobs=1).checks
 
 
 def test_report_json_shape(monkeypatch):

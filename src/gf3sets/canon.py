@@ -42,9 +42,9 @@ product of those orbit lengths over the levels of the span of A, times
 prod(3^n - 3^i) over the basis vectors beyond it, which complete the span
 freely.
 
-The walk reads the addition table of the space, which Space keeps for
-n <= 6 only, so canonical forms, stabilizers and lexmin tests are refused
-above that.
+The walk's tables and the translation rows it reads grow as 9^n, so
+canonical forms, stabilizers and lexmin tests are refused above n = 6
+(MAX_WALK_DIM).
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ from dataclasses import dataclass
 
 from . import space as _sp
 from .space import iter_bits, orbit_bits
+
+MAX_WALK_DIM = 6  # the walk refuses larger n (see the module docstring)
 
 
 def gl_order(n: int) -> int:
@@ -76,10 +78,6 @@ class GroupElement:
         if sp.span_bits(self.imgs) != sp.full_bits:
             raise ValueError("basis images are linearly dependent")
 
-    @classmethod
-    def identity(cls, n: int) -> "GroupElement":
-        return cls(n, tuple(3**i for i in range(n)))
-
     @functools.cached_property
     def perm(self) -> list[int]:
         """Index permutation of the whole space induced by the map.
@@ -91,8 +89,8 @@ class GroupElement:
         sp = _sp.space(self.n)
         perm = [0]
         for img in self.imgs:
-            minus = sp.neg[img]
-            perm += [sp.add(x, img) for x in perm] + [sp.add(x, minus) for x in perm]
+            plus, minus = sp.add_row(img), sp.add_row(sp.neg[img])
+            perm += [plus[x] for x in perm] + [minus[x] for x in perm]
         return perm
 
     def apply_bits(self, bits: int) -> int:
@@ -160,15 +158,12 @@ def _walk(bits: int, n: int, fixed: bool):
     recorded on the way as index permutations of the space (each moves only
     points of the span of bits).  In fixed mode the best path is the
     identity, and _Smaller is raised as soon as any strictly smaller image
-    is certain.  Raises ValueError above n = 6, where Space keeps no
-    addition table.
+    is certain.  Raises ValueError above MAX_WALK_DIM, before building
+    anything.
     """
+    if n > MAX_WALK_DIM:
+        raise ValueError(f"canonical forms need n <= {MAX_WALK_DIM}, got n = {n}")
     sp = _sp.space(n)
-    add = sp.add_rows
-    if add is None:
-        raise ValueError(
-            f"canonical forms need the addition table of n <= 6, got n = {n}"
-        )
     size = sp.size
     autos: list[list[int]] = []
     if bits == 0:
@@ -268,8 +263,8 @@ def _walk(bits: int, n: int, fixed: bool):
             skip |= orbit_bits(bit, gens)
             c = -1 if smaller & bit else 0
             # images of x + e_j, then of x - e_j, for the x of the block
-            row1 = add[w]
-            row2 = add[neg[w]]
+            row1 = sp.add_row(w)
+            row2 = sp.add_row(neg[w])
             images = list(map(row1.__getitem__, hmap))
             images += map(row2.__getitem__, hmap)
             # the images are distinct points off the span: sum their bits

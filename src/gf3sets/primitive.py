@@ -105,6 +105,8 @@ class PrimitiveCertificate:
 
 def _subspace_from_json(obj: dict) -> AffineSubspace:
     n = len(obj["base_point"])
+    if obj.get("empty"):
+        return subspaces.empty_subspace(n)
     rows = [_sp.encode(r) for r in obj["basis"]]
     return subspaces.affine_subspace(n, rows, _sp.encode(obj["base_point"]))
 

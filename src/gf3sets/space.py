@@ -11,8 +11,8 @@ of the masked bits by a multiple of 3**i.  So translating a set by a vector
 is, coordinate by coordinate, a masked pair of big-integer shifts, and
 negation swaps slabs 1 and 2; either costs O(n) big-integer operations
 whatever the size of the set.  A sumset is the union of the translates of
-the larger set by the members of the smaller.  Scalar addition keeps a full
-table for small spaces (n <= 6).
+the larger set by the members of the smaller.  Scalar addition reads rows
+of the translations x -> x + v, each built on first use and kept.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ import functools
 from typing import Iterable, Iterator
 
 MAX_DIM = 12
-
-# full pairwise addition tables are kept up to this many points (n <= 6)
-_FULL_TABLE_MAX_SIZE = 729
 
 
 def check_dim(n: int) -> int:
@@ -108,19 +105,12 @@ class Space:
         # i coordinates, and their entries follow those of x.
         trits: list[tuple[int, ...]] = [()]
         neg = [0]
-        add_rows = [[0]] if self.size <= _FULL_TABLE_MAX_SIZE else None
         for p in self.powers:
             trits = [t + (d,) for d in range(3) for t in trits]
             neg = [x + (-d % 3) * p for d in range(3) for x in neg]
-            if add_rows is not None:
-                add_rows = [
-                    [x + (d + e) % 3 * p for e in range(3) for x in row]
-                    for d in range(3)
-                    for row in add_rows
-                ]
         self.trits = trits
         self.neg = neg
-        self.add_rows: list[list[int]] | None = add_rows
+        self._rows: dict[int, list[int]] = {}
         self.slabs = tuple(
             tuple(_repeat(((1 << p) - 1) << (d * p), 3 * p, self.size) for d in range(3))
             for p in self.powers
@@ -133,10 +123,19 @@ class Space:
 
     # -- scalar index arithmetic ------------------------------------------
 
+    def add_row(self, v: int) -> list[int]:
+        """The translation x -> x + v as a list over the indices x, grown
+        one coordinate at a time like the tables above; kept once built."""
+        row = self._rows.get(v)
+        if row is None:
+            row = [0]
+            for p, t in zip(self.powers, self.trits[v]):
+                row = [x + (d + t) % 3 * p for d in range(3) for x in row]
+            self._rows[v] = row
+        return row
+
     def add(self, i: int, j: int) -> int:
-        if self.add_rows is not None:
-            return self.add_rows[i][j]
-        return encode((a + b) % 3 for a, b in zip(self.trits[i], self.trits[j]))
+        return self.add_row(j)[i]
 
     # -- bitset operations -------------------------------------------------
 

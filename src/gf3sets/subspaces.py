@@ -99,10 +99,13 @@ class AffineSubspace:
 
     def to_json(self) -> dict:
         n = self.dim_ambient
-        return {
+        out = {
             "basis": [list(_sp.decode(b, n)) for b in self.basis],
             "base_point": list(_sp.decode(self.base_point, n)),
         }
+        if self.empty:  # else it reads as the zero subspace {0}
+            out["empty"] = True
+        return out
 
 
 def _direction_basis(sp: _sp.Space, lin: int) -> tuple[tuple[int, ...], tuple[int, ...]]:

@@ -155,6 +155,15 @@ def test_validation_clause_reporting():
     assert _clause_of(miss_x) == "iv"
 
 
+def test_an_empty_u_survives_the_json_roundtrip():
+    _, cert = lev3()
+    bad_u = PrimitiveCertificate("derived", cert.h, u=sub.empty_subspace(3),
+                                 w=cert.w, x=cert.x)
+    back = PrimitiveCertificate.from_json(bad_u.to_json())
+    assert back == bad_u
+    assert _clause_of(back) == "u-nonempty"
+
+
 def test_validation_clause_iii():
     # in dimension 2 the core has codimension one, so X = -U is rejected
     h = sub.enumerate_hyperplanes(2, avoid_origin=True)[0]

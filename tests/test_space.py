@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -182,7 +183,11 @@ def test_tables_match_decode_reference(n):
     sp = space.space(n)
     assert sp.trits == [space.decode(i, n) for i in range(sp.size)]
     assert sp.neg == [_neg_ref(i, n) for i in range(sp.size)]
-    assert (sp.add_rows is None) == (n > 6)
+    for v in random.Random(1000 + n).sample(range(sp.size), min(sp.size, 3)):
+        assert sp.add_row(v) == [
+            space.encode((s + t) % 3 for s, t in zip(space.decode(x, n), space.decode(v, n)))
+            for x in range(sp.size)
+        ]
     rng = random.Random(2000 + n)
     for _ in range(200):
         i, j = rng.randrange(sp.size), rng.randrange(sp.size)
@@ -190,6 +195,16 @@ def test_tables_match_decode_reference(n):
             (s + t) % 3 for s, t in zip(space.decode(i, n), space.decode(j, n))
         )
         assert sp.add(i, j) == want
+
+
+def test_a_fresh_space_builds_no_addition_table():
+    tracemalloc.start()
+    try:
+        space.Space(6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_no_numpy_in_a_fresh_interpreter():

@@ -12,9 +12,13 @@ prefix are cut without expanding them.
 The candidates for w_j are split against the best all at once.  If h maps
 the indices below 3^j to their images, position 3^j + r of the new block
 holds h(r) + w_j and position 2*3^j + r holds h(r) - w_j.  So the
-candidates with a member at those positions are the sets A - h(r) and
-h(r) - A, each one translate of A or -A, kept per walk as it is first
-needed.  Reading the best's new block bit by bit, a few big-integer ANDs
+candidates with a member at those positions are the sets plus[x] = A - x
+and minus[x] = x - A at x = h(r), the walk tables.  A walk fills them
+itself, one translate of A or -A per entry as it is first needed, unless
+its caller hands them over complete: the search keeps them per node and
+gets a child's tables from its parent's with one bit per entry, since
+(A | {v}) - x = (A - x) | {v - x}.  Reading the best's new block bit by
+bit, a few big-integer ANDs
 split the candidates into those that make a smaller image, those tied
 with the best, and those cut.  A fixed-mode walk stops as soon as the
 smaller part is not empty; a minimizing walk splits again whenever its
@@ -33,6 +37,16 @@ isomorphism", 1981; McKay and Piperno, 2014):
   that fix w_0..w_{j-1} pointwise (one bitset holds the orbits of the
   searched siblings), and such an automorphism carries the searched
   subtree onto the skipped one.
+
+A lexmin test may also start with automorphisms known in advance.  Any
+genuine automorphism of A prunes soundly, wherever it came from: it maps
+the skipped subtree onto a searched one all the same.  The search hands a
+child A = S | {v}, for v inside the span of S, the automorphisms recorded
+for S that fix v.  They are linear on that span, which is also the span
+of A, they fix S and v, so they fix A, and pruning with them applies from
+the root of the walk.  The returned list, the known ones first, still
+reaches every orbit of every pointwise stabilizer (below), since that
+argument asks only that the automorphisms pruned with be genuine.
 
 Stabilizers are counted by orbits, not by leaves.  A fixed-mode walk of the
 canonical form starts with the identity path and finds, for every level j,
@@ -55,9 +69,7 @@ import random
 from dataclasses import dataclass
 
 from . import space as _sp
-from .space import iter_bits, orbit_bits
-
-MAX_WALK_DIM = 6  # the walk refuses larger n (see the module docstring)
+from .space import MAX_WALK_DIM, iter_bits, orbit_bits
 
 
 def gl_order(n: int) -> int:
@@ -151,30 +163,31 @@ class _Smaller(Exception):
     pass
 
 
-def _walk(bits: int, n: int, fixed: bool):
+def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
     """Minimize bits over GL(n,3), or (fixed) test bits against itself.
 
     Returns (best, autos): the least image, and the automorphisms of bits
     recorded on the way as index permutations of the space (each moves only
-    points of the span of bits).  In fixed mode the best path is the
-    identity, and _Smaller is raised as soon as any strictly smaller image
-    is certain.  Raises ValueError above MAX_WALK_DIM, before building
-    anything.
+    points of the span of bits), after the known ones it was given.  In
+    fixed mode the best path is the identity, and _Smaller is raised as
+    soon as any strictly smaller image is certain.  tables, when given, are
+    the walk tables (plus, minus) complete.  Raises ValueError above
+    MAX_WALK_DIM, before building anything.
     """
     if n > MAX_WALK_DIM:
         raise ValueError(f"canonical forms need n <= {MAX_WALK_DIM}, got n = {n}")
     sp = _sp.space(n)
     size = sp.size
-    autos: list[list[int]] = []
+    autos: list[list[int]] = list(known)
     if bits == 0:
         return 0, autos
     neg = sp.neg
     translate = sp.translate_bits
     neg_bits = sp.neg_set_bits(bits)
     # plus[x] = bits - x and minus[x] = x - bits, the w with x + w and with
-    # x - w in bits: each is one translate, made when first needed
-    plus: list = [None] * size
-    minus: list = [None] * size
+    # x - w in bits: each is one translate, made when first needed, unless
+    # the caller gave them all
+    plus, minus = tables or ([None] * size, [None] * size)
     tables = ((plus, bits, neg), (minus, neg_bits, range(size)))
     state = {"best": bits if fixed else None, "hmap": range(size)}
 
@@ -225,7 +238,6 @@ def _walk(bits: int, n: int, fixed: bool):
             return leaf(j, hmap, prefix)
         block = len(hmap)
         low = (1 << block) - 1
-        path = [hmap[3**i] for i in range(j)]
         gens = []  # the recorded autos that fix the path
         seen = 0  # how many recorded autos were sorted into gens
         searched = 0  # the candidates searched so far
@@ -252,6 +264,7 @@ def _walk(bits: int, n: int, fixed: bool):
             rest &= -(bit << 1)
             w = bit.bit_length() - 1
             if len(autos) > seen:
+                path = [hmap[3**i] for i in range(j)]
                 new = [a for a in autos[seen:] if all(a[p] == p for p in path)]
                 seen = len(autos)
                 if new:
@@ -260,7 +273,7 @@ def _walk(bits: int, n: int, fixed: bool):
             if skip & bit:
                 continue
             searched |= bit
-            skip |= orbit_bits(bit, gens)
+            skip |= orbit_bits(bit, gens) if gens else bit
             c = -1 if smaller & bit else 0
             # images of x + e_j, then of x - e_j, for the x of the block
             row1 = sp.add_row(w)
@@ -315,14 +328,21 @@ def canonical_form_bits(bits: int, n: int) -> int:
     return _walk(bits, n, fixed=False)[0]
 
 
-def is_lexmin_bits(bits: int, n: int, autos: list | None = None) -> bool:
-    """Whether bits is least in its orbit.  On acceptance, the
-    automorphisms the walk recorded (see automorphisms_bits) are appended
-    to autos when it is given."""
+def is_lexmin_bits(bits: int, n: int, autos: list | None = None,
+                   tables: tuple | None = None) -> bool:
+    """Whether bits is least in its orbit.
+
+    autos, when given, may already hold automorphisms of bits, in the form
+    automorphisms_bits gives them; the walk prunes with them from its root.
+    On acceptance the automorphisms the walk recorded are appended to it.
+    tables, when given, are the walk tables of bits complete: plus[x] =
+    bits - x and minus[x] = x - bits for every index x (see the module
+    docstring)."""
+    known = autos or ()
     try:
-        found = _walk(bits, n, fixed=True)[1]
+        found = _walk(bits, n, True, known, tables)[1]
     except _Smaller:
         return False
     if autos is not None:
-        autos += found
+        autos += found[len(known):]
     return True

@@ -19,6 +19,16 @@ before any test:
     recorded automorphisms holds a smaller point u, since S | {u} is then
     an image of S | {v} and the smaller set.
 
+The lexmin test of a child starts from what its parent knows.  A node
+also carries the walk tables of S (see canon): plus[x] = S - x and
+minus[x] = x - S for every index x.  They are built with one translate
+each at the root of a task and passed down: the child S | {v} adds the
+one point v - x to plus[x] and x - v to minus[x], read off two translation
+rows.  A child v inside the span of S starts its walk with the recorded
+automorphisms of S that fix v; they fix S | {v} and are linear on its
+span, so they are automorphisms of the child (canon says why pruning with
+them is sound).  The child's recorded list keeps them.
+
 Blocked elements are maintained incrementally: adding v to S extends the
 forbidden region by v+S, v-S, S-v and -v, so a node is maximal exactly
 when the forbidden region covers everything.
@@ -116,20 +126,46 @@ def _cover_increment(sp: _sp.Space, sbits: int, v: int) -> int:
 
 def _node(n: int, bits: int, reduced: bool) -> tuple:
     """Search node of a partial set: (bits, size, largest member, cover,
-    automorphisms).  The automorphisms come from the fixed walk of bits in
-    a reduced search, and are None otherwise."""
+    automorphisms, walk tables).  In a reduced search the automorphisms
+    come from the fixed walk of bits and the walk tables (plus, minus) are
+    built with one translate each; both are None otherwise."""
     cover = blocked_cover_bits(TernarySet(n, bits))
-    autos = canon.automorphisms_bits(bits, n) if reduced else None
-    return bits, bits.bit_count(), bits.bit_length() - 1, cover, autos
+    node = bits, bits.bit_count(), bits.bit_length() - 1, cover
+    if not reduced:
+        return (*node, None, None)
+    sp = _sp.space(n)
+    neg_bits = sp.neg_set_bits(bits)
+    tables = ([sp.translate_bits(bits, y) for y in sp.neg],
+              [sp.translate_bits(neg_bits, x) for x in range(sp.size)])
+    return (*node, canon.automorphisms_bits(bits, n), tables)
+
+
+def _span_end(sbits: int) -> int:
+    """The span of a set least in its orbit is [0, m); returns m, a power of 3."""
+    m = 1
+    while sbits >> m:
+        m *= 3
+    return m
+
+
+def _inherit(sp: _sp.Space, sbits: int, autos: list, tables: tuple, v: int) -> tuple:
+    """(known automorphisms, walk tables) of the child S | {v} of a reduced
+    search node S, from those of S (see the module docstring): the ones of
+    S that fix v when v is in the span of S, and each table entry of S
+    with the one point v - x or x - v added."""
+    plus, minus = tables
+    row, neg = sp.add_row(v), sp.neg
+    tables = ([p | 1 << row[y] for p, y in zip(plus, neg)],
+              [q | 1 << d for q, d in zip(minus, sp.add_row(neg[v]))])
+    known = [a for a in autos if a[v] == v] if v < _span_end(sbits) else []
+    return known, tables
 
 
 def _prune_by_symmetry(sbits: int, free: int, autos: list) -> int:
     """The points v of free left by rules (i) and (ii) of the module
     docstring.  sbits is least in its orbit, so its span is [0, m) for a
     power m of 3, and autos are automorphisms of it, linear on that span."""
-    m = 1
-    while sbits >> m:
-        m *= 3
+    m = _span_end(sbits)
     inside = free & ((1 << m) - 1)
     outside = free >> m << m
     met = 0  # the orbits of the points of inside seen so far
@@ -147,7 +183,7 @@ def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
             found: dict) -> list:
     """Visit one node: record it in found when it is maximal and large
     enough, and return the children that remain to be searched."""
-    sbits, size, maxv, cover, autos = node
+    sbits, size, maxv, cover, autos, tables = node
     full = sp.full_bits
     if cover == full:
         if size >= min_size:
@@ -165,11 +201,14 @@ def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
     children = []
     for v in iter_bits(free_above):
         child = sbits | 1 << v
-        child_autos = [] if reduced else None
-        if reduced and not canon.is_lexmin_bits(child, sp.n, child_autos):
-            continue
+        inherited = (None, None)
+        if reduced:
+            inherited = _inherit(sp, sbits, autos, tables, v)
+            # on acceptance the walk appends what it recorded to inherited[0]
+            if not canon.is_lexmin_bits(child, sp.n, *inherited):
+                continue
         children.append((child, size + 1, v, cover | _cover_increment(sp, sbits, v),
-                         child_autos))
+                         *inherited))
     return children
 
 

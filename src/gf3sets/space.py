@@ -12,7 +12,10 @@ is, coordinate by coordinate, a masked pair of big-integer shifts, and
 negation swaps slabs 1 and 2; either costs O(n) big-integer operations
 whatever the size of the set.  A sumset is the union of the translates of
 the larger set by the members of the smaller.  Scalar addition reads rows
-of the translations x -> x + v, each built on first use and kept.
+of the translations x -> x + v, each built on first use.  Rows are kept
+only up to MAX_WALK_DIM, where the orbit walk of canon reads them over and
+over; above it a kept row per right operand would hold 3^n entries for the
+life of the process, so each call builds its row afresh.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import functools
 from typing import Iterable, Iterator
 
 MAX_DIM = 12
+MAX_WALK_DIM = 6  # canon's orbit walk refuses larger n; rows are kept up to it
 
 
 def check_dim(n: int) -> int:
@@ -125,13 +129,15 @@ class Space:
 
     def add_row(self, v: int) -> list[int]:
         """The translation x -> x + v as a list over the indices x, grown
-        one coordinate at a time like the tables above; kept once built."""
+        one coordinate at a time like the tables above; kept once built
+        when n <= MAX_WALK_DIM."""
         row = self._rows.get(v)
         if row is None:
             row = [0]
             for p, t in zip(self.powers, self.trits[v]):
                 row = [x + (d + t) % 3 * p for d in range(3) for x in row]
-            self._rows[v] = row
+            if self.n <= MAX_WALK_DIM:
+                self._rows[v] = row
         return row
 
     def add(self, i: int, j: int) -> int:

@@ -6,7 +6,7 @@ import os
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -23,7 +23,7 @@ from gf3sets import (
 )
 from gf3sets import canon, search
 from gf3sets import subspaces as sub
-from gf3sets.space import iter_bits
+from gf3sets.space import iter_bits, orbit_bits, space
 
 
 def test_reduced_and_unreduced_engines_agree():
@@ -77,6 +77,73 @@ def test_symmetry_pruning_drops_no_lexmin_child(n, data):
     points = data.draw(st.lists(st.integers(0, 3**n - 1), max_size=6))
     bits = canon.canonical_form_bits(TernarySet.from_indices(n, points).bits, n)
     _check_symmetry_pruning(bits, n)
+
+
+# Unions of flats and points have large stabilizers, so their children
+# inherit automorphisms; {e_0, e_1} has the swap, which fixes e_0 + e_1.
+@st.composite
+def lexmin_parents(draw, n):
+    sp = space(n)
+    point = st.integers(0, 3**n - 1)
+    bits = 0
+    for _ in range(draw(st.integers(0, 2))):
+        bits |= sp.span_bits(draw(st.lists(point, max_size=n - 1)), draw(point))
+    for p in draw(st.lists(point, max_size=3)):
+        bits |= 1 << p
+    return canon.canonical_form_bits(bits, n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_child_walks_from_inherited_tables_and_automorphisms(n):
+    sp = space(n)
+    inherited = 0  # accepted children whose walk started with known automorphisms
+
+    @settings(max_examples=40 if n < 4 else 25, deadline=None)
+    @given(lexmin_parents(n))
+    @example(1 << 1 | 1 << 3)
+    def check(bits):
+        nonlocal inherited
+        *_, parent_autos, parent_tables = search._node(n, bits, True)
+        for v in range(bits.bit_length(), sp.size):
+            child = bits | 1 << v
+            autos, tables = search._inherit(sp, bits, parent_autos, parent_tables, v)
+            known = len(autos)
+            accepted = canon.is_lexmin_bits(child, n, autos, tables)
+            assert accepted == canon.is_lexmin_bits(child, n), (bits, v)
+            if not accepted:
+                continue
+            inherited += known > 0
+            m = search._span_end(child)
+            for a in autos:
+                assert sorted(a) == list(range(sp.size))
+                assert a[m:] == list(range(m, sp.size))
+                assert sum(1 << a[x] for x in iter_bits(child)) == child
+                for p in sp.powers:
+                    if p < m:
+                        assert all(a[sp.add(x, p)] == sp.add(a[x], a[p]) for x in range(m))
+            want = canon.automorphisms_bits(child, n)
+            for x in range(m):
+                assert orbit_bits(1 << x, autos) == orbit_bits(1 << x, want), (bits, v, x)
+
+    check()
+    assert inherited > 0
+
+
+@pytest.mark.parametrize("n, min_size, limit", [(3, 1, None), (4, 14, 300)])
+def test_search_nodes_carry_their_walk_tables(n, min_size, limit):
+    sp = space(n)
+    stack = [search._node(n, 0, True)]
+    found: dict = {}
+    visited = 0
+    while stack and visited != limit:
+        node = stack.pop()
+        bits, (plus, minus) = node[0], node[5]
+        neg_bits = sp.neg_set_bits(bits)
+        assert plus == [sp.translate_bits(bits, sp.neg[x]) for x in range(sp.size)]
+        assert minus == [sp.translate_bits(neg_bits, x) for x in range(sp.size)]
+        visited += 1
+        stack += search._expand(sp, min_size, True, node, found)
+    assert visited == (limit or enumerate_maximal_sumfree(n, min_size).node_count)
 
 
 def test_known_census_dim3():

@@ -207,6 +207,23 @@ def test_a_fresh_space_builds_no_addition_table():
     assert peak < 1 << 20
 
 
+def test_rows_are_not_kept_above_the_walk_cap():
+    # at n = 8 each kept row would hold 6,561 entries (about 50 MB for these calls)
+    sp = space.Space(8)
+    rng = random.Random(2008)
+    pairs = [(rng.randrange(sp.size), rng.randrange(sp.size)) for _ in range(200)]
+    tracemalloc.start()
+    try:
+        for i, j in pairs:
+            sp.add(i, j)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20
+    small = space.Space(space.MAX_WALK_DIM)
+    assert small.add_row(5) is small.add_row(5)
+
+
 def test_no_numpy_in_a_fresh_interpreter():
     # pytest's own process may already hold numpy through hypothesis
     code = (

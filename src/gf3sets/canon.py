@@ -15,14 +15,14 @@ holds h(r) + w_j and position 2*3^j + r holds h(r) - w_j.  So the
 candidates with a member at those positions are the sets plus[x] = A - x
 and minus[x] = x - A at x = h(r), the walk tables.  A walk fills them
 itself, one translate of A or -A per entry as it is first needed, unless
-its caller hands them over complete: the search keeps them per node and
-gets a child's tables from its parent's with one bit per entry, since
-(A | {v}) - x = (A - x) | {v - x}.  Reading the best's new block bit by
-bit, a few big-integer ANDs
-split the candidates into those that make a smaller image, those tied
-with the best, and those cut.  A fixed-mode walk stops as soon as the
-smaller part is not empty; a minimizing walk splits again whenever its
-best changes.
+its caller hands them over complete: the search keeps them per node,
+from the empty tables of the empty set down, and gets a child's tables
+from its parent's with one bit per entry, since (A | {v}) - x =
+(A - x) | {v - x}.  Reading the best's new block bit by bit, a few
+big-integer ANDs split the candidates into those that make a smaller
+image, those tied with the best, and those cut.  A fixed-mode walk stops
+as soon as the smaller part is not empty; a minimizing walk splits again
+whenever its best changes.
 
 The walk is pruned by automorphisms, after McKay ("Practical graph
 isomorphism", 1981; McKay and Piperno, 2014):

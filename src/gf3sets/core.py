@@ -79,27 +79,6 @@ class TernarySet:
     def __len__(self) -> int:
         return self.size
 
-    # -- set algebra ---------------------------------------------------------
-
-    def union(self, other: "TernarySet") -> "TernarySet":
-        _same_dim(self, other)
-        return TernarySet(self.dim, self.bits | other.bits)
-
-    def intersection(self, other: "TernarySet") -> "TernarySet":
-        _same_dim(self, other)
-        return TernarySet(self.dim, self.bits & other.bits)
-
-    def difference(self, other: "TernarySet") -> "TernarySet":
-        _same_dim(self, other)
-        return TernarySet(self.dim, self.bits & ~other.bits)
-
-    __or__ = union
-    __and__ = intersection
-    __sub__ = difference
-
-    def translate(self, v: int) -> "TernarySet":
-        return TernarySet(self.dim, _sp.space(self.dim).translate_bits(self.bits, v))
-
 
 def _same_dim(a, b) -> None:
     if a.dim != b.dim:

@@ -21,17 +21,32 @@ before any test:
 
 The lexmin test of a child starts from what its parent knows.  A node
 also carries the walk tables of S (see canon): plus[x] = S - x and
-minus[x] = x - S for every index x.  They are built with one translate
-each at the root of a task and passed down: the child S | {v} adds the
-one point v - x to plus[x] and x - v to minus[x], read off two translation
-rows.  A child v inside the span of S starts its walk with the recorded
-automorphisms of S that fix v; they fix S | {v} and are linear on its
-span, so they are automorphisms of the child (canon says why pruning with
-them is sound).  The child's recorded list keeps them.
+minus[x] = x - S for every index x.  They start empty at the empty set and
+are passed down: the child S | {v} adds the one point v - x to plus[x] and
+x - v to minus[x], read off two translation rows.  A child v inside the
+span of S starts its walk with the recorded automorphisms of S that fix v;
+they fix S | {v} and are linear on its span, so they are automorphisms of
+the child (canon says why pruning with them is sound).  The child's
+recorded list keeps them.
 
-Blocked elements are maintained incrementally: adding v to S extends the
-forbidden region by v+S, v-S, S-v and -v, so a node is maximal exactly
-when the forbidden region covers everything.
+Blocked elements are maintained incrementally and read off the same
+tables: adding v to S extends the forbidden region by v + S', v - S' and
+S' - v for S' = S | {v}, which are plus'[-v], minus'[v] and plus'[v] of the
+child's tables, and by v itself (-v = v + v is in v + S').  A node is
+maximal exactly when the forbidden region covers everything.
+
+Every node, in both engines, is built by one step from its parent, the
+node of its set without the largest member; the unreduced engine carries
+the tables too, without automorphisms.  A task hands a worker only the
+bitset of its root, and the worker rebuilds the root's node by replay: it
+adds the members to the empty set in increasing order, one child step
+each.  That repeats the very steps by which the search reached the root,
+so the replayed node equals the one the frontier held, its recorded
+automorphisms included.  A reduced replay needs every prefix to pass its
+lexmin test, which holds because the prefixes of a set least in its orbit
+are least in theirs (above).  A resumed run replays its pending roots the
+same way; loading a checkpoint refuses roots that are not sum-free, or
+not least in their orbits when the search is reduced.
 
 verify_main_theorem runs the search against the independent structural
 enumeration of primitive sets, in both directions.  compute_t reads the
@@ -51,13 +66,7 @@ from typing import Optional
 
 from . import canon, primitive, subspaces
 from . import space as _sp
-from .core import (
-    TernarySet,
-    blocked_cover_bits,
-    is_maximal_sum_free,
-    is_sum_free,
-    sym_group_bits,
-)
+from .core import TernarySet, is_maximal_sum_free, is_sum_free, sym_group_bits
 from .primitive import PrimitiveCertificate
 from .space import iter_bits, orbit_bits
 
@@ -115,29 +124,11 @@ class EnumerationReport:
         }
 
 
-def _cover_increment(sp: _sp.Space, sbits: int, v: int) -> int:
-    """New forbidden elements when v joins the set with bitset sbits."""
-    s2 = sbits | 1 << v
-    plus = sp.translate_bits(s2, v)
-    minus_a = sp.translate_bits(sp.neg_set_bits(s2), v)
-    minus_b = sp.translate_bits(s2, sp.neg[v])
-    return plus | minus_a | minus_b | 1 << sp.neg[v] | 1 << v
-
-
-def _node(n: int, bits: int, reduced: bool) -> tuple:
-    """Search node of a partial set: (bits, size, largest member, cover,
-    automorphisms, walk tables).  In a reduced search the automorphisms
-    come from the fixed walk of bits and the walk tables (plus, minus) are
-    built with one translate each; both are None otherwise."""
-    cover = blocked_cover_bits(TernarySet(n, bits))
-    node = bits, bits.bit_count(), bits.bit_length() - 1, cover
-    if not reduced:
-        return (*node, None, None)
-    sp = _sp.space(n)
-    neg_bits = sp.neg_set_bits(bits)
-    tables = ([sp.translate_bits(bits, y) for y in sp.neg],
-              [sp.translate_bits(neg_bits, x) for x in range(sp.size)])
-    return (*node, canon.automorphisms_bits(bits, n), tables)
+def _root(sp: _sp.Space, reduced: bool) -> tuple:
+    """The search node of the empty set: (bits, size, largest member,
+    cover, automorphisms, walk tables), with no automorphisms recorded in
+    a reduced search and None otherwise, and every table entry empty."""
+    return 0, 0, -1, 1, [] if reduced else None, ([0] * sp.size, [0] * sp.size)
 
 
 def _span_end(sbits: int) -> int:
@@ -148,17 +139,34 @@ def _span_end(sbits: int) -> int:
     return m
 
 
-def _inherit(sp: _sp.Space, sbits: int, autos: list, tables: tuple, v: int) -> tuple:
-    """(known automorphisms, walk tables) of the child S | {v} of a reduced
-    search node S, from those of S (see the module docstring): the ones of
-    S that fix v when v is in the span of S, and each table entry of S
-    with the one point v - x or x - v added."""
-    plus, minus = tables
+def _child(sp: _sp.Space, node: tuple, v: int, reduced: bool) -> Optional[tuple]:
+    """The search node of S | {v} from the node of S, or None when the
+    search is reduced and S | {v} is not least in its orbit.  Its walk
+    tables are those of S with the one point v - x or x - v added to each
+    entry, and its cover grows by the sets that they hold (see the module
+    docstring)."""
+    sbits, size, _, cover, autos, (plus, minus) = node
+    bits = sbits | 1 << v
     row, neg = sp.add_row(v), sp.neg
-    tables = ([p | 1 << row[y] for p, y in zip(plus, neg)],
-              [q | 1 << d for q, d in zip(minus, sp.add_row(neg[v]))])
-    known = [a for a in autos if a[v] == v] if v < _span_end(sbits) else []
-    return known, tables
+    plus = [p | 1 << row[y] for p, y in zip(plus, neg)]
+    minus = [q | 1 << d for q, d in zip(minus, sp.add_row(neg[v]))]
+    if reduced:
+        autos = [a for a in autos if a[v] == v] if v < _span_end(sbits) else []
+        # on acceptance the walk appends what it recorded to autos
+        if not canon.is_lexmin_bits(bits, sp.n, autos, (plus, minus)):
+            return None
+    cover |= plus[neg[v]] | minus[v] | plus[v] | 1 << v
+    return bits, size + 1, v, cover, autos, (plus, minus)
+
+
+def _replay(sp: _sp.Space, bits: int, reduced: bool) -> tuple:
+    """The search node of a set the search reaches, rebuilt by adding its
+    members to the empty set in increasing order (see the module
+    docstring)."""
+    node = _root(sp, reduced)
+    for v in iter_bits(bits):
+        node = _child(sp, node, v, reduced)
+    return node
 
 
 def _prune_by_symmetry(sbits: int, free: int, autos: list) -> int:
@@ -183,7 +191,7 @@ def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
             found: dict) -> list:
     """Visit one node: record it in found when it is maximal and large
     enough, and return the children that remain to be searched."""
-    sbits, size, maxv, cover, autos, tables = node
+    sbits, size, maxv, cover, autos, _ = node
     full = sp.full_bits
     if cover == full:
         if size >= min_size:
@@ -198,35 +206,8 @@ def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
             return []
     if reduced:
         free_above = _prune_by_symmetry(sbits, free_above, autos)
-    children = []
-    for v in iter_bits(free_above):
-        child = sbits | 1 << v
-        inherited = (None, None)
-        if reduced:
-            inherited = _inherit(sp, sbits, autos, tables, v)
-            # on acceptance the walk appends what it recorded to inherited[0]
-            if not canon.is_lexmin_bits(child, sp.n, *inherited):
-                continue
-        children.append((child, size + 1, v, cover | _cover_increment(sp, sbits, v),
-                         *inherited))
-    return children
-
-
-def _search_from(
-    n: int,
-    min_size: int,
-    reduced: bool,
-    start_bits: int,
-    found: dict,
-) -> int:
-    """DFS continuation below one partial set; returns nodes visited."""
-    sp = _sp.space(n)
-    stack = [_node(n, start_bits, reduced)]
-    nodes = 0
-    while stack:
-        nodes += 1
-        stack += _expand(sp, min_size, reduced, stack.pop(), found)
-    return nodes
+    children = (_child(sp, node, v, reduced) for v in iter_bits(free_above))
+    return [child for child in children if child is not None]
 
 
 def _expand_frontier(n: int, min_size: int, reduced: bool, jobs: int):
@@ -240,7 +221,7 @@ def _expand_frontier(n: int, min_size: int, reduced: bool, jobs: int):
     """
     sp = _sp.space(n)
     found: dict = {}
-    layer = [_node(n, 0, reduced)]
+    layer = [_root(sp, reduced)]
     nodes = 0
     while len(layer) < 8 * jobs:
         nxt = []
@@ -255,9 +236,16 @@ def _expand_frontier(n: int, min_size: int, reduced: bool, jobs: int):
 
 
 def _run_task(args) -> tuple:
+    """DFS below one pending root, its node rebuilt by replay; returns the
+    maximal sets found and the nodes visited."""
     n, min_size, reduced, start_bits = args
+    sp = _sp.space(n)
+    stack = [_replay(sp, start_bits, reduced)]
     found: dict = {}
-    nodes = _search_from(n, min_size, reduced, start_bits, found)
+    nodes = 0
+    while stack:
+        nodes += 1
+        stack += _expand(sp, min_size, reduced, stack.pop(), found)
     return sorted(found), nodes
 
 

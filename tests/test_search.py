@@ -23,6 +23,7 @@ from gf3sets import (
 )
 from gf3sets import canon, search
 from gf3sets import subspaces as sub
+from gf3sets.core import blocked_cover_bits
 from gf3sets.space import iter_bits, orbit_bits, space
 
 
@@ -103,16 +104,19 @@ def test_child_walks_from_inherited_tables_and_automorphisms(n):
     @example(1 << 1 | 1 << 3)
     def check(bits):
         nonlocal inherited
-        *_, parent_autos, parent_tables = search._node(n, bits, True)
+        parent = search._replay(sp, bits, True)
+        parent_autos = parent[4]
         for v in range(bits.bit_length(), sp.size):
             child = bits | 1 << v
-            autos, tables = search._inherit(sp, bits, parent_autos, parent_tables, v)
-            known = len(autos)
-            accepted = canon.is_lexmin_bits(child, n, autos, tables)
+            node = search._child(sp, parent, v, True)
+            accepted = node is not None
             assert accepted == canon.is_lexmin_bits(child, n), (bits, v)
             if not accepted:
                 continue
-            inherited += known > 0
+            autos = node[4]
+            known = [a for a in parent_autos if a[v] == v] if v < search._span_end(bits) else []
+            assert autos[:len(known)] == known
+            inherited += len(known) > 0
             m = search._span_end(child)
             for a in autos:
                 assert sorted(a) == list(range(sp.size))
@@ -129,10 +133,16 @@ def test_child_walks_from_inherited_tables_and_automorphisms(n):
     assert inherited > 0
 
 
-@pytest.mark.parametrize("n, min_size, limit", [(3, 1, None), (4, 14, 300)])
-def test_search_nodes_carry_their_walk_tables(n, min_size, limit):
+@pytest.mark.parametrize("n, min_size, limit, reduced", [
+    pytest.param(3, 1, None, True, id="3-1-None"),
+    pytest.param(3, 1, None, False, id="3-1-None-unreduced"),
+    pytest.param(4, 14, 300, True, id="4-14-300"),
+])
+def test_search_nodes_carry_their_walk_tables(n, min_size, limit, reduced):
+    """Every node holds its walk tables and its blocked cover, and replaying
+    its set from the empty set rebuilds it field for field."""
     sp = space(n)
-    stack = [search._node(n, 0, True)]
+    stack = [search._root(sp, reduced)]
     found: dict = {}
     visited = 0
     while stack and visited != limit:
@@ -141,9 +151,13 @@ def test_search_nodes_carry_their_walk_tables(n, min_size, limit):
         neg_bits = sp.neg_set_bits(bits)
         assert plus == [sp.translate_bits(bits, sp.neg[x]) for x in range(sp.size)]
         assert minus == [sp.translate_bits(neg_bits, x) for x in range(sp.size)]
+        assert node[3] == blocked_cover_bits(TernarySet(n, bits))
+        assert search._replay(sp, bits, reduced) == node
         visited += 1
-        stack += search._expand(sp, min_size, True, node, found)
-    assert visited == (limit or enumerate_maximal_sumfree(n, min_size).node_count)
+        stack += search._expand(sp, min_size, reduced, node, found)
+    if limit is None:
+        limit = enumerate_maximal_sumfree(n, min_size, up_to_iso=reduced).node_count
+    assert visited == limit
 
 
 def test_known_census_dim3():

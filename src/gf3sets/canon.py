@@ -135,10 +135,9 @@ def generators(n: int) -> tuple[GroupElement, ...]:
     return (scale, cycle, shear)
 
 
-def orbit_of_bits(bits: int, n: int, gens=None) -> set[int]:
-    """Closure of {bits} under a generating set (defaults to generators(n))."""
-    if gens is None:
-        gens = generators(n)
+def orbit_of_bits(bits: int, n: int) -> set[int]:
+    """Closure of {bits} under generators(n)."""
+    gens = generators(n)
     seen = {bits}
     frontier = [bits]
     while frontier:

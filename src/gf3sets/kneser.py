@@ -182,11 +182,7 @@ def _sample_set(rng: random.Random, n: int) -> TernarySet:
         for _ in range(rng.randrange(0, 3)):
             bits |= 1 << rng.randrange(sp.size)
         return TernarySet(n, bits)
-    size = rng.randrange(1, sp.size + 1)
-    bits = 0
-    for i in rng.sample(range(sp.size), size):
-        bits |= 1 << i
-    return TernarySet(n, bits)
+    return _random_subset(rng, sp, rng.randrange(1, sp.size + 1))
 
 
 def sample_witness_triple(

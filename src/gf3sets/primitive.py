@@ -212,13 +212,13 @@ def _recognize(bits: int, ambient: AffineSubspace) -> Optional[PrimitiveCertific
 
 
 def _try_derived(bits: int, h: AffineSubspace) -> Optional[PrimitiveCertificate]:
+    """The certificate of bits split over h, or None.
+
+    bits must lie inside H | -H, as W lies in H and X in U | -U; both
+    callers take h from subspaces.hyperplanes_covering, which guarantees it.
+    """
     n = h.dim_ambient
-    hbits = h.members_bits
-    neg_bits = _sp.space(n).neg_set_bits(hbits)
-    # W lies in H and X in U | -U, so a set derived over H lies in H | -H
-    if bits & ~(hbits | neg_bits):
-        return None
-    mirror = bits & neg_bits
+    mirror = bits & _sp.space(n).neg_set_bits(h.members_bits)
     if not mirror:
         return None
     nu = subspaces.affine_hull_bits(mirror, n)
@@ -248,12 +248,12 @@ def _set_key(bits: int):
 
 
 @functools.lru_cache(maxsize=None)
-def _all_primitive_bits(n: int) -> frozenset:
-    """Every primitive subset of F_3^n as a bitset; n <= 3 only."""
+def _all_primitive_bits(n: int) -> tuple:
+    """Every primitive subset of F_3^n, n <= 3, as bitsets in increasing order."""
     if n > 3:
         raise ValueError("full primitive enumeration is capped at dimension 3")
     planes = subspaces.enumerate_hyperplanes(n, avoid_origin=True)
-    return frozenset(b for h in planes for b in _primitive_bits_over(h))
+    return tuple(sorted({b for h in planes for b in _primitive_bits_over(h)}))
 
 
 def _primitive_bits_over(h: AffineSubspace):
@@ -327,59 +327,52 @@ def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:
     return tuple(TernarySet(n, b) for b in sorted(pool, key=_set_key))
 
 
-@functools.lru_cache(maxsize=None)
-def _orbit_reps(n: int) -> frozenset:
-    """Canonical representatives of the primitive orbits of F_3^n, n <= 4."""
-    if n <= 3:
-        return frozenset(canon.canonical_form_bits(b, n) for b in _all_primitive_bits(n))
-    return _dim4_orbit_reps()
-
-
 def _stream_multiplicity(bits: int, n: int) -> int:
     """Over how many hyperplanes a primitive set decomposes.
 
-    Counts the ways the set can enter the fixed-hyperplane stream, ranging
-    over all origin-avoiding hyperplanes: once if it is a hyperplane itself,
-    plus once per hyperplane it splits over.
+    Counts the ways the set can enter the fixed-hyperplane stream: once if
+    it is a hyperplane itself, plus once per hyperplane it splits over.
+    Only the hyperplanes H with the set inside H | -H can do either, so
+    the walk is the recognizer's own prefilter.
     """
     d = 0
-    for h in subspaces.enumerate_hyperplanes(n, avoid_origin=True):
+    for h in subspaces.hyperplanes_covering(subspaces.full_space(n), bits):
         if h.members_bits == bits or _try_derived(bits, h) is not None:
             d += 1
     return d
 
 
-def _dim4_orbit_reps() -> frozenset:
-    """Canonical representatives of the dimension-4 primitive orbits.
+@functools.lru_cache(maxsize=None)
+def _orbit_reps(n: int) -> frozenset:
+    """Canonical representatives of the primitive orbits of F_3^n, n <= 4.
 
-    Canonicalizing each of the two hundred thousand stream members would
-    work but wastes minutes on a handful of orbits, so the stream is first
-    bucketed by set size, which is constant on orbits.  Within a bucket,
-    members are canonicalized until the found orbits account for the whole
-    bucket: an orbit with representative R meets the stream in exactly
-    |orbit(R)| * d(R) / 80 sets, where d(R) is the decomposition
-    multiplicity and 80 the number of origin-avoiding hyperplanes the
-    linear group permutes transitively.
+    Every orbit meets the fixed-hyperplane stream, so canonicalizing its
+    members would do, but at n = 4 that wastes minutes on a handful of
+    orbits.  The stream is bucketed by set size, which is constant on
+    orbits, and within a bucket members are canonicalized until the found
+    orbits account for the whole bucket: an orbit with representative R
+    meets the stream in exactly |orbit(R)| * d(R) / (3^n - 1) sets, where
+    d(R) is the decomposition multiplicity and 3^n - 1 the number of
+    origin-avoiding hyperplanes, which the linear group permutes
+    transitively.  A bucket the found orbits do not account for exactly
+    raises RuntimeError.
     """
-    planes = subspaces.enumerate_hyperplanes(4, avoid_origin=True)
     buckets = {}
-    for b in iter_primitive_fixed_hyperplane(4):
+    for b in iter_primitive_fixed_hyperplane(n):
         buckets.setdefault(b.bit_count(), []).append(b)
-    order = canon.gl_order(4)
+    order = canon.gl_order(n)
     reps = set()
     for members in buckets.values():
         found = set()
         accounted = 0
         for b in members:
-            if accounted == len(members):
+            if accounted >= len(members):
                 break
-            r, stab = canon.canonicalize_bits(b, 4)
+            r, stab = canon.canonicalize_bits(b, n)
             if r in found:
                 continue
             found.add(r)
-            share, rem = divmod(
-                (order // stab) * _stream_multiplicity(r, 4), len(planes)
-            )
+            share, rem = divmod((order // stab) * _stream_multiplicity(r, n), 3**n - 1)
             if rem:
                 raise RuntimeError("orbit accounting is not divisible")
             accounted += share
@@ -387,11 +380,6 @@ def _dim4_orbit_reps() -> frozenset:
             raise RuntimeError("orbit accounting failed to cover a bucket")
         reps.update(found)
     return frozenset(reps)
-
-
-@functools.lru_cache(maxsize=None)
-def _primitive_library(n: int) -> tuple:
-    return tuple(sorted(_all_primitive_bits(n)))
 
 
 def is_subprimitive(a: TernarySet) -> bool:
@@ -411,7 +399,7 @@ def _primitive_superset(a: TernarySet) -> Optional[int]:
         raise ValueError("subprimitive testing is available up to dimension 4")
     if n <= 3:
         b = a.bits
-        return next((p for p in _primitive_library(n) if b & ~p == 0), None)
+        return next((p for p in _all_primitive_bits(n) if b & ~p == 0), None)
     return _primitive_superset_dim4(a.bits)
 
 

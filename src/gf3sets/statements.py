@@ -141,6 +141,10 @@ def _sym_containment(name: str, a: TernarySet, **_) -> CheckResult:
 def _four_sum(name: str, a: TernarySet, **_) -> CheckResult:
     if recognize_primitive(a) is None:
         return CheckResult.not_applicable(name, "set is not primitive")
+    return _zero_free_4A(name, a)
+
+
+def _zero_free_4A(name: str, a: TernarySet) -> CheckResult:
     if 0 in k_fold_sumset(a, 4):
         return CheckResult.counterexample(
             name, "0 is a sum of four members", witness={"set": a.indices()}
@@ -173,7 +177,7 @@ def _affine_above_sym(name: str, a: TernarySet, **_) -> CheckResult:
         return CheckResult.not_applicable(name, "set is not a derived primitive")
     n = a.dim
     sym_size = bin(sym_group_bits(a.bits, n)).count("1")
-    d = round(_log3(sym_size)) + 1
+    d = round(math.log(sym_size, 3)) + 1
     for e in subspaces.enumerate_affine_subspaces(subspaces.full_space(n), d):
         if e.members_bits & ~a.bits == 0:
             return CheckResult.holds(
@@ -186,10 +190,6 @@ def _affine_above_sym(name: str, a: TernarySet, **_) -> CheckResult:
         f"no affine subspace of dimension {d} fits inside the set",
         witness={"set": a.indices()},
     )
-
-
-def _log3(size: int) -> float:
-    return math.log(size, 3)
 
 
 def _dense_affine(name: str, a: TernarySet, *, k: Optional[int] = None, **_) -> CheckResult:
@@ -435,14 +435,7 @@ def _dim4(name: str, a: TernarySet, **_) -> CheckResult:
 
 
 def _no_zero_4A(name: str, a: TernarySet, **_) -> CheckResult:
-    failed = _not_dense_sum_free(name, a)
-    if failed:
-        return failed
-    if 0 in k_fold_sumset(a, 4):
-        return CheckResult.counterexample(
-            name, "0 is a sum of four members", witness={"set": a.indices()}
-        )
-    return CheckResult.holds(name, "no four members sum to 0")
+    return _not_dense_sum_free(name, a) or _zero_free_4A(name, a)
 
 
 def _codim2_slice(name: str, a: TernarySet, **_) -> CheckResult:

@@ -154,10 +154,12 @@ def test_lines_share_one_canonical_form():
     assert len(forms) == 1
 
 
-def test_hyperplane_transitivity_dim4():
-    planes = sub.enumerate_hyperplanes(4, avoid_origin=True)
-    orbit = canon.orbit_of_bits(planes[0].members_bits, 4)
-    assert len(orbit) == 80
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_hyperplane_transitivity(n):
+    # the orbit accounting of primitive._orbit_reps rests on this at every n
+    planes = sub.enumerate_hyperplanes(n, avoid_origin=True)
+    orbit = canon.orbit_of_bits(planes[0].members_bits, n)
+    assert len(orbit) == 3**n - 1
     assert orbit == {h.members_bits for h in planes}
 
 

@@ -198,19 +198,44 @@ def test_fixed_hyperplane_stream_dim3():
 
 def test_orbit_representatives_are_cached(monkeypatch):
     calls = []
-    real = canon.canonical_form_bits
+    real = canon.canonicalize_bits
 
     def counting(bits, n):
         calls.append(bits)
         return real(bits, n)
 
-    monkeypatch.setattr(canon, "canonical_form_bits", counting)
+    monkeypatch.setattr(canon, "canonicalize_bits", counting)
     prim._orbit_reps.cache_clear()
     first = enumerate_primitive(3, up_to_iso=True)
-    assert len(calls) == len(prim._all_primitive_bits(3))
+    assert 0 < len(calls) < len(prim._all_primitive_bits(3))
     calls.clear()
     assert enumerate_primitive(3, up_to_iso=True) == first
     assert calls == []
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_orbit_accounting_matches_the_full_listing(n):
+    assert prim._orbit_reps(n) == {
+        canon.canonical_form_bits(b, n) for b in prim._all_primitive_bits(n)
+    }
+
+
+def test_orbit_accounting_refuses_a_stream_with_a_gap(monkeypatch):
+    # Dropping member 0, the hyperplane alone in its size, would empty a
+    # bucket, which the accounting cannot see; verify_main_theorem's orbit
+    # comparison catches that case instead.
+    real = prim.iter_primitive_fixed_hyperplane
+    try:
+        for gap in (7, 100):
+            monkeypatch.setattr(
+                prim, "iter_primitive_fixed_hyperplane",
+                lambda n, gap=gap: (b for i, b in enumerate(real(n)) if i != gap),
+            )
+            prim._orbit_reps.cache_clear()
+            with pytest.raises(RuntimeError, match="orbit accounting"):
+                prim._orbit_reps(3)
+    finally:
+        prim._orbit_reps.cache_clear()
 
 
 def test_enumeration_guards():

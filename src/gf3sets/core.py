@@ -146,17 +146,28 @@ def is_maximal_sum_free(a: TernarySet) -> bool:
 
 
 def sym_group_bits(bits: int, n: int) -> int:
-    """Bitset of the translation stabilizer {t : bits + t = bits}."""
+    """Bitset of the translation stabilizer {t : bits + t = bits}.
+
+    t is a period iff s + t lies in the set for every member s, so the
+    stabilizer is the intersection of the translates set - s over the
+    members s.  It always holds 0, so once the running intersection is
+    {0} no further translate can shrink it and the loop stops.  A
+    translation maps the complement onto itself exactly when it maps the
+    set onto itself, so the smaller of the two is intersected.  The full
+    set's complement is empty, and over no translates the intersection is
+    the whole space.
+    """
     if bits == 0:
         raise ValueError("the translation stabilizer of the empty set is undefined")
     sp = _sp.space(n)
-    a0 = (bits & -bits).bit_length() - 1
-    # any period must carry the least element somewhere into the set
-    candidates = sp.translate_bits(bits, sp.neg[a0])
-    out = 0
-    for t in iter_bits(candidates):
-        if sp.translate_bits(bits, t) == bits:
-            out |= 1 << t
+    rest = sp.full_bits & ~bits
+    if rest.bit_count() < bits.bit_count():
+        bits = rest
+    out = sp.full_bits
+    for s in iter_bits(bits):
+        out &= sp.translate_bits(bits, sp.neg[s])
+        if out == 1:
+            break
     return out
 
 

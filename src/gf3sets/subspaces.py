@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import space as _sp
@@ -63,8 +64,11 @@ class AffineSubspace:
 
     @property
     def dim(self) -> int:
-        """Affine dimension; the empty subspace has dimension -1."""
-        return len(self.basis) if self.members_bits else -1
+        """Affine dimension; the empty subspace has dimension -1.  A coset
+        has 3^dim members, so this is read off the member count and builds
+        no chart."""
+        size = self.members_bits.bit_count()
+        return round(math.log(size, 3)) if size else -1
 
     @property
     def size(self) -> int:

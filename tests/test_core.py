@@ -3,7 +3,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -22,7 +22,7 @@ from gf3sets import (
     sym_group,
 )
 from gf3sets.core import blocked_cover_bits, sym_group_bits
-from gf3sets.space import iter_bits
+from gf3sets.space import iter_bits, space
 
 
 def _random_set(rng, n):
@@ -99,6 +99,36 @@ def test_sym_group_of_coset_union():
     shifted = {oracles.add(v, (0, 1, 0)) for v in sub}
     a = TernarySet.from_indices(3, (oracles.to_index(t) for t in sub | shifted))
     assert _as_trits(sym_group(a).members()) >= sub
+
+
+# Random sets are almost never periodic; these are unions of cosets of a
+# random subspace L, their complements and the full space, so the
+# stabilizer is at least L.
+@st.composite
+def periodic_sets(draw):
+    n = draw(st.integers(1, 4))
+    sp = space(n)
+    period = sp.span_bits(draw(st.lists(st.integers(0, sp.size - 1), max_size=n)))
+    bits = 0
+    for v in draw(st.lists(st.integers(0, sp.size - 1), min_size=1, max_size=6)):
+        bits |= sp.translate_bits(period, v)
+    form = draw(st.sampled_from(("union", "complement", "full")))
+    if form == "complement":
+        bits = sp.full_bits & ~bits
+    elif form == "full":
+        bits = sp.full_bits
+    return n, period, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(periodic_sets())
+def test_sym_group_bits_matches_oracle_on_periodic_sets(case):
+    n, period, bits = case
+    assume(bits)
+    got = sym_group_bits(bits, n)
+    assert period & ~got == 0
+    want = oracles.sym_group(_as_trits(TernarySet(n, bits)), n)
+    assert {oracles.to_trits(t, n) for t in iter_bits(got)} == want
 
 
 def test_blocked_cover_is_the_extension_obstruction():

@@ -1,8 +1,9 @@
-"""The statement registry: frozen outputs, CLI reachability, flat-table bound."""
+"""The statement registry: frozen outputs, the lemma memo, CLI reachability, flat-table bound."""
 
 import functools
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,7 @@ from gf3sets import (
     enumerate_primitive,
     lev_construction,
 )
+from gf3sets import statements, suite
 from gf3sets import subspaces as sub
 from gf3sets.core import format_set_text
 from gf3sets.statements import STATEMENTS
@@ -76,6 +78,16 @@ def test_statement_outputs_are_frozen(sid):
         results = [check_proposition(sid, a, **kw) for a, _, kw in _cases() if kw is not None]
     text = json.dumps([r.to_json() for r in results], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == FROZEN[sid]
+
+
+def test_lemma_sweeps_recognize_each_primitive_set_once():
+    memo = statements._primitive_facts
+    assert len(suite._primitive_pool()) < memo.cache_info().maxsize
+    suite._chk_lemma_sweep(random.Random(0), "card_formula")
+    misses = memo.cache_info().misses
+    for lemma_id in ("sym_containment", "four_sum", "hyperplane_bound"):
+        suite._chk_lemma_sweep(random.Random(0), lemma_id)
+    assert memo.cache_info().misses == misses
 
 
 def test_every_statement_has_exactly_one_cli_flag(capsys):

@@ -113,12 +113,18 @@ class GroupElement:
         return out
 
 
-def random_gl(n: int, rng: random.Random) -> GroupElement:
+def random_basis(n: int, rng: random.Random) -> tuple[int, ...]:
+    """The basis images of a uniformly random invertible linear map: n rows
+    of n random trits each, redrawn until they span the space."""
     sp = _sp.space(n)
     while True:
-        imgs = tuple(_sp.encode(rng.randrange(3) for _ in range(n)) for _ in range(n))
+        imgs = tuple(sum(rng.randrange(3) * p for p in sp.powers) for _ in range(n))
         if sp.span_bits(imgs) == sp.full_bits:
-            return GroupElement(n, imgs)
+            return imgs
+
+
+def random_gl(n: int, rng: random.Random) -> GroupElement:
+    return GroupElement(n, random_basis(n, rng))
 
 
 def generators(n: int) -> tuple[GroupElement, ...]:

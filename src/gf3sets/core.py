@@ -135,14 +135,21 @@ def blocked_cover_bits(a: TernarySet) -> int:
     return a.bits | _sums_and_differences(a) | 1
 
 
-def is_maximal_sum_free(a: TernarySet) -> bool:
-    """Sum-free and not properly contained in any sum-free set.
+def _sum_free_and_maximal(a: TernarySet) -> tuple[bool, bool]:
+    """(sum-free, maximal sum-free) from one sumset a + (a | -a).
 
     a is sum-free exactly when (a + a) | (a - a) misses a, because
-    x - y = z means x = y + z; so one kernel decides both conditions.
+    x - y = z means x = y + z; a sum-free a is maximal when its blocked
+    cover is the whole space.
     """
     sums = _sums_and_differences(a)
-    return sums & a.bits == 0 and a.bits | sums | 1 == (1 << 3**a.dim) - 1
+    sum_free = sums & a.bits == 0
+    return sum_free, sum_free and a.bits | sums | 1 == (1 << 3**a.dim) - 1
+
+
+def is_maximal_sum_free(a: TernarySet) -> bool:
+    """Sum-free and not properly contained in any sum-free set."""
+    return _sum_free_and_maximal(a)[1]
 
 
 def sym_group_bits(bits: int, n: int) -> int:

@@ -58,8 +58,10 @@ def is_half(w: TernarySet, h: AffineSubspace, u: AffineSubspace) -> bool:
     for row in u.basis:
         if sp.translate_bits(bits, row) != bits:
             return False
+    # W + D = W for U's direction D, and U = b + D, so the mirror
+    # (-U) + (-W) = -b - (W + D) is the one translate -b - W
     u_bits = u.members_bits
-    mirrored = sp.sumset_bits(sp.neg_set_bits(u_bits), sp.neg_set_bits(bits))
+    mirrored = sp.translate_bits(sp.neg_set_bits(bits), sp.neg[u.base_point])
     if u_bits & bits or u_bits & mirrored or bits & mirrored:
         return False
     return (u_bits | bits | mirrored) == h.members_bits

@@ -174,11 +174,10 @@ def _sample_set(rng: random.Random, n: int) -> TernarySet:
     sp = _sp.space(n)
     if rng.random() < 1 / 3:
         k = rng.randrange(0, n + 1)
-        rows = canon.random_gl(n, rng).imgs[:k]
-        v = subspaces.affine_subspace(n, rows, 0)
+        v = sp.span_bits(canon.random_basis(n, rng)[:k])
         bits = 0
         for _ in range(rng.randrange(1, 4)):
-            bits |= sp.translate_bits(v.members_bits, rng.randrange(sp.size))
+            bits |= sp.translate_bits(v, rng.randrange(sp.size))
         for _ in range(rng.randrange(0, 3)):
             bits |= 1 << rng.randrange(sp.size)
         return TernarySet(n, bits)

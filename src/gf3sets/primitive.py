@@ -26,9 +26,9 @@ from . import canon, halves, subspaces
 from . import space as _sp
 from .core import (
     TernarySet,
+    _sum_free_and_maximal,
     blocked_cover_bits,
     is_sum_free,
-    is_maximal_sum_free,
     sym_group_bits,
 )
 from .space import iter_bits
@@ -464,10 +464,15 @@ class ClassificationReport:
 
 
 def classify_set(a: TernarySet) -> ClassificationReport:
+    """Classify one set.
+
+    One sumset a + (a | -a) gives all three flags: sum_free, maximal, and
+    through sum_free the guard of subprimitive, which is then only the
+    search for a primitive superset (n <= 4; None above).
+    """
     n = a.dim
     _check_recognize_dim(n)
-    sum_free = is_sum_free(a)
-    maximal = is_maximal_sum_free(a) if sum_free else False
+    sum_free, maximal = _sum_free_and_maximal(a)
     if a.size:
         sym = sym_group_bits(a.bits, n)
         sym_size = bin(sym).count("1")
@@ -478,7 +483,7 @@ def classify_set(a: TernarySet) -> ClassificationReport:
         sym_dim = None
         aperiodic = None
     cert = recognize_primitive(a) if sum_free else None
-    sub = is_subprimitive(a) if n <= 4 else None
+    sub = (sum_free and _primitive_superset(a) is not None) if n <= 4 else None
     return ClassificationReport(
         dim=n,
         size=a.size,

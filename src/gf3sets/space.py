@@ -11,11 +11,18 @@ of the masked bits by a multiple of 3**i.  So translating a set by a vector
 is, coordinate by coordinate, a masked pair of big-integer shifts, and
 negation swaps slabs 1 and 2; either costs O(n) big-integer operations
 whatever the size of the set.  A sumset is the union of the translates of
-the larger set by the members of the smaller.  Scalar addition reads rows
-of the translations x -> x + v, each built on first use.  Rows are kept
-only up to MAX_WALK_DIM, where the orbit walk of canon reads them over and
-over; above it a kept row per right operand would hold 3^n entries for the
-life of the process, so each call builds its row afresh.
+the larger set by the members of the smaller, taken block by block: with
+k = n // 2, the members that share their last n - k trits fill one block
+of 3^k consecutive indices, the larger set is moved once per distinct low
+part (the first k trits) and those low translates are kept for every
+block, and each block's union of them is moved once by its high part.
+The walk stops as soon as the union is the whole space.
+
+Scalar addition reads rows of the translations x -> x + v, each built on
+first use.  Rows are kept only up to MAX_WALK_DIM, where the orbit walk of
+canon reads them over and over; above it a kept row per right operand
+would hold 3^n entries for the life of the process, so each call builds
+its row afresh.
 """
 
 from __future__ import annotations
@@ -103,6 +110,7 @@ class Space:
         self.n = n
         self.size = 3**n
         self.full_bits = (1 << self.size) - 1
+        self._block = 3 ** (n // 2)  # sumset_bits walks blocks of this many indices
         self.powers = tuple(3**i for i in range(n))
         # Each table grows one coordinate at a time: with p = 3^i, the
         # indices x + d*p for d = 0, 1, 2 follow the indices x of the first
@@ -154,12 +162,42 @@ class Space:
         return bits
 
     def sumset_bits(self, a: int, b: int) -> int:
+        """Bitset of a + b, the translates of the larger side by the smaller.
+
+        With k = n // 2 and L = 3^k, the members of the smaller side that
+        share their last n - k trits fill one block of L bits.  Each
+        distinct low part j (the first k trits) translates the larger side
+        once, moving only the first k coordinates, and the translate is
+        kept for every later block.  A block ORs its members' low
+        translates and moves that union once by its high part, so no
+        coordinate shift is made that the per-member loop would not make.
+        The union only grows, so the walk stops once it is the whole space.
+        """
         if a.bit_count() > b.bit_count():
             a, b = b, a
-        trits, shifts = self.trits, self._shifts
+        trits, shifts, full = self.trits, self._shifts, self.full_bits
+        size = self._block
+        mask = (1 << size) - 1
+        low = [0] * size  # b + j, once built; b is nonempty when a is
         out = 0
-        for v in iter_bits(a):
-            out |= _translate(b, trits[v], shifts)
+        high = 0  # the block's first index: its low trits are 0
+        while a:
+            block = a & mask
+            if block:
+                union = 0
+                while block:
+                    bit = block & -block
+                    block ^= bit
+                    j = bit.bit_length() - 1
+                    t = low[j]
+                    if not t:
+                        t = low[j] = _translate(b, trits[j], shifts)
+                    union |= t
+                out |= _translate(union, trits[high], shifts)
+                if out == full:
+                    break
+            a >>= size
+            high += size
         return out
 
     def difference_set_bits(self, a: int, b: int) -> int:

@@ -23,6 +23,23 @@ def test_group_orders():
     assert gl_order(4) == 24261120
 
 
+def _reference_basis_draw(n, rng):
+    """Rows of n trits, t_0 first, redrawn until the matrix is invertible."""
+    while True:
+        rows = [[rng.randrange(3) for _ in range(n)] for _ in range(n)]
+        if oracles.is_invertible(rows, n):
+            return tuple(oracles.to_index(r) for r in rows)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_basis_draws_what_random_gl_draws(n):
+    for seed in range(20):
+        r1, r2, r3 = (random.Random(seed) for _ in range(3))
+        g = canon.random_gl(n, r1)
+        assert canon.random_basis(n, r2) == g.imgs == _reference_basis_draw(n, r3)
+        assert r1.getstate() == r2.getstate() == r3.getstate()
+
+
 def test_group_element_action_matches_oracle():
     rng = random.Random(1)
     for n in (2, 3, 4):

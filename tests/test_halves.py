@@ -1,7 +1,10 @@
 """Translate-pair halves of a punctured hyperplane."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gf3sets import TernarySet
 from gf3sets import halves as hv
 from gf3sets import subspaces as sub
@@ -97,3 +100,50 @@ def test_u_equal_h_yields_single_empty_half():
     h, _ = _h_u(2)
     out = hv.enumerate_halves(h, h)
     assert len(out) == 1 and out[0].size == 0
+
+
+def _vecs(bits, n):
+    return {oracles.to_trits(i, n) for i in iter_bits(bits)}
+
+
+def _half_by_definition(w, h, u, n):
+    """W is a union of translates of U's direction D, and U, W and the
+    mirror (-U) + (-W) partition H, with the sumsets taken by the oracle."""
+    vw, vu = _vecs(w, n), _vecs(u.members_bits, n)
+    direction = oracles.difference_set(vu, vu)
+    if oracles.sumset(vw, direction) != vw:
+        return False
+    mirror = oracles.sumset({oracles.neg(x) for x in vu}, {oracles.neg(x) for x in vw})
+    if vu & vw or vu & mirror or vw & mirror:
+        return False
+    return vu | vw | mirror == _vecs(h.members_bits, n)
+
+
+@st.composite
+def half_cases(draw):
+    """(n, H, U, W) with U inside H; W a half, a half with one point
+    toggled (then not a union of U-translates unless U is a point), a
+    random subset of H or of the space, or empty."""
+    n = draw(st.integers(1, 3))
+    hdim = draw(st.integers(0, n))
+    h = draw(st.sampled_from(sub.enumerate_affine_subspaces(sub.full_space(n), hdim)))
+    u = draw(st.sampled_from(sub.enumerate_affine_subspaces(h, draw(st.integers(0, hdim)))))
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["half", "toggled", "in_h", "any", "empty"]))
+    w = 0
+    if kind in ("half", "toggled"):
+        w = rng.choice(hv.enumerate_halves(h, u)).bits
+        if kind == "toggled":
+            w ^= 1 << rng.randrange(3**n)
+    elif kind == "in_h":
+        w = h.members_bits & rng.getrandbits(3**n)
+    elif kind == "any":
+        w = rng.getrandbits(3**n)
+    return n, h, u, w
+
+
+@settings(max_examples=300, deadline=None)
+@given(half_cases())
+def test_is_half_matches_the_definition(case):
+    n, h, u, w = case
+    assert hv.is_half(TernarySet(n, w), h, u) == _half_by_definition(w, h, u, n)

@@ -4,7 +4,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from gf3sets import (
     CertificateError,
     CheckResult,
@@ -15,7 +18,9 @@ from gf3sets import (
     enumerate_maximal_sumfree,
     enumerate_primitive,
     gl_order,
+    is_maximal_sum_free,
     is_subprimitive,
+    is_sum_free,
     lev_construction,
     recognize_primitive,
     stabilizer_order,
@@ -25,6 +30,7 @@ from gf3sets import canon
 from gf3sets import halves
 from gf3sets import primitive as prim
 from gf3sets import subspaces as sub
+from gf3sets.space import iter_bits
 
 
 def lev3():
@@ -380,3 +386,44 @@ def test_recognition_refuses_large_dimensions_before_building_tables(n, monkeypa
         recognize_primitive(a)
     with pytest.raises(ValueError, match="capped at dimension 9"):
         classify_set(a)
+
+
+@st.composite
+def classified_sets(draw):
+    """A set at n = 1..4: random, empty, an origin-avoiding hyperplane
+    (maximal), the hyperplane less some points (sum-free, not maximal) or
+    plus a point, or a greedy maximal sum-free set."""
+    n = draw(st.integers(1, 4))
+    size = 3**n
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["random", "empty", "plane", "plane_less", "plane_plus", "greedy"]))
+    plane = sub.hyperplane_from_normal(n, rng.randrange(1, size), rng.choice((1, 2))).members_bits
+    if kind == "random":
+        bits = rng.getrandbits(size)
+    elif kind == "empty":
+        bits = 0
+    elif kind == "plane":
+        bits = plane
+    elif kind == "plane_less":
+        bits = plane & rng.getrandbits(size) & ~(1 << rng.choice(list(iter_bits(plane))))
+    elif kind == "plane_plus":
+        bits = plane | 1 << rng.randrange(size)
+    else:
+        bits = 0
+        for v in rng.sample(range(size), size):
+            if is_sum_free(TernarySet(n, bits | 1 << v)):
+                bits |= 1 << v
+    return TernarySet(n, bits)
+
+
+@settings(max_examples=150, deadline=None)
+@given(classified_sets())
+def test_classify_set_flags_match_the_predicates(a):
+    rep = classify_set(a)
+    assert rep.sum_free == is_sum_free(a)
+    assert rep.maximal == is_maximal_sum_free(a)
+    assert rep.subprimitive == is_subprimitive(a)
+    if a.dim <= 3:
+        vecs = {oracles.to_trits(i, a.dim) for i in iter_bits(a.bits)}
+        assert rep.sum_free == oracles.is_sum_free(vecs)
+        assert rep.maximal == oracles.is_maximal_sum_free(vecs, a.dim)

@@ -178,6 +178,46 @@ def test_kernels_match_per_point_reference(n):
         assert sp.difference_set_bits(dense, sparse) == minus
 
 
+@st.composite
+def sumset_pairs(draw):
+    """(n, a, b): a is the side the kernel walks (it swaps the arguments
+    when a is the larger).  Its members may all lie in one block of
+    3^(n // 2) indices, or in block 0; the pair may saturate, with
+    |a| + |b| > 3^n; either side may be empty."""
+    n = draw(st.integers(0, 6))
+    size, block = 3**n, 3 ** (n // 2)
+    rng = draw(st.randoms(use_true_random=False))
+    kind = draw(st.sampled_from(["sparse", "one_block", "block_zero", "saturating", "empty"]))
+    b = rng.getrandbits(size)
+    if kind == "sparse":
+        a = sum(1 << i for i in rng.sample(range(size), rng.randint(1, min(size, 12))))
+    elif kind in ("one_block", "block_zero"):
+        h = rng.randrange(size // block) if kind == "one_block" else 0
+        a = rng.getrandbits(block) << h * block
+    elif kind == "saturating":
+        missing = rng.sample(range(size), rng.randint(0, min(size - 1, 5)))
+        b = (1 << size) - 1 - sum(1 << i for i in missing)
+        a = sum(1 << i for i in rng.sample(range(size), min(size, len(missing) + rng.randint(1, 4))))
+    else:
+        a = 0
+    return n, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(sumset_pairs())
+def test_sumset_kernel_matches_per_point_reference(case):
+    n, a, b = case
+    sp = space.space(n)
+    plus = minus = 0
+    for u in space.iter_bits(a):
+        plus |= _translate_ref(b, u, n)
+        minus |= _translate_ref(b, _neg_ref(u, n), n)
+    assert sp.sumset_bits(a, b) == plus
+    assert sp.sumset_bits(b, a) == plus
+    assert sp.difference_set_bits(b, a) == minus
+    assert sp.difference_set_bits(a, b) == sp.neg_set_bits(minus)
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_tables_match_decode_reference(n):
     sp = space.space(n)

@@ -120,10 +120,10 @@ def is_sum_free(a: TernarySet) -> bool:
     return sp.sumset_bits(a.bits, a.bits) & a.bits == 0
 
 
-def _sums_and_differences(a: TernarySet) -> int:
-    """(a + a) | (a - a) as a bitset: the |a| translates of a | -a."""
-    sp = _sp.space(a.dim)
-    return sp.sumset_bits(a.bits, a.bits | sp.neg_set_bits(a.bits))
+def _sums_and_differences(bits: int, n: int) -> int:
+    """(a + a) | (a - a) for a = bits: the |a| translates of a | -a."""
+    sp = _sp.space(n)
+    return sp.sumset_bits(bits, bits | sp.neg_set_bits(bits))
 
 
 def blocked_cover_bits(a: TernarySet) -> int:
@@ -132,24 +132,24 @@ def blocked_cover_bits(a: TernarySet) -> int:
     v outside this cover has sum-free a | {v}.  The cover is
     a | (a+a) | (a-a) | (-a) | {0}, where -a lies in a + a (-x = x + x).
     """
-    return a.bits | _sums_and_differences(a) | 1
+    return a.bits | _sums_and_differences(a.bits, a.dim) | 1
 
 
-def _sum_free_and_maximal(a: TernarySet) -> tuple[bool, bool]:
-    """(sum-free, maximal sum-free) from one sumset a + (a | -a).
+def _sum_free_and_maximal(bits: int, n: int) -> tuple[bool, bool]:
+    """(sum-free, maximal sum-free) of a = bits from one sumset a + (a | -a).
 
     a is sum-free exactly when (a + a) | (a - a) misses a, because
     x - y = z means x = y + z; a sum-free a is maximal when its blocked
     cover is the whole space.
     """
-    sums = _sums_and_differences(a)
-    sum_free = sums & a.bits == 0
-    return sum_free, sum_free and a.bits | sums | 1 == (1 << 3**a.dim) - 1
+    sums = _sums_and_differences(bits, n)
+    sum_free = sums & bits == 0
+    return sum_free, sum_free and bits | sums | 1 == (1 << 3**n) - 1
 
 
 def is_maximal_sum_free(a: TernarySet) -> bool:
     """Sum-free and not properly contained in any sum-free set."""
-    return _sum_free_and_maximal(a)[1]
+    return _sum_free_and_maximal(a.bits, a.dim)[1]
 
 
 def sym_group_bits(bits: int, n: int) -> int:

@@ -4,7 +4,9 @@ Given nested nonempty affine subspaces U within H, the translates of U
 partition H.  Besides U itself they come in pairs {C, (-U)+(-C)}, and a
 half is a union of translates picking exactly one member of each pair.
 Any half W therefore satisfies |W| = (|H| - |U|)/2 and splits H into the
-disjoint union of U, W and (-U)+(-W).
+disjoint union of U, W and (-U)+(-W).  _half_bits lists the halves as
+bitsets, read directly by the primitive stream and check_half_fact;
+enumerate_halves wraps them in TernarySets.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from . import space as _sp
 from .core import TernarySet
 from .subspaces import AffineSubspace, enumerate_affine_subspaces
 
-# 2^pairs sets are materialized by enumerate_halves; keep that sane.
+# _half_bits materializes 2^pairs bitsets; keep that sane.
 _MAX_PAIRS = 20
 
 
@@ -67,24 +69,24 @@ def is_half(w: TernarySet, h: AffineSubspace, u: AffineSubspace) -> bool:
     return (u_bits | bits | mirrored) == h.members_bits
 
 
-def enumerate_halves(h: AffineSubspace, u: AffineSubspace) -> list[TernarySet]:
-    """All (H,U)-halves, in a fixed order.
-
-    The k-th half takes, for each translate pair in coset_pairs order, the
-    first member when bit i of k is clear and the second when it is set.
-    The count is 2^pairs; U = H yields the single empty half.
-    """
+def _half_bits(h: AffineSubspace, u: AffineSubspace) -> list[int]:
+    """The bitsets of enumerate_halves, in its order: the list doubles once
+    per translate pair, with the pair's second member in the upper half."""
     pairs = coset_pairs(h, u)
     if len(pairs) > _MAX_PAIRS:
         raise ValueError(f"{len(pairs)} translate pairs exceed the enumeration cap")
-    n = h.dim_ambient
-    out = []
-    for mask in range(1 << len(pairs)):
-        bits = 0
-        for i, (first, second) in enumerate(pairs):
-            bits |= second if (mask >> i) & 1 else first
-        out.append(TernarySet(n, bits))
+    out = [0]
+    for first, second in pairs:
+        out = [b | first for b in out] + [b | second for b in out]
     return out
+
+
+def enumerate_halves(h: AffineSubspace, u: AffineSubspace) -> list[TernarySet]:
+    """All (H,U)-halves: the k-th takes, for each translate pair in
+    coset_pairs order, the second member exactly when bit i of k is set.
+    The count is 2^pairs; U = H yields the single empty half."""
+    n = h.dim_ambient
+    return [TernarySet(n, b) for b in _half_bits(h, u)]
 
 
 def check_half_fact(h: AffineSubspace, u: AffineSubspace) -> bool:
@@ -99,8 +101,7 @@ def check_half_fact(h: AffineSubspace, u: AffineSubspace) -> bool:
     if 0 in h:
         raise ValueError("H must avoid the origin")
     inner = [s.members_bits for s in enumerate_affine_subspaces(h, u.dim + 1)]
-    for w in enumerate_halves(h, u):
-        bits = w.bits
+    for bits in _half_bits(h, u):
         if not any(bits & s == s for s in inner):
             return False
     return True

@@ -262,13 +262,12 @@ def _primitive_bits_over(h: AffineSubspace):
     yield h.members_bits
     for udim in range(h.dim):
         for u in subspaces.enumerate_affine_subspaces(h, udim):
-            cu = cone_of_subspace(u)
-            cands = _x_candidates(u, cu, h)
+            cands = _x_candidates(u, cone_of_subspace(u), h)
             if not cands:
                 continue
-            for w in halves.enumerate_halves(h, u):
+            for w in halves._half_bits(h, u):
                 for xb in cands:
-                    yield w.bits | xb
+                    yield w | xb
 
 
 def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> list:
@@ -278,11 +277,12 @@ def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> l
     nu = u.neg()
     nub = nu.members_bits
     codim_one = h.dim - u.dim < 2
+    chart = [subspaces.chart_decode(cu, i) for i in range(cu.size)]
     out = []
     for cb in _all_primitive_bits(cu.dim):
         xb = 0
         for ci in iter_bits(cb):
-            xb |= 1 << subspaces.chart_decode(cu, ci)
+            xb |= 1 << chart[ci]
         if xb & du:
             continue
         if codim_one and xb == nub:
@@ -293,17 +293,20 @@ def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> l
     return sorted(out, key=_set_key)
 
 
-def iter_primitive_fixed_hyperplane(n: int):
-    """Yield every primitive set whose decomposition uses the first canonical
-    origin-avoiding hyperplane, as bitsets.
+@functools.lru_cache(maxsize=None)
+def iter_primitive_fixed_hyperplane(n: int) -> tuple:
+    """Every primitive set whose decomposition uses the first canonical
+    origin-avoiding hyperplane, as a tuple of bitsets.
 
     For a fixed hyperplane the decomposition is unique, so there are no
     repeats.  Together with transitivity of the linear group on these
     hyperplanes, the stream covers all primitive sets up to isomorphism.
+    The tuple is built once and kept for the life of the process (about
+    10.5 MB at n = 4), so verify_main_theorem and _orbit_reps share it.
     """
-    yield from _primitive_bits_over(
+    return tuple(_primitive_bits_over(
         subspaces.enumerate_hyperplanes(n, avoid_origin=True)[0]
-    )
+    ))
 
 
 def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:
@@ -355,7 +358,8 @@ def _orbit_reps(n: int) -> frozenset:
     d(R) is the decomposition multiplicity and 3^n - 1 the number of
     origin-avoiding hyperplanes, which the linear group permutes
     transitively.  A bucket the found orbits do not account for exactly
-    raises RuntimeError.
+    raises RuntimeError.  The stream is the cached tuple of
+    iter_primitive_fixed_hyperplane, the one the backward check reads.
     """
     buckets = {}
     for b in iter_primitive_fixed_hyperplane(n):
@@ -472,7 +476,7 @@ def classify_set(a: TernarySet) -> ClassificationReport:
     """
     n = a.dim
     _check_recognize_dim(n)
-    sum_free, maximal = _sum_free_and_maximal(a)
+    sum_free, maximal = _sum_free_and_maximal(a.bits, n)
     if a.size:
         sym = sym_group_bits(a.bits, n)
         sym_size = bin(sym).count("1")

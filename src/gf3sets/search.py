@@ -64,7 +64,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
-from . import canon, primitive, subspaces
+from . import canon, core, primitive, subspaces
 from . import space as _sp
 from .core import TernarySet, is_maximal_sum_free, is_sum_free, sym_group_bits
 from .primitive import PrimitiveCertificate
@@ -369,15 +369,22 @@ def enumerate_maximal_sumfree(
 def _build_report(n, min_size, up_to_iso, found, nodes, wall) -> EnumerationReport:
     """Tally the found sets; a reduced search found one least member per
     orbit, which stands for order // stabilizer sets.  Stabilizers and
-    symmetry groups are computed once per orbit."""
+    symmetry groups are computed once per orbit, and so are the canonical
+    forms of an unreduced search: the walk of one found set gives its form
+    to every found set in the orbit of that form."""
     order = canon.gl_order(n)
     counts: dict = {}
     orbit_counts: dict = {}
     sym_counts: dict = {}
     forms: dict = {}  # canonical form -> (stabilizer order, sym_dim)
+    form_of: dict = {}  # found set -> canonical form
     for b in found:
         size = b.bit_count()
-        form = canon.canonical_form_bits(b, n)
+        if b not in form_of:
+            form = canon.canonical_form_bits(b, n)
+            mates = {b} if up_to_iso else found.keys() & canon.orbit_of_bits(form, n)
+            form_of.update(dict.fromkeys(mates, form))
+        form = form_of[b]
         if form not in forms:
             stab = canon.canonicalize_bits(form, n)[1]
             forms[form] = (stab, round(math.log(sym_group_bits(form, n).bit_count(), 3)))
@@ -458,7 +465,7 @@ def verify_main_theorem(
         forward += 1
 
     if n <= 3:
-        stream = primitive.enumerate_primitive(n)
+        stream = sorted(primitive._all_primitive_bits(n), key=primitive._set_key)
     else:
         planes = subspaces.enumerate_hyperplanes(4, avoid_origin=True)
         orbit = canon.orbit_of_bits(planes[0].members_bits, 4)
@@ -469,22 +476,18 @@ def verify_main_theorem(
                 {**details, "direction": "backward",
                  "failure": "hyperplane transitivity"},
             )
-        stream = (
-            TernarySet(4, bits) for bits in primitive.iter_primitive_fixed_hyperplane(4)
-        )
+        stream = primitive.iter_primitive_fixed_hyperplane(4)
     backward = 0
-    for a in stream:
-        if a.size < threshold or not is_maximal_sum_free(a):
+    for b in stream:
+        if b.bit_count() < threshold or not core._sum_free_and_maximal(b, n)[1]:
             return VerificationVerdict(
                 n, False, forward, backward,
-                a.indices(), {**details, "direction": "backward"},
+                list(iter_bits(b)), {**details, "direction": "backward"},
             )
         backward += 1
 
     max_reps = {tuple(s) for s, _, _ in report.representatives}
-    prim_reps = {
-        tuple(r.indices()) for r in primitive.enumerate_primitive(n, up_to_iso=True)
-    }
+    prim_reps = {tuple(iter_bits(r)) for r in primitive._orbit_reps(n)}
     details["orbit_reps_match"] = max_reps == prim_reps
     if max_reps != prim_reps:
         odd = sorted(max_reps ^ prim_reps)[0]

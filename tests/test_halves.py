@@ -147,3 +147,39 @@ def half_cases(draw):
 def test_is_half_matches_the_definition(case):
     n, h, u, w = case
     assert hv.is_half(TernarySet(n, w), h, u) == _half_by_definition(w, h, u, n)
+
+
+@st.composite
+def nested_subspaces(draw):
+    """(H, U) with U inside H at n <= 4, U = H included.  H has dimension
+    at most 3, so there are at most 13 translate pairs."""
+    n = draw(st.integers(1, 4))
+    hdim = draw(st.integers(0, min(n, 3)))
+    h = draw(st.sampled_from(sub.enumerate_affine_subspaces(sub.full_space(n), hdim)))
+    if draw(st.booleans()):
+        return h, h
+    return h, draw(st.sampled_from(sub.enumerate_affine_subspaces(h, draw(st.integers(0, hdim)))))
+
+
+@settings(max_examples=100, deadline=None)
+@given(nested_subspaces())
+def test_half_bits_follow_the_mask_definition(case):
+    h, u = case
+    pairs = hv.coset_pairs(h, u)
+    want = []
+    for k in range(1 << len(pairs)):
+        bits = 0
+        for i, (first, second) in enumerate(pairs):
+            bits |= second if k >> i & 1 else first
+        want.append(bits)
+    assert hv._half_bits(h, u) == want
+    assert [w.bits for w in hv.enumerate_halves(h, u)] == want
+
+
+def test_half_enumeration_is_capped():
+    h = sub.full_space(4)
+    u = sub.affine_subspace(4, (), 1)
+    assert len(hv.coset_pairs(h, u)) == 40
+    for enumerate_ in (hv._half_bits, hv.enumerate_halves):
+        with pytest.raises(ValueError, match="cap"):
+            enumerate_(h, u)

@@ -1,5 +1,6 @@
 """Recognition, certificates, enumeration and the structural checks."""
 
+import hashlib
 import random
 from collections import Counter
 
@@ -202,6 +203,68 @@ def test_fixed_hyperplane_stream_dim3():
     assert forms == {canon.canonical_form_bits(b, 3) for b in pool}
 
 
+def _x_candidates_by_point(u, cu, h):
+    """The X candidates over (h, u) by the clauses of the module docstring,
+    with each chart point mapped by its own chart_decode call."""
+    n = u.dim_ambient
+    nu = u.neg()
+    out = []
+    for cb in prim._all_primitive_bits(cu.dim):
+        xb = 0
+        for ci in iter_bits(cb):
+            xb |= 1 << sub.chart_decode(cu, ci)
+        off_direction = xb & u.direction().members_bits == 0
+        not_mirror = h.dim - u.dim >= 2 or xb != nu.members_bits
+        if off_direction and not_mirror and sub.affine_hull_bits(xb & nu.members_bits, n) == nu:
+            out.append(xb)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_x_candidates_read_one_chart_list_per_cone(data):
+    n = data.draw(st.integers(2, 4))
+    h = data.draw(st.sampled_from(sub.enumerate_hyperplanes(n, avoid_origin=True)))
+    udim = data.draw(st.integers(0, h.dim - 1))
+    u = data.draw(st.sampled_from(sub.enumerate_affine_subspaces(h, udim)))
+    cu = prim.cone_of_subspace(u)
+    decoded = []
+    real = sub.chart_decode
+
+    def counting(v, i):
+        decoded.append((v, i))
+        return real(v, i)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sub, "chart_decode", counting)
+        got = prim._x_candidates(u, cu, h)
+    # the chart list holds chart_decode(cu, i) at every index i, and
+    # nothing else is decoded
+    assert decoded == [(cu, i) for i in range(cu.size)]
+    assert got == sorted(_x_candidates_by_point(u, cu, h), key=prim._set_key)
+
+
+def test_the_stream_is_built_once_per_process(monkeypatch):
+    built = []
+    real = prim._primitive_bits_over
+
+    def counting(h):
+        built.append(h.dim_ambient)
+        return real(h)
+
+    monkeypatch.setattr(prim, "_primitive_bits_over", counting)
+    prim._orbit_reps.cache_clear()
+    prim.iter_primitive_fixed_hyperplane.cache_clear()
+    try:
+        prim._orbit_reps(3)
+        stream = prim.iter_primitive_fixed_hyperplane(3)
+        assert type(stream) is tuple and len(stream) == 145
+        assert prim.iter_primitive_fixed_hyperplane(3) is stream
+        assert built.count(3) == 1
+    finally:
+        prim._orbit_reps.cache_clear()
+
+
 def test_orbit_representatives_are_cached(monkeypatch):
     calls = []
     real = canon.canonicalize_bits
@@ -263,6 +326,24 @@ def test_orbit_reps_dim4():
         assert cert.kind == ("hyperplane" if r.size == 27 else "derived")
         total += gl_order(4) // stabilizer_order(r)
     assert total == 17_769_680
+
+
+# first 16 hex digits of the sha256 of repr(list(stream)): the order is
+# pinned too, since a failing backward check reports the first failing set
+# in stream order; n = 4 reads the tuple test_orbit_reps_dim4 has just built
+STREAM_DIGESTS = {
+    1: "038966de9f6b9a90",
+    2: "dae52d45356fb54d",
+    3: "15055fd4598e955a",
+    4: "91f1efd38f4b6870",
+}
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
+def test_the_stream_sequence_is_pinned(n):
+    stream = prim.iter_primitive_fixed_hyperplane(n)
+    digest = hashlib.sha256(repr(list(stream)).encode()).hexdigest()[:16]
+    assert digest == STREAM_DIGESTS[n]
 
 
 def test_subprimitive_paths():

@@ -22,7 +22,17 @@ from its parent's with one bit per entry, since (A | {v}) - x =
 big-integer ANDs split the candidates into those that make a smaller
 image, those tied with the best, and those cut.  A fixed-mode walk stops
 as soon as the smaller part is not empty; a minimizing walk splits again
-whenever its best changes.
+whenever its best changes.  In fixed mode the best is A itself, along the
+identity path, for the whole walk, so it is read once and a node never
+compares its prefix with it.
+
+A child's candidates are split in its parent, before the child's frame
+is opened, and the frame is opened only when some candidate is smaller or
+tied; it starts from that split.  The look-ahead is exact in both modes.
+No leaf is settled between the split and the child's entry, so the child
+would split against the same best, and a child with neither kind of
+candidate returns at once, having changed nothing.  The best only
+decreases, so a subtree cut against it stays cut.
 
 The walk is pruned by automorphisms, after McKay ("Practical graph
 isomorphism", 1981; McKay and Piperno, 2014):
@@ -36,7 +46,15 @@ isomorphism", 1981; McKay and Piperno, 2014):
   searched is skipped.  Orbits are taken under the recorded automorphisms
   that fix w_0..w_{j-1} pointwise (one bitset holds the orbits of the
   searched siblings), and such an automorphism carries the searched
-  subtree onto the skipped one.
+  subtree onto the skipped one.  Each node carries that list down the
+  path: a child takes the members of its parent's list that fix w_j, and
+  adds the automorphisms recorded while it is open, unfiltered.  Each of
+  those maps the best path to the path of a leaf below the node, so it
+  fixes the points where the two paths agree, and the walk jumps back to
+  the depth where they part: every node that goes on searching lies on
+  both paths, and the new automorphism fixes its path.  So the list holds
+  exactly the recorded automorphisms that fix the path, in the order
+  recorded, and no node rebuilds its path to filter them.
 
 A lexmin test may also start with automorphisms known in advance.  Any
 genuine automorphism of A prunes soundly, wherever it came from: it maps
@@ -184,9 +202,11 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
     sp = _sp.space(n)
     size = sp.size
     autos: list[list[int]] = list(known)
-    if bits == 0:
-        return 0, autos
+    if bits >> 1 == 0:
+        return bits, autos  # no point off the origin, which every map fixes
     neg = sp.neg
+    rows = sp._rows  # the translation rows, kept by sp up to MAX_WALK_DIM
+    add_row = sp.add_row
     translate = sp.translate_bits
     neg_bits = sp.neg_set_bits(bits)
     # plus[x] = bits - x and minus[x] = x - bits, the w with x + w and with
@@ -194,30 +214,28 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
     # the caller gave them all
     plus, minus = tables or ([None] * size, [None] * size)
     tables = ((plus, bits, neg), (minus, neg_bits, range(size)))
-    state = {"best": bits if fixed else None, "hmap": range(size)}
+    # the least image so far and its path; in fixed mode bits itself, along
+    # the identity, for the whole walk
+    best = bits if fixed else None
+    best_hmap = range(size)
 
-    def leaf(j: int, hmap: list[int], prefix: int):
-        """Settle a complete path; returns the depth to jump back to."""
-        best = state["best"]
-        c = -1 if best is None else _compare(prefix, best)
-        if c < 0:
-            if fixed:
-                raise _Smaller
-            state["best"] = prefix
-            state["hmap"] = hmap
-        elif c == 0:
-            best_hmap = state["hmap"]
-            for k in range(j):
-                if hmap[3**k] != best_hmap[3**k]:
-                    break
-            else:
-                return None  # the best path itself
-            a = list(range(size))
-            for x, y in zip(best_hmap, hmap):
-                a[x] = y
-            autos.append(a)
-            return k
-        return None
+    def leaf(j: int, hmap: list[int], image: int):
+        """Settle a complete path whose image is not bigger than the best;
+        returns the depth to jump back to."""
+        nonlocal best, best_hmap
+        if not fixed and (best is None or _compare(image, best) < 0):
+            best, best_hmap = image, hmap
+            return None
+        for k in range(j):
+            if hmap[3**k] != best_hmap[3**k]:
+                break
+        else:
+            return None  # the best path itself
+        a = list(range(size))
+        for x, y in zip(best_hmap, hmap):
+            a[x] = y
+        autos.append(a)
+        return k
 
     def split(hmap: list[int], want: int, cands: int) -> tuple[int, int]:
         """(smaller, tied): the candidates whose new block beats, or
@@ -238,68 +256,90 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
                 want >>= 1
         return smaller, cands
 
-    def rec(j: int, hmap: list[int], span: int, prefix: int):
-        if bits & ~span == 0:
-            return leaf(j, hmap, prefix)
+    def rec(j: int, hmap: list[int], span: int, prefix: int, gens: list,
+            smaller: int, tied: int):
+        """Search below a node whose candidates for w_j split into smaller
+        and tied against the current best, not both empty.  gens are the
+        recorded autos that fix the path, a list of this frame's own."""
         block = len(hmap)
-        low = (1 << block) - 1
-        gens = []  # the recorded autos that fix the path
-        seen = 0  # how many recorded autos were sorted into gens
+        low = (1 << 3 * block) - 1  # the positions a child's image fixes
+        seen = len(autos)  # the recorded autos in gens so far
         searched = 0  # the candidates searched so far
         skip = 0  # their orbits under gens
         rest = bits & ~span  # the candidates not yet visited
-        split_best = -1  # the best that smaller and tied were split against
+        split_best = best  # the best that smaller and tied were split against
         while True:
-            best = state["best"]
-            if best != split_best:
+            if not fixed and best != split_best:
                 split_best = best
-                c = -1 if best is None else _compare(prefix, best & low)
+                c = _compare(prefix, best & ((1 << block) - 1))
                 if c > 0:
                     return None
                 if c < 0:
                     smaller, tied = rest, 0
                 else:
                     smaller, tied = split(hmap, best >> block, rest)
-                if fixed and smaller:
-                    raise _Smaller
             live = (smaller | tied) & rest
             if not live:
                 return None
             bit = live & -live
             rest &= -(bit << 1)
-            w = bit.bit_length() - 1
             if len(autos) > seen:
-                path = [hmap[3**i] for i in range(j)]
-                new = [a for a in autos[seen:] if all(a[p] == p for p in path)]
+                # recorded below this node, so they fix its path (see the
+                # module docstring)
+                gens += autos[seen:]
                 seen = len(autos)
-                if new:
-                    gens += new
-                    skip = orbit_bits(searched, gens)
+                skip = orbit_bits(searched, gens)
             if skip & bit:
                 continue
             searched |= bit
             skip |= orbit_bits(bit, gens) if gens else bit
-            c = -1 if smaller & bit else 0
+            w = bit.bit_length() - 1
             # images of x + e_j, then of x - e_j, for the x of the block
-            row1 = sp.add_row(w)
-            row2 = sp.add_row(neg[w])
+            row1 = rows.get(w) or add_row(w)
+            row2 = rows.get(neg[w]) or add_row(neg[w])
             images = list(map(row1.__getitem__, hmap))
             images += map(row2.__getitem__, hmap)
+            child = hmap + images
             # the images are distinct points off the span: sum their bits
             new_span = span | sum(map((1).__lshift__, images))
-            if c == 0:
-                t = best & ((1 << 3 * block) - 1)
-            else:
-                t = prefix
+            t = prefix  # the child's image on [0, 3 * block), unread in fixed mode
+            if smaller & bit:
                 for r, p in enumerate(images, block):
                     if bits >> p & 1:
                         t |= 1 << r
-            back = rec(j + 1, hmap + images, new_span, t)
+            elif not fixed:
+                t = best & low
+            child_rest = bits & ~new_span
+            if not child_rest:
+                back = leaf(j + 1, child, t)
+            else:
+                # split the child's candidates here, and open its frame
+                # only if one of them is smaller or tied
+                if smaller & bit:
+                    child_smaller, child_tied = child_rest, 0
+                else:
+                    child_smaller, child_tied = split(child, best >> 3 * block,
+                                                      child_rest)
+                    if fixed and child_smaller:
+                        raise _Smaller
+                    if not child_smaller | child_tied:
+                        continue
+                back = rec(j + 1, child, new_span, t,
+                           [a for a in gens if a[w] == w],
+                           child_smaller, child_tied)
             if back is not None and back < j:
                 return back
 
-    rec(0, [0], 1, bits & 1)
-    return state["best"], autos
+    rest = bits & ~1
+    if fixed:
+        smaller, tied = split([0], best >> 1, rest)
+        if smaller:
+            raise _Smaller
+    else:
+        smaller, tied = rest, 0
+    if smaller | tied:
+        rec(0, [0], 1, bits & 1, autos[:], smaller, tied)
+    return best, autos
 
 
 def automorphisms_bits(bits: int, n: int) -> list[list[int]]:

@@ -182,6 +182,8 @@ def _cmd_suite(args) -> int:
         for c in rep.checks:
             print(f"{c.status:16s} {c.name}: {c.detail}")
         print(f"suite {rep.suite}: {'PASS' if rep.passed else 'FAIL'}")
+        for name, seconds in rep.timings:
+            print(f"{seconds:9.3f} s  {name}", file=sys.stderr)
     return rep.exit_code
 
 

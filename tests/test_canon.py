@@ -13,7 +13,7 @@ import oracles
 from gf3sets import TernarySet, canonical_form, gl_order, stabilizer_order
 from gf3sets import canon
 from gf3sets import subspaces as sub
-from gf3sets.space import iter_bits, space
+from gf3sets.space import iter_bits, orbit_bits, space
 
 
 def test_group_orders():
@@ -261,6 +261,46 @@ def test_recorded_automorphisms_fix_the_set_on_its_span(n):
             for p in sp.powers:
                 if p < m:
                     assert all(a[sp.add(x, p)] == sp.add(a[x], a[p]) for x in range(m))
+
+    check()
+
+
+def _level_orbits(autos, n):
+    """Per level j, the orbit of e_j under the autos fixing e_0..e_{j-1}."""
+    return [
+        orbit_bits(1 << 3**j, [a for a in autos if all(a[3**i] == 3**i for i in range(j))])
+        for j in range(n)
+    ]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lexmin_tests_take_any_known_automorphisms(n):
+    # the search hands its children inherited automorphisms; here any subset
+    # of the set's own, in any order
+    @settings(max_examples=40, deadline=None)
+    @given(affine_unions(n), st.integers(0, 2**32))
+    def check(bits, seed):
+        rnd = random.Random(seed)
+        form = canon.canonical_form_bits(bits, n)
+        full = canon.automorphisms_bits(form, n)
+        known = rnd.sample(full, rnd.randint(0, len(full)))
+        got = list(known)
+        assert canon.is_lexmin_bits(form, n, got)
+        assert got[:len(known)] == known
+        assert _level_orbits(got, n) == _level_orbits(full, n)
+        # the same automorphisms, moved onto a GL image of the form
+        perm = canon.random_gl(n, rnd).perm
+        image = sum(1 << perm[x] for x in iter_bits(form))
+        moved = []
+        for a in known:
+            b = [0] * 3**n
+            for x, y in enumerate(a):
+                b[perm[x]] = perm[y]
+            moved.append(b)
+        theirs = [list(b) for b in moved]
+        assert canon.is_lexmin_bits(image, n, theirs) == (image == form)
+        if image != form:
+            assert theirs == moved
 
     check()
 

@@ -202,6 +202,33 @@ def test_suite_exit_codes(monkeypatch, capsys):
     assert "FAIL" in out and "counterexample" in out
 
 
+def test_suite_prints_check_timings_to_stderr_in_text_mode(monkeypatch, capsys):
+    def ok(rng):
+        return CheckResult.holds("tiny_ok", "fine")
+
+    monkeypatch.setitem(suite._REGISTRY, "tiny_ok", (ok, {}))
+    monkeypatch.setitem(suite._REGISTRY, "tiny_ok_too", (ok, {}))
+    monkeypatch.setattr(suite, "_STANDARD", ("tiny_ok", "tiny_ok_too"))
+    rep = suite.run_suite("standard")
+    capsys.readouterr()
+
+    assert cli.main(["suite"]) == 0
+    text = capsys.readouterr()
+    assert text.out.splitlines() == [
+        f"{c.status:16s} {c.name}: {c.detail}" for c in rep.checks
+    ] + ["suite standard: PASS"]
+    lines = text.err.splitlines()
+    assert [line.split()[-1] for line in lines] == ["tiny_ok", "tiny_ok_too"]
+    for line in lines:
+        seconds, unit, _ = line.split()
+        assert float(seconds) >= 0.0 and unit == "s"
+
+    assert cli.main(["suite", "--format", "json"]) == 0
+    text = capsys.readouterr()
+    assert json.loads(text.out) == rep.to_json()
+    assert text.err == ""
+
+
 def _corrupt_checkpoint(tmp_path, key, value):
     path = str(tmp_path / "state.json")
     args = ["enumerate-maximal", "--dim", "2", "--up-to-iso", "--checkpoint", path]

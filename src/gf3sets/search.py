@@ -60,7 +60,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -249,13 +248,17 @@ def _run_task(args) -> tuple:
     return sorted(found), nodes
 
 
-def _run_tasks(task_args: list, workers: int):
-    """Yield the task results in task order, each as soon as it is done."""
+def _pool_map(fn, args: list, workers: int):
+    """Yield fn over args in order, each result as soon as it is done, in a
+    pool of processes when workers > 1.  The pool's modules are imported
+    only then, so a run that does not fork never loads them."""
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_run_task, task_args)
+            yield from pool.map(fn, args)
     else:
-        yield from map(_run_task, task_args)
+        yield from map(fn, args)
 
 
 def _load_checkpoint(path: str, n: int, min_size: int, reduced: bool):
@@ -353,7 +356,7 @@ def enumerate_maximal_sumfree(
             _save_checkpoint(checkpoint, n, min_size, reduced, pending, found, nodes)
 
     task_args = [(n, min_size, reduced, b) for b in pending]
-    results = _run_tasks(task_args, min(jobs, len(pending), os.cpu_count() or 1))
+    results = _pool_map(_run_task, task_args, min(jobs, len(pending), os.cpu_count() or 1))
     for done, (got, sub_nodes) in enumerate(results, 1):
         for b in got:
             found[b] = None

@@ -7,16 +7,20 @@ used as bitsets: bit i is set iff the vector with index i is a member.
 Set operations are bit-sliced.  For each coordinate i a Space keeps three
 digit slabs: slabs[i][d] is the mask of the indices whose trit i is d.
 Adding c to trit i carries slab d onto slab (d + c) mod 3, which is a shift
-of the masked bits by a multiple of 3**i.  So translating a set by a vector
-is, coordinate by coordinate, a masked pair of big-integer shifts, and
-negation swaps slabs 1 and 2; either costs O(n) big-integer operations
-whatever the size of the set.  A sumset is the union of the translates of
-the larger set by the members of the smaller, taken block by block: with
-k = n // 2, the members that share their last n - k trits fill one block
-of 3^k consecutive indices, the larger set is moved once per distinct low
-part (the first k trits) and those low translates are kept for every
-block, and each block's union of them is moved once by its high part.
-The walk stops as soon as the union is the whole space.
+of the masked bits by a multiple of p = 3**i.  A Space lists these moves
+once per vector: moves[v] holds one entry (up, a, down, b) per nonzero trit
+of v, so that bits -> (bits & up) << a | (bits & down) >> b adds that trit.
+Trit 1 moves slabs 0|1 up by p and slab 2 down by 2p; trit 2 moves slab 0
+up by 2p and slabs 1|2 down by p.  Translating a set by v is then one
+masked pair of big-integer shifts per entry, with no branch and no work for
+a zero trit, and negation swaps slabs 1 and 2; either costs O(n)
+big-integer operations whatever the size of the set.  A sumset is the union
+of the translates of the larger set by the members of the smaller, taken
+block by block: with k = n // 2, the members that share their last n - k
+trits fill one block of 3^k consecutive indices, the larger set is moved
+once per distinct low part (the first k trits) and those low translates are
+kept for every block, and each block's union of them is moved once by its
+high part.  The walk stops as soon as the union is the whole space.
 
 Scalar addition reads rows of the translations x -> x + v, each built on
 first use.  Rows are kept only up to MAX_WALK_DIM, where the orbit walk of
@@ -92,13 +96,10 @@ def _repeat(pattern: int, period: int, size: int) -> int:
     return pattern & ((1 << size) - 1)
 
 
-def _translate(bits: int, trits: tuple[int, ...], shifts) -> int:
-    """bits + v for the vector v with the given trits (see Space._shifts)."""
-    for t, (p, s0, s01, s2, s12) in zip(trits, shifts):
-        if t == 1:
-            bits = (bits & s01) << p | (bits & s2) >> 2 * p
-        elif t == 2:
-            bits = (bits & s0) << 2 * p | (bits & s12) >> p
+def _translate(bits: int, moves: tuple) -> int:
+    """bits + v for the vector v with the given moves (see Space.moves)."""
+    for up, a, down, b in moves:
+        bits = (bits & up) << a | (bits & down) >> b
     return bits
 
 
@@ -112,26 +113,26 @@ class Space:
         self.full_bits = (1 << self.size) - 1
         self._block = 3 ** (n // 2)  # sumset_bits walks blocks of this many indices
         self.powers = tuple(3**i for i in range(n))
-        # Each table grows one coordinate at a time: with p = 3^i, the
-        # indices x + d*p for d = 0, 1, 2 follow the indices x of the first
-        # i coordinates, and their entries follow those of x.
-        trits: list[tuple[int, ...]] = [()]
-        neg = [0]
-        for p in self.powers:
-            trits = [t + (d,) for d in range(3) for t in trits]
-            neg = [x + (-d % 3) * p for d in range(3) for x in neg]
-        self.trits = trits
-        self.neg = neg
-        self._rows: dict[int, list[int]] = {}
         self.slabs = tuple(
             tuple(_repeat(((1 << p) - 1) << (d * p), 3 * p, self.size) for d in range(3))
             for p in self.powers
         )
-        # per coordinate: (3^i, slab 0, slabs 0|1, slab 2, slabs 1|2)
-        self._shifts = tuple(
-            (p, s0, s0 | s1, s2, s1 | s2)
-            for p, (s0, s1, s2) in zip(self.powers, self.slabs)
-        )
+        # Each table grows one coordinate at a time: with p = 3^i, the
+        # indices x + d*p for d = 0, 1, 2 follow the indices x of the first
+        # i coordinates, and their entries follow those of x.  A move list
+        # gains the entry of trit d, none for d = 0 (see the module doc).
+        trits: list[tuple[int, ...]] = [()]
+        neg = [0]
+        moves: list[tuple] = [()]
+        for p, (s0, s1, s2) in zip(self.powers, self.slabs):
+            trits = [t + (d,) for d in range(3) for t in trits]
+            neg = [x + (-d % 3) * p for d in range(3) for x in neg]
+            entry = ((), ((s0 | s1, p, s2, 2 * p),), ((s0, 2 * p, s1 | s2, p),))
+            moves = [m + entry[d] for d in range(3) for m in moves]
+        self.trits = trits
+        self.neg = neg
+        self.moves = moves
+        self._rows: dict[int, list[int]] = {}
 
     # -- scalar index arithmetic ------------------------------------------
 
@@ -154,7 +155,7 @@ class Space:
     # -- bitset operations -------------------------------------------------
 
     def translate_bits(self, bits: int, v: int) -> int:
-        return _translate(bits, self.trits[v], self._shifts)
+        return _translate(bits, self.moves[v])
 
     def neg_set_bits(self, bits: int) -> int:
         for p, (s0, s1, s2) in zip(self.powers, self.slabs):
@@ -175,7 +176,7 @@ class Space:
         """
         if a.bit_count() > b.bit_count():
             a, b = b, a
-        trits, shifts, full = self.trits, self._shifts, self.full_bits
+        moves, full = self.moves, self.full_bits
         size = self._block
         mask = (1 << size) - 1
         low = [0] * size  # b + j, once built; b is nonempty when a is
@@ -191,9 +192,9 @@ class Space:
                     j = bit.bit_length() - 1
                     t = low[j]
                     if not t:
-                        t = low[j] = _translate(b, trits[j], shifts)
+                        t = low[j] = _translate(b, moves[j])
                     union |= t
-                out |= _translate(union, trits[high], shifts)
+                out |= _translate(union, moves[high])
                 if out == full:
                     break
             a >>= size
@@ -213,10 +214,10 @@ class Space:
         for g in generators:
             if bits >> g & 1:
                 continue
-            trits = self.trits[g]
-            shifted = _translate(bits, trits, self._shifts)
-            bits |= shifted | _translate(shifted, trits, self._shifts)
-        return _translate(bits, self.trits[base], self._shifts) if base else bits
+            moves = self.moves[g]
+            shifted = _translate(bits, moves)
+            bits |= shifted | _translate(shifted, moves)
+        return _translate(bits, self.moves[base]) if base else bits
 
 
 @functools.lru_cache(maxsize=None)

@@ -13,7 +13,6 @@ import inspect
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import canon, halves, kneser, primitive, search, statements, subspaces
@@ -362,11 +361,7 @@ def run_suite(
     names = _STANDARD if name == "standard" else _EXTENDED
     args = [(c, seed, samples) for c in names]
     workers = min(jobs, len(args), os.cpu_count() or 1)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            runs = list(pool.map(_run_check, args))
-    else:
-        runs = list(map(_run_check, args))
+    runs = list(search._pool_map(_run_check, args, workers))
     return SuiteReport(
         suite=name,
         seed=seed,

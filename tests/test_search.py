@@ -233,7 +233,8 @@ def pool_log(monkeypatch):
     log = []
     monkeypatch.setattr(os, "cpu_count", lambda: 1_000_000)
     monkeypatch.setattr(
-        search, "ProcessPoolExecutor", lambda max_workers: _RecordingPool(log, max_workers)
+        "concurrent.futures.ProcessPoolExecutor",
+        lambda max_workers: _RecordingPool(log, max_workers),
     )
     return log
 

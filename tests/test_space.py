@@ -155,6 +155,32 @@ def _translate_ref(bits, v, n):
     return out
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_move_list_matches_per_point_reference(n):
+    rng = random.Random(3000 + n)
+    sp = space.space(n)
+    dense = rng.getrandbits(sp.size)
+    sparse = sum(1 << i for i in rng.sample(range(sp.size), min(sp.size, 4)))
+    base = rng.randrange(sp.size)
+    for v in range(sp.size):
+        for bits in (dense, sparse):
+            assert sp.translate_bits(bits, v) == _translate_ref(bits, v, n)
+        twice = _translate_ref(1 << v, v, n)
+        assert sp.span_bits([v]) == 1 | 1 << v | twice
+        assert sp.span_bits([v], base) == _translate_ref(1 | 1 << v | twice, base, n)
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_move_lists_have_one_entry_per_nonzero_trit(n):
+    sp = space.space(n)
+    assert sp.moves[0] == ()
+    assert len(sp.moves) == sp.size
+    for v in random.Random(4000 + n).sample(range(sp.size), min(sp.size, 40)):
+        shifts = [(p, 2 * p) if t == 1 else (2 * p, p)
+                  for p, t in zip(sp.powers, sp.trits[v]) if t]
+        assert [(a, b) for _, a, _, b in sp.moves[v]] == shifts
+
+
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_kernels_match_per_point_reference(n):
     rng = random.Random(1000 + n)

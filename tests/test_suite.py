@@ -92,7 +92,7 @@ def test_workers_are_capped_at_the_check_count(monkeypatch):
     monkeypatch.setitem(suite._REGISTRY, "ok_a", (ok, {}))
     monkeypatch.setitem(suite._REGISTRY, "ok_b", (ok, {}))
     monkeypatch.setattr(suite, "_STANDARD", ("ok_a", "ok_b"))
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 1_000_000)
     rep = run_suite("standard", jobs=100_000)
     assert log == [2]
@@ -109,7 +109,7 @@ def test_one_cpu_runs_the_checks_in_process(monkeypatch):
     monkeypatch.setitem(suite._REGISTRY, "ok_a", (ok, {}))
     monkeypatch.setitem(suite._REGISTRY, "ok_b", (ok, {}))
     monkeypatch.setattr(suite, "_STANDARD", ("ok_a", "ok_b"))
-    monkeypatch.setattr(suite, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
     assert run_suite("standard", jobs=8).checks == run_suite("standard", jobs=1).checks
 

@@ -8,6 +8,14 @@ with |A+K| + |B+K| = |G| such that C fits inside one K-coset.  The
 construction follows the underlying argument instead of searching: for
 nonempty A and B the sumset's own stabilizer works, and if exactly one of
 them is empty the whole group does.
+
+The arithmetic runs on raw bitsets.  _bound_bits computes the four sizes
+of the bound and its verdict from two member bitsets, and kneser_check
+only formats them; the witness builder works on the bits of its
+arguments.  The samplers draw bitsets, and the public samplers wrap
+those same draws in TernarySets only to return them.  So the suite's
+many samples build no TernarySet unless a check fails: a TernarySet is
+made only where the public API returns one.
 """
 
 from __future__ import annotations
@@ -48,6 +56,18 @@ def _require_same_dim(a: TernarySet, b: TernarySet) -> int:
     return a.dim
 
 
+def _bound_bits(a: int, b: int, n: int) -> tuple[int, int, int, int, bool]:
+    """(|A+B|, |A+K|, |B+K|, |K|, bound holds) for nonempty bitsets a, b
+    and K = Sym(A+B)."""
+    sp = _sp.space(n)
+    s = sp.sumset_bits(a, b)
+    k = sym_group_bits(s, n)
+    s_size, k_size = s.bit_count(), k.bit_count()
+    a_plus_k = sp.sumset_bits(a, k).bit_count()
+    b_plus_k = sp.sumset_bits(b, k).bit_count()
+    return s_size, a_plus_k, b_plus_k, k_size, s_size >= a_plus_k + b_plus_k - k_size
+
+
 def kneser_check(a: TernarySet, b: TernarySet) -> CheckResult:
     """Assert |A+B| >= |A+K| + |B+K| - |K| for K = Sym(A+B).
 
@@ -58,25 +78,22 @@ def kneser_check(a: TernarySet, b: TernarySet) -> CheckResult:
     n = _require_same_dim(a, b)
     if a.size == 0 or b.size == 0:
         raise ValueError("the sumset stabilizer of an empty sumset is undefined")
-    s = sumset(a, b)
-    k = TernarySet(n, sym_group_bits(s.bits, n))
-    a_plus_k = sumset(a, k).size
-    b_plus_k = sumset(b, k).size
+    s, a_plus_k, b_plus_k, k, holds = _bound_bits(a.bits, b.bits, n)
     quantities = {
-        "sumset": s.size,
+        "sumset": s,
         "a_plus_k": a_plus_k,
         "b_plus_k": b_plus_k,
-        "k": k.size,
-        "equality": s.size == a_plus_k + b_plus_k - k.size,
+        "k": k,
+        "equality": s == a_plus_k + b_plus_k - k,
     }
-    if s.size >= a_plus_k + b_plus_k - k.size:
-        detail = f"{s.size} >= {a_plus_k} + {b_plus_k} - {k.size}"
+    if holds:
+        detail = f"{s} >= {a_plus_k} + {b_plus_k} - {k}"
         if quantities["equality"]:
             detail += " (equality)"
         return CheckResult.holds(name, detail, witness=quantities)
     return CheckResult.counterexample(
         name,
-        f"{s.size} < {a_plus_k} + {b_plus_k} - {k.size}",
+        f"{s} < {a_plus_k} + {b_plus_k} - {k}",
         witness={"A": a.indices(), "B": b.indices(), **quantities},
     )
 
@@ -133,33 +150,32 @@ def find_stabilizer_witness(
     n = _require_same_dim(a, b)
     if c.dim != n:
         raise ValueError("sets live in different ambient spaces")
-    if c.size == 0:
+    sp = _sp.space(n)
+    a, b, c = a.bits, b.bits, c.bits
+    if not c:
         raise HypothesisError("empty-C", "C must be nonempty")
-    s = sumset(a, b) if a.size and b.size else TernarySet.empty(n)
-    if s.bits & c.bits:
+    s = sp.sumset_bits(a, b) if a and b else 0
+    if s & c:
         raise HypothesisError("sumset-meets-C", "C intersects A+B")
-    if 2 * a.size + 2 * b.size + c.size <= 2 * 3**n:
+    mass = 2 * a.bit_count() + 2 * b.bit_count() + c.bit_count()
+    if mass <= 2 * sp.size:
         raise HypothesisError(
-            "mass-too-small",
-            f"2|A| + 2|B| + |C| = {2 * a.size + 2 * b.size + c.size} "
-            f"must exceed {2 * 3**n}",
+            "mass-too-small", f"2|A| + 2|B| + |C| = {mass} must exceed {2 * sp.size}"
         )
-    if a.size == 0 or b.size == 0:
+    if a and b:
+        k = subspaces.subspace_from_member_bits(sym_group_bits(s, n), n)
+    else:
         # mass forces the other side nonempty, and the whole group works
         k = subspaces.full_space(n)
-    else:
-        k = subspaces.subspace_from_member_bits(sym_group_bits(s.bits, n), n)
-    c0 = (c.bits & -c.bits).bit_length() - 1
-    coset = k.translate(c0)
+    coset = k.translate((c & -c).bit_length() - 1)
 
-    kset = TernarySet(n, k.members_bits)
-    a_plus_k = sumset(a, kset).size if a.size else 0
-    b_plus_k = sumset(b, kset).size if b.size else 0
-    if a_plus_k + b_plus_k != 3**n:
+    a_plus_k = sp.sumset_bits(a, k.members_bits).bit_count() if a else 0
+    b_plus_k = sp.sumset_bits(b, k.members_bits).bit_count() if b else 0
+    if a_plus_k + b_plus_k != sp.size:
         raise RuntimeError(
             f"witness invariant broken: |A+K| + |B+K| = {a_plus_k} + {b_plus_k}"
         )
-    if c.bits & ~coset.members_bits:
+    if c & ~coset.members_bits:
         raise RuntimeError("witness invariant broken: C escapes its coset")
     return StabilizerWitness(k, coset)
 
@@ -167,21 +183,29 @@ def find_stabilizer_witness(
 def sample_kneser_pair(rng: random.Random, n: int) -> tuple[TernarySet, TernarySet]:
     """A seeded nonempty pair, biased toward periodic structure so the
     stabilizer is frequently nontrivial."""
-    return _sample_set(rng, n), _sample_set(rng, n)
+    a, b = _pair_bits(rng, n)
+    return TernarySet(n, a), TernarySet(n, b)
 
 
-def _sample_set(rng: random.Random, n: int) -> TernarySet:
+def _pair_bits(rng: random.Random, n: int) -> tuple[int, int]:
+    """The bitsets of sample_kneser_pair, from the same draws."""
     sp = _sp.space(n)
+    a = _sample_bits(rng, sp)  # A is drawn first
+    b = _sample_bits(rng, sp)
+    return a, b
+
+
+def _sample_bits(rng: random.Random, sp: _sp.Space) -> int:
     if rng.random() < 1 / 3:
-        k = rng.randrange(0, n + 1)
-        v = sp.span_bits(canon.random_basis(n, rng)[:k])
+        k = rng.randrange(0, sp.n + 1)
+        v = sp.span_bits(canon.random_basis(sp.n, rng)[:k])
         bits = 0
         for _ in range(rng.randrange(1, 4)):
             bits |= sp.translate_bits(v, rng.randrange(sp.size))
         for _ in range(rng.randrange(0, 3)):
             bits |= 1 << rng.randrange(sp.size)
-        return TernarySet(n, bits)
-    return _random_subset(rng, sp, rng.randrange(1, sp.size + 1))
+        return bits
+    return _bits_of(rng.sample(range(sp.size), rng.randrange(1, sp.size + 1)))
 
 
 def sample_witness_triple(
@@ -199,41 +223,31 @@ def sample_witness_triple(
     size = sp.size
     if rng.random() < 0.25:
         spare = rng.randrange(0, (size - 1) // 2 + 1)
-        big = _random_subset(rng, sp, size - spare)
-        c = _random_subset(rng, sp, rng.randrange(2 * spare + 1, size + 1))
-        pair = (TernarySet.empty(n), big)
-        a, b = pair if rng.random() < 0.5 else pair[::-1]
+        big = _bits_of(rng.sample(range(size), size - spare))
+        c = _bits_of(rng.sample(range(size), rng.randrange(2 * spare + 1, size + 1)))
+        a, b = (0, big) if rng.random() < 0.5 else (big, 0)
     else:
         q = 3 ** (n - 1)
-        normal = rng.randrange(1, size)
-        cosets = [
-            subspaces.hyperplane_from_normal(n, normal, t).members_bits
-            for t in range(3)
-        ]
+        cosets = subspaces._levels(sp, rng.randrange(1, size))
         a_lab, a2_lab = rng.sample(range(3), 2)
         b_lab = rng.randrange(3)
-        (c_lab,) = set(range(3)) - {(a_lab + b_lab) % 3, (a2_lab + b_lab) % 3}
+        (c_lab,) = {0, 1, 2} - {(a_lab + b_lab) % 3, (a2_lab + b_lab) % 3}
         delta = rng.randrange((q + 2) // 2, q + 1)
-        abits = cosets[a_lab]
-        for i in rng.sample(list(iter_bits(cosets[a2_lab])), delta):
-            abits |= 1 << i
-        a = TernarySet(n, abits)
-        b = TernarySet(n, cosets[b_lab])
+        a = cosets[a_lab] | _bits_of(rng.sample(list(iter_bits(cosets[a2_lab])), delta))
+        b = cosets[b_lab]
         csize = rng.randrange(max(1, 2 * q - 2 * delta + 1), q + 1)
-        cbits = 0
-        for i in rng.sample(list(iter_bits(cosets[c_lab])), csize):
-            cbits |= 1 << i
-        c = TernarySet(n, cbits)
-    s = sumset(a, b) if a.size and b.size else TernarySet.empty(n)
-    if s.bits & c.bits or c.size == 0:
+        c = _bits_of(rng.sample(list(iter_bits(cosets[c_lab])), csize))
+    s = sp.sumset_bits(a, b) if a and b else 0
+    if s & c or not c:
         raise RuntimeError("sampler produced an invalid triple")
-    if 2 * a.size + 2 * b.size + c.size <= 2 * size:
+    if 2 * a.bit_count() + 2 * b.bit_count() + c.bit_count() <= 2 * size:
         raise RuntimeError("sampler missed the mass bound")
-    return a, b, c
+    return TernarySet(n, a), TernarySet(n, b), TernarySet(n, c)
 
 
-def _random_subset(rng: random.Random, sp: _sp.Space, size: int) -> TernarySet:
+def _bits_of(indices) -> int:
+    """The bitset of distinct indices."""
     bits = 0
-    for i in rng.sample(range(sp.size), size):
+    for i in indices:
         bits |= 1 << i
-    return TernarySet(sp.n, bits)
+    return bits

@@ -177,18 +177,13 @@ def affine_hull(a: TernarySet) -> AffineSubspace:
     return affine_hull_bits(a.bits, a.dim)
 
 
-def hyperplane_from_normal(n: int, normal: int, c: int) -> AffineSubspace:
-    """The hyperplane {x : normal . x = c} for a nonzero functional.
+def _levels(sp: _sp.Space, normal: int) -> tuple[int, int, int]:
+    """The level sets {x : normal . x = c} for c = 0, 1, 2, as bitsets.
 
-    The level sets of the functional are built on the digit slabs, one
-    coordinate at a time: level c after coordinate i is the union over the
-    digits d of (level c - a_i d before it) & slabs[i][d].
+    They are built on the digit slabs, one coordinate at a time: level c
+    after coordinate i is the union over the digits d of
+    (level c - a_i d before it) & slabs[i][d].
     """
-    sp = _sp.space(n)
-    if not 0 < normal < sp.size:
-        raise ValueError(f"normal must be a nonzero index below {sp.size}")
-    if c not in (0, 1, 2):
-        raise ValueError(f"label must be 0, 1 or 2, got {c}")
     levels = (sp.full_bits, 0, 0)
     for a, slabs in zip(sp.trits[normal], sp.slabs):
         if a:
@@ -198,7 +193,17 @@ def hyperplane_from_normal(n: int, normal: int, c: int) -> AffineSubspace:
                 | levels[(e - 2 * a) % 3] & slabs[2]
                 for e in range(3)
             )
-    return AffineSubspace(n, levels[c])
+    return levels
+
+
+def hyperplane_from_normal(n: int, normal: int, c: int) -> AffineSubspace:
+    """The hyperplane {x : normal . x = c} for a nonzero functional."""
+    sp = _sp.space(n)
+    if not 0 < normal < sp.size:
+        raise ValueError(f"normal must be a nonzero index below {sp.size}")
+    if c not in (0, 1, 2):
+        raise ValueError(f"label must be 0, 1 or 2, got {c}")
+    return AffineSubspace(n, _levels(sp, normal)[c])
 
 
 @functools.lru_cache(maxsize=None)
@@ -217,8 +222,9 @@ def enumerate_hyperplanes(n: int, avoid_origin: bool = False) -> tuple[AffineSub
         trits = sp.trits[a]
         if next(t for t in trits if t) != 1:
             continue
+        levels = _levels(sp, a)
         for c in (1, 2) if avoid_origin else (0, 1, 2):
-            out.append(hyperplane_from_normal(n, a, c))
+            out.append(AffineSubspace(n, levels[c]))
     return tuple(out)
 
 

@@ -20,10 +20,9 @@ from .core import (
     TernarySet,
     is_aperiodic,
     is_maximal_sum_free,
-    is_sum_free,
 )
 from .statements import CheckResult
-from .space import iter_bits, space
+from .space import space
 
 SUITE_NAMES = ("standard", "extended")
 
@@ -112,15 +111,15 @@ def _chk_kneser_random(rng: random.Random, samples: int = 10000) -> CheckResult:
     equal = 0
     for i in range(samples):
         n = 1 + i % 3
-        a, b = kneser.sample_kneser_pair(rng, n)
-        res = kneser.kneser_check(a, b)
-        if res.status != "holds":
+        a, b = kneser._pair_bits(rng, n)
+        s, a_plus_k, b_plus_k, k, holds = kneser._bound_bits(a, b, n)
+        if not holds:
+            a, b = TernarySet(n, a), TernarySet(n, b)
             return CheckResult.counterexample(
-                name, f"sample {i}: {res.detail}",
+                name, f"sample {i}: {kneser.kneser_check(a, b).detail}",
                 witness={"A": a.indices(), "B": b.indices()},
             )
-        if res.witness and res.witness.get("equality"):
-            equal += 1
+        equal += s == a_plus_k + b_plus_k - k
     return CheckResult.holds(name, f"{samples} pairs, {equal} met with equality")
 
 
@@ -224,14 +223,17 @@ def _chk_lemma_disjoint_transfer(rng: random.Random, samples: int = 200) -> Chec
 
 def _chk_five_in_cube_sample(rng: random.Random, samples: int = 500) -> CheckResult:
     name = "five_in_cube_sample"
+    cube = space(3)
     results = []
     tries = 0
     while len(results) < samples and tries < samples * 400:
         tries += 1
-        picks = rng.sample(range(1, 27), 5)
-        a = TernarySet.from_indices(3, picks)
-        if not is_sum_free(a):
+        bits = 0
+        for i in rng.sample(range(1, 27), 5):
+            bits |= 1 << i
+        if cube.sumset_bits(bits, bits) & bits:  # not sum-free
             continue
+        a = TernarySet(3, bits)
         res = statements.check_proposition("five_in_cube", a)
         if res.status == "counterexample":
             return CheckResult.counterexample(

@@ -4,6 +4,7 @@ Each test asserts the mathematical claim and that the work fits the stated
 time budget on this machine.  Randomized parts use fixed seeds.
 """
 
+import hashlib
 import itertools
 import json
 import random
@@ -190,6 +191,10 @@ def test_criterion_7_lemma_batteries():
     assert time.monotonic() - t0 < 600.0
 
 
+# sha256 prefixes of the standard suite's sorted-key JSON, by seed
+SUITE_DIGESTS = {0: "a7d27f6460e214d7", 7: "3036fff93f336c5a"}
+
+
 def test_criterion_8_deterministic_reports():
     one = run_suite("standard", jobs=1, seed=0)
     eight = run_suite("standard", jobs=8, seed=0)
@@ -197,3 +202,10 @@ def test_criterion_8_deterministic_reports():
     blob_one = json.dumps(one.to_json(), sort_keys=True).encode()
     blob_eight = json.dumps(eight.to_json(), sort_keys=True).encode()
     assert blob_one == blob_eight
+    assert hashlib.sha256(blob_one).hexdigest()[:16] == SUITE_DIGESTS[0]
+
+
+def test_criterion_8_report_digest_at_another_seed():
+    report = run_suite("standard", jobs=2, seed=7)
+    blob = json.dumps(report.to_json(), sort_keys=True).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == SUITE_DIGESTS[7]

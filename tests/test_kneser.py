@@ -13,7 +13,8 @@ from gf3sets import (
     full_sumset_check,
     kneser_check,
 )
-from gf3sets.kneser import sample_kneser_pair, sample_witness_triple
+from gf3sets import canon
+from gf3sets.kneser import _pair_bits, sample_kneser_pair, sample_witness_triple
 
 
 def _trits(a):
@@ -25,25 +26,43 @@ def _random_nonempty(rng, n):
     return TernarySet.from_indices(n, rng.sample(range(3**n), size))
 
 
+def _assert_bound_matches_oracle(a, b):
+    """kneser_check's quantities against the oracle; returns |K|."""
+    n = a.dim
+    r = kneser_check(a, b)
+    s = oracles.sumset(_trits(a), _trits(b))
+    k = oracles.sym_group(s, n)
+    w = r.witness
+    assert w["sumset"] == len(s)
+    assert w["k"] == len(k)
+    assert w["a_plus_k"] == len(oracles.sumset(_trits(a), k))
+    assert w["b_plus_k"] == len(oracles.sumset(_trits(b), k))
+    assert r.status == "holds"
+    assert w["sumset"] >= w["a_plus_k"] + w["b_plus_k"] - w["k"]
+    assert w["equality"] == (
+        w["sumset"] == w["a_plus_k"] + w["b_plus_k"] - w["k"]
+    )
+    return len(k)
+
+
 def test_bound_quantities_match_oracle():
     rng = random.Random(11)
     for _ in range(120):
         n = rng.randrange(1, 4)
-        a = _random_nonempty(rng, n)
-        b = _random_nonempty(rng, n)
-        r = kneser_check(a, b)
-        s = oracles.sumset(_trits(a), _trits(b))
-        k = oracles.sym_group(s, n)
-        w = r.witness
-        assert w["sumset"] == len(s)
-        assert w["k"] == len(k)
-        assert w["a_plus_k"] == len(oracles.sumset(_trits(a), k))
-        assert w["b_plus_k"] == len(oracles.sumset(_trits(b), k))
-        assert r.status == "holds"
-        assert w["sumset"] >= w["a_plus_k"] + w["b_plus_k"] - w["k"]
-        assert w["equality"] == (
-            w["sumset"] == w["a_plus_k"] + w["b_plus_k"] - w["k"]
-        )
+        _assert_bound_matches_oracle(_random_nonempty(rng, n), _random_nonempty(rng, n))
+
+
+def test_bound_quantities_match_oracle_on_sampled_pairs():
+    # uniform random pairs almost never have a proper stabilizer; the
+    # sampler's periodic branch does, so |A+K| and |B+K| differ from |A|,
+    # |B| and from the whole space here
+    rng = random.Random(17)
+    proper = 0
+    for i in range(300):
+        n = 1 + i % 3
+        a, b = sample_kneser_pair(rng, n)
+        proper += 1 < _assert_bound_matches_oracle(a, b) < 3**n
+    assert proper >= 3
 
 
 def test_equality_and_strict_cases():
@@ -153,3 +172,68 @@ def test_triple_sampler_respects_preconditions():
         empties += a.size == 0 or b.size == 0
         assert c.size
     assert empties  # the degenerate branch was exercised
+
+
+def _reference_set(rng, n):
+    """One set of sample_kneser_pair, drawn as its docstring's recipe on
+    trit vectors: a union of 1-3 cosets of a random subspace plus 0-2
+    points, a third of the time, else a random nonempty subset."""
+    size = 3**n
+    if rng.random() < 1 / 3:
+        k = rng.randrange(0, n + 1)
+        rows = [oracles.to_trits(g, n) for g in canon.random_basis(n, rng)[:k]]
+        v = oracles.span(rows, n)
+        out = set()
+        for _ in range(rng.randrange(1, 4)):
+            t = oracles.to_trits(rng.randrange(size), n)
+            out |= {oracles.to_index(oracles.add(x, t)) for x in v}
+        for _ in range(rng.randrange(0, 3)):
+            out.add(rng.randrange(size))
+        return out
+    return set(rng.sample(range(size), rng.randrange(1, size + 1)))
+
+
+def _reference_triple(rng, n):
+    """sample_witness_triple's draws on index sets, the cosets of the
+    normal read off the dot product."""
+    size, q = 3**n, 3 ** (n - 1)
+    if rng.random() < 0.25:
+        spare = rng.randrange(0, (size - 1) // 2 + 1)
+        big = set(rng.sample(range(size), size - spare))
+        c = set(rng.sample(range(size), rng.randrange(2 * spare + 1, size + 1)))
+        a, b = (set(), big) if rng.random() < 0.5 else (big, set())
+        return a, b, c
+    normal = oracles.to_trits(rng.randrange(1, size), n)
+    level = [[] for _ in range(3)]
+    for v in oracles.all_vectors(n):
+        level[sum(x * y for x, y in zip(v, normal)) % 3].append(oracles.to_index(v))
+    level = [sorted(lv) for lv in level]
+    a_lab, a2_lab = rng.sample(range(3), 2)
+    b_lab = rng.randrange(3)
+    (c_lab,) = {0, 1, 2} - {(a_lab + b_lab) % 3, (a2_lab + b_lab) % 3}
+    delta = rng.randrange((q + 2) // 2, q + 1)
+    a = set(level[a_lab]) | set(rng.sample(level[a2_lab], delta))
+    csize = rng.randrange(max(1, 2 * q - 2 * delta + 1), q + 1)
+    return a, set(level[b_lab]), set(rng.sample(level[c_lab], csize))
+
+
+def _bits(indices):
+    return sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bit_samplers_draw_like_the_public_samplers(n):
+    # equal seeds give equal sets and leave the generators in equal states:
+    # the pair sampler's bits, both public samplers and a reference draw
+    for seed in range(60):
+        rngs = [random.Random(seed) for _ in range(3)]
+        a, b = _reference_set(rngs[0], n), _reference_set(rngs[0], n)
+        want = (_bits(a), _bits(b))
+        assert _pair_bits(rngs[1], n) == want
+        assert tuple(s.bits for s in sample_kneser_pair(rngs[2], n)) == want
+        assert rngs[0].getstate() == rngs[1].getstate() == rngs[2].getstate()
+
+        rngs = [random.Random(seed) for _ in range(2)]
+        want = tuple(_bits(s) for s in _reference_triple(rngs[0], n))
+        assert tuple(s.bits for s in sample_witness_triple(rngs[1], n)) == want
+        assert rngs[0].getstate() == rngs[1].getstate()

@@ -147,6 +147,17 @@ def test_hyperplane_members_match_dot_product():
                 assert h.base_point == min(want)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_levels_partition_the_space(n):
+    sp = _sp.space(n)
+    for normal in range(1, sp.size):
+        levels = sub._levels(sp, normal)
+        assert levels[0] | levels[1] | levels[2] == sp.full_bits
+        assert sum(lv.bit_count() for lv in levels) == sp.size
+        for c in range(3):
+            assert sub.hyperplane_from_normal(n, normal, c).members_bits == levels[c]
+
+
 def test_gaussian_binomial_and_rref_bases():
     assert oracles.gaussian_binomial(4, 1) == 40
     assert oracles.gaussian_binomial(4, 2) == 130

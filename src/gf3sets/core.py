@@ -157,12 +157,15 @@ def sym_group_bits(bits: int, n: int) -> int:
 
     t is a period iff s + t lies in the set for every member s, so the
     stabilizer is the intersection of the translates set - s over the
-    members s.  It always holds 0, so once the running intersection is
-    {0} no further translate can shrink it and the loop stops.  A
-    translation maps the complement onto itself exactly when it maps the
-    set onto itself, so the smaller of the two is intersected.  The full
-    set's complement is empty, and over no translates the intersection is
-    the whole space.
+    members s, and the running intersection always contains it.  The loop
+    stops once that intersection is {0}, or, whenever it shrinks to 3^k
+    members, once it is a subgroup whose generators fix the set
+    (_is_stabilizer): such a subgroup lies inside the stabilizer, so it
+    is the stabilizer.  A periodic set then costs a few translates
+    instead of one per member.  A translation maps the complement onto
+    itself exactly when it maps the set onto itself, so the smaller of the
+    two is intersected.  The full set's complement is empty, and over no
+    translates the intersection is the whole space.
     """
     if bits == 0:
         raise ValueError("the translation stabilizer of the empty set is undefined")
@@ -172,10 +175,36 @@ def sym_group_bits(bits: int, n: int) -> int:
         bits = rest
     out = sp.full_bits
     for s in iter_bits(bits):
-        out &= sp.translate_bits(bits, sp.neg[s])
+        cut = out & sp.translate_bits(bits, sp.neg[s])
+        if cut == out:
+            continue
+        out = cut
         if out == 1:
             break
+        if out.bit_count() in sp.powers and _is_stabilizer(sp, out, bits):
+            break
     return out
+
+
+def _is_stabilizer(sp: _sp.Space, group: int, bits: int) -> bool:
+    """Whether group, a set of translations that holds the stabilizer of
+    bits, is that stabilizer.
+
+    It is exactly when group is a subgroup, that is equal to the span of
+    its members, and each member that span was grown from (at most n of
+    them; Space.span_members_bits) fixes bits.  Given what group holds,
+    the second test implies the first, as the span of those members then
+    lies in the stabilizer and so in group; the span test only turns a
+    group that is no subgroup away before any translate.  The least
+    nonzero member g is tried alone first: a subgroup holds -g, and on
+    most sets g already moves bits, so the span is seldom grown.
+    """
+    rest = group ^ 1
+    g = (rest & -rest).bit_length() - 1
+    if not group >> sp.neg[g] & 1 or sp.translate_bits(bits, g) != bits:
+        return False
+    span, generators = sp.span_members_bits(group)
+    return span == group and all(sp.translate_bits(bits, g) == bits for g in generators[1:])
 
 
 def sym_group(a: TernarySet):

@@ -471,15 +471,16 @@ def classify_set(a: TernarySet) -> ClassificationReport:
     """Classify one set.
 
     One sumset a + (a | -a) gives all three flags: sum_free, maximal, and
-    through sum_free the guard of subprimitive, which is then only the
-    search for a primitive superset (n <= 4; None above).
+    through sum_free the guard of subprimitive (n <= 4; None above).  A
+    primitive set is its own primitive superset, so subprimitive searches
+    for a superset only when recognition found no certificate.
     """
     n = a.dim
     _check_recognize_dim(n)
     sum_free, maximal = _sum_free_and_maximal(a.bits, n)
     if a.size:
         sym = sym_group_bits(a.bits, n)
-        sym_size = bin(sym).count("1")
+        sym_size = sym.bit_count()
         sym_dim = round(math.log(sym_size, 3))
         aperiodic = sym == 1
     else:
@@ -487,7 +488,9 @@ def classify_set(a: TernarySet) -> ClassificationReport:
         sym_dim = None
         aperiodic = None
     cert = recognize_primitive(a) if sum_free else None
-    sub = (sum_free and _primitive_superset(a) is not None) if n <= 4 else None
+    sub = None
+    if n <= 4:
+        sub = sum_free and (cert is not None or _primitive_superset(a) is not None)
     return ClassificationReport(
         dim=n,
         size=a.size,

@@ -20,7 +20,10 @@ block by block: with k = n // 2, the members that share their last n - k
 trits fill one block of 3^k consecutive indices, the larger set is moved
 once per distinct low part (the first k trits) and those low translates are
 kept for every block, and each block's union of them is moved once by its
-high part.  The walk stops as soon as the union is the whole space.
+high part.  The walk stops as soon as the union is the whole space.  A
+span grows one generator g at a time, by the translates by g and 2g of
+the span so far; spanning the members of a bitset takes its least member
+outside the span at each step, so it makes at most n steps.
 
 Scalar addition reads rows of the translations x -> x + v, each built on
 first use.  Rows are kept only up to MAX_WALK_DIM, where the orbit walk of
@@ -101,6 +104,12 @@ def _translate(bits: int, moves: tuple) -> int:
     for up, a, down, b in moves:
         bits = (bits & up) << a | (bits & down) >> b
     return bits
+
+
+def _grow(span: int, moves: tuple) -> int:
+    """span + {0, g, 2g} for the vector g with the given moves."""
+    shifted = _translate(span, moves)
+    return span | shifted | _translate(shifted, moves)
 
 
 class Space:
@@ -212,12 +221,27 @@ class Space:
         """
         bits = 1
         for g in generators:
-            if bits >> g & 1:
-                continue
-            moves = self.moves[g]
-            shifted = _translate(bits, moves)
-            bits |= shifted | _translate(shifted, moves)
+            if not bits >> g & 1:
+                bits = _grow(bits, self.moves[g])
         return _translate(bits, self.moves[base]) if base else bits
+
+    def span_members_bits(self, bits: int) -> tuple[int, list[int]]:
+        """(span, generators): the linear span of the members of a bitset,
+        and the members it was grown from.
+
+        Each step adds the least member outside the span so far, and the
+        members the span then holds are dropped, so at most n steps are
+        made however many members there are.
+        """
+        span = 1
+        generators = []
+        rest = bits & ~1
+        while rest:
+            g = (rest & -rest).bit_length() - 1
+            generators.append(g)
+            span = _grow(span, self.moves[g])
+            rest &= ~span
+        return span, generators
 
 
 @functools.lru_cache(maxsize=None)

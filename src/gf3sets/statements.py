@@ -131,7 +131,7 @@ def _card_formula(name: str, a: TernarySet, **_) -> CheckResult:
     if _primitive_facts(a) is None:
         return CheckResult.not_applicable(name, "set is not primitive")
     n = a.dim
-    sym = bin(sym_group_bits(a.bits, n)).count("1")
+    sym = sym_group_bits(a.bits, n).bit_count()
     expected = (3**n + 3 * sym) // 6
     if 6 * a.size == 3**n + 3 * sym:
         return CheckResult.holds(name, f"size {a.size} matches ({3**n} + 3*{sym})/6")
@@ -187,7 +187,7 @@ def _hyperplane_bound(name: str, a: TernarySet, **_) -> CheckResult:
     n = a.dim
     bound = 3 ** (n - 1)
     for jp in subspaces.enumerate_hyperplanes(n):
-        inside = bin(a.bits & jp.members_bits).count("1")
+        inside = (a.bits & jp.members_bits).bit_count()
         if a.size + inside > bound:
             return CheckResult.counterexample(
                 name,
@@ -201,7 +201,7 @@ def _affine_above_sym(name: str, a: TernarySet, **_) -> CheckResult:
     if not _is_derived(a):
         return CheckResult.not_applicable(name, "set is not a derived primitive")
     n = a.dim
-    sym_size = bin(sym_group_bits(a.bits, n)).count("1")
+    sym_size = sym_group_bits(a.bits, n).bit_count()
     d = round(math.log(sym_size, 3)) + 1
     for e in subspaces.enumerate_affine_subspaces(subspaces.full_space(n), d):
         if e.members_bits & ~a.bits == 0:
@@ -234,7 +234,7 @@ def _dense_affine(name: str, a: TernarySet, *, k: Optional[int] = None, **_) -> 
     need = (5 * 3**k + 3) // 6
     best = None
     for e in subspaces.enumerate_affine_subspaces(subspaces.full_space(n), k):
-        got = bin(a.bits & e.members_bits).count("1")
+        got = (a.bits & e.members_bits).bit_count()
         if 6 * got >= 5 * 3**k + 3:
             return CheckResult.holds(
                 name,

@@ -163,13 +163,15 @@ def subspace_from_member_bits(bits: int, n: int) -> AffineSubspace:
 
 def affine_hull_bits(bits: int, n: int) -> AffineSubspace:
     """Smallest affine subspace containing the bitset: its least member plus
-    the span of the differences to it."""
+    the span of the differences to it.  The span is grown from at most n of
+    the differences (Space.span_members_bits), so the cost is O(n)
+    big-integer steps whatever the size of the set."""
     if bits == 0:
         return empty_subspace(n)
     sp = _sp.space(n)
     base = (bits & -bits).bit_length() - 1
-    diffs = sp.translate_bits(bits, sp.neg[base])
-    return AffineSubspace(n, sp.span_bits(iter_bits(diffs), base))
+    span, _ = sp.span_members_bits(sp.translate_bits(bits, sp.neg[base]))
+    return AffineSubspace(n, sp.translate_bits(span, base))
 
 
 def affine_hull(a: TernarySet) -> AffineSubspace:
@@ -287,6 +289,19 @@ def hyperplanes_within(v: AffineSubspace, avoid_origin: bool = False) -> list[Af
     return [_from_chart(v, h) for h in enumerate_hyperplanes(len(v.basis), avoid_origin)]
 
 
+@functools.lru_cache(maxsize=None)
+def _kernel_masks(k: int) -> tuple[int, ...]:
+    """The kernel of each functional of F_3^k, one per pair H, -H of
+    enumerate_hyperplanes(k, avoid_origin=True), in that order: the
+    complement of H | -H."""
+    full = _sp.space(k).full_bits
+    planes = enumerate_hyperplanes(k, avoid_origin=True)
+    return tuple(
+        full & ~(planes[i].members_bits | planes[i + 1].members_bits)
+        for i in range(0, len(planes), 2)
+    )
+
+
 def hyperplanes_covering(v: AffineSubspace, bits: int):
     """Yield the origin-avoiding hyperplanes H of v with bits inside H | -H.
 
@@ -294,19 +309,21 @@ def hyperplanes_covering(v: AffineSubspace, bits: int):
     order of hyperplanes_within(v, avoid_origin=True).  The two hyperplanes
     of one chart normal are H and -H, the nonzero level sets of a linear
     functional on v, so bits lies in their union exactly when the chart
-    image of bits lies in it.  That test reads the cached chart table, and
-    only a passing hyperplane is built in the ambient space.
+    image of bits misses the functional's kernel.  That test is one AND
+    with a mask of the cached per-dimension kernel table, and only a
+    passing hyperplane is built in the ambient space.
     """
     _check_linear(v)
     chart_bits = bits
-    if len(v.basis) < v.dim_ambient:
+    k = len(v.basis)
+    if k < v.dim_ambient:
         chart_bits = sum(1 << chart_encode(v, x) for x in iter_bits(bits))
-    planes = enumerate_hyperplanes(len(v.basis), avoid_origin=True)
-    for k in range(0, len(planes), 2):
-        if chart_bits & ~(planes[k].members_bits | planes[k + 1].members_bits):
+    planes = enumerate_hyperplanes(k, avoid_origin=True)
+    for i, kernel in enumerate(_kernel_masks(k)):
+        if chart_bits & kernel:
             continue
-        yield _from_chart(v, planes[k])
-        yield _from_chart(v, planes[k + 1])
+        yield _from_chart(v, planes[2 * i])
+        yield _from_chart(v, planes[2 * i + 1])
 
 
 # the largest flat table the library needs, the 88,452 lines of F_3^6,

@@ -101,12 +101,43 @@ def test_sym_group_of_coset_union():
     assert _as_trits(sym_group(a).members()) >= sub
 
 
+def _sym_by_every_translate(bits, n):
+    """The stabilizer as the intersection of one translate per member,
+    with no early stop: the loop sym_group_bits cuts short."""
+    sp = space(n)
+    out = sp.full_bits
+    for s in iter_bits(bits):
+        out &= sp.translate_bits(bits, sp.neg[s])
+    return out
+
+
+def test_stabilizer_walk_passes_a_subgroup_that_does_not_fix_the_set():
+    # A line (n = 2) or plane (n = 3) through 0 plus the point e_{n-1} off
+    # it.  The translates of the set by -0 and -e_0 already meet in that
+    # line or plane, a subgroup of size 3^(n-1) that e_0 does not fix, so
+    # the walk must see that its generators move the set and go on to {0}.
+    for n in (2, 3):
+        sp = space(n)
+        subgroup = (1 << 3 ** (n - 1)) - 1
+        bits = subgroup | 1 << 3 ** (n - 1)
+        trail = []
+        out = sp.full_bits
+        for s in iter_bits(bits):
+            out &= sp.translate_bits(bits, sp.neg[s])
+            trail.append(out)
+        assert trail[1] == subgroup == sp.span_members_bits(subgroup)[0]
+        assert sp.translate_bits(bits, 1) != bits
+        assert sym_group_bits(bits, n) == 1 == _sym_by_every_translate(bits, n)
+        want = oracles.sym_group(_as_trits(TernarySet(n, bits)), n)
+        assert want == {oracles.to_trits(0, n)}
+
+
 # Random sets are almost never periodic; these are unions of cosets of a
 # random subspace L, their complements and the full space, so the
 # stabilizer is at least L.
 @st.composite
 def periodic_sets(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     sp = space(n)
     period = sp.span_bits(draw(st.lists(st.integers(0, sp.size - 1), max_size=n)))
     bits = 0
@@ -127,6 +158,9 @@ def test_sym_group_bits_matches_oracle_on_periodic_sets(case):
     assume(bits)
     got = sym_group_bits(bits, n)
     assert period & ~got == 0
+    if n >= 5:
+        assert got == _sym_by_every_translate(bits, n)
+        return
     want = oracles.sym_group(_as_trits(TernarySet(n, bits)), n)
     assert {oracles.to_trits(t, n) for t in iter_bits(got)} == want
 

@@ -361,6 +361,26 @@ def test_subprimitive_paths():
         is_subprimitive(TernarySet.empty(5))
 
 
+def test_primitive_sets_are_their_own_primitive_supersets(monkeypatch):
+    """classify_set takes subprimitive from the certificate, with no
+    superset search, and agrees with is_subprimitive."""
+    rng = random.Random(20)
+    stream = prim.iter_primitive_fixed_hyperplane(4)
+    sets = [lev_construction(4)[0]]
+    sets += [TernarySet(4, stream[i]) for i in sorted(rng.sample(range(len(stream)), 40))]
+
+    def refuse(a):
+        raise AssertionError("_primitive_superset called on a primitive set")
+
+    with monkeypatch.context() as m:
+        m.setattr(prim, "_primitive_superset", refuse)
+        reports = [classify_set(a) for a in sets]
+    for a, rep in zip(sets, reports):
+        assert rep.primitive
+        assert rep.subprimitive is True
+        assert rep.subprimitive == is_subprimitive(a)
+
+
 def test_check_lemma_dispatch():
     a, _ = lev3()
     with pytest.raises(ValueError):

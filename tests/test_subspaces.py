@@ -44,6 +44,46 @@ def test_affine_hull_matches_oracle(n):
     assert sub.affine_hull_bits(0, n).empty
 
 
+def _hull_by_members(bits, n):
+    """The reference hull: the least member plus a span taken over every
+    member of the differences to it, one generator each."""
+    sp = _sp.space(n)
+    base = (bits & -bits).bit_length() - 1
+    return sp.span_bits(iter_bits(sp.translate_bits(bits, sp.neg[base])), base)
+
+
+# Random sets of F_3^n almost always span the whole space, so these are
+# random subsets of a random affine flat, whose hull is usually that flat
+# or a smaller one inside it.
+@st.composite
+def flat_subsets(draw):
+    n = draw(st.integers(1, 6))
+    sp = _sp.space(n)
+    idx = st.integers(0, sp.size - 1)
+    flat = sp.span_bits(draw(st.lists(idx, max_size=n)), draw(idx))
+    bits = 1 << draw(st.sampled_from(list(iter_bits(flat))))
+    for mask in draw(st.lists(st.integers(0, sp.full_bits), max_size=3)):
+        bits |= flat & mask
+    return n, flat, bits
+
+
+@settings(max_examples=200, deadline=None)
+@given(flat_subsets())
+def test_affine_hull_of_subsets_of_flats(case):
+    n, flat, bits = case
+    hull = sub.affine_hull_bits(bits, n)
+    assert bits & ~hull.members_bits == 0 and hull.members_bits & ~flat == 0
+    assert hull.members_bits == _hull_by_members(bits, n)
+    sp = _sp.space(n)
+    least = (bits & -bits).bit_length() - 1
+    span, generators = sp.span_members_bits(sp.translate_bits(bits, sp.neg[least]))
+    assert span == hull.direction().members_bits
+    assert len(generators) == hull.dim <= n
+    if n <= 4:
+        pts = [oracles.to_trits(i, n) for i in iter_bits(bits)]
+        assert _members(hull) == {oracles.to_index(v) for v in oracles.affine_hull(pts, n)}
+
+
 def test_canonical_representation_is_stable():
     # same plane described by different generators and base points
     a = sub.affine_subspace(3, (1, 3), 9)  # e2 + span(e0, e1)

@@ -208,11 +208,13 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
     rows = sp._rows  # the translation rows, kept by sp up to MAX_WALK_DIM
     add_row = sp.add_row
     translate = sp.translate_bits
-    neg_bits = sp.neg_set_bits(bits)
     # plus[x] = bits - x and minus[x] = x - bits, the w with x + w and with
-    # x - w in bits: each is one translate, made when first needed, unless
-    # the caller gave them all
-    plus, minus = tables or ([None] * size, [None] * size)
+    # x - w in bits: each is one translate of bits or of -bits, made when
+    # first needed, unless the caller gave them all and -bits is never read
+    if tables is None:
+        plus, minus, neg_bits = [None] * size, [None] * size, sp.neg_set_bits(bits)
+    else:
+        (plus, minus), neg_bits = tables, None
     tables = ((plus, bits, neg), (minus, neg_bits, range(size)))
     # the least image so far and its path; in fixed mode bits itself, along
     # the identity, for the whole walk

@@ -147,6 +147,33 @@ def _sum_free_and_maximal(bits: int, n: int) -> tuple[bool, bool]:
     return sum_free, sum_free and bits | sums | 1 == (1 << 3**n) - 1
 
 
+def _maximal_sum_free_lanes(columns, lanes: int, n: int) -> int:
+    """The lanes, of member columns M (space.member_columns) of subsets
+    of F_3^n masked by lanes, whose sets are maximal sum-free.
+
+    _sum_free_and_maximal on every lane at once: S[x + y] |= M[x] &
+    (M[y] | M[-y]) over all ordered pairs is the column of each point of
+    A + (A | -A); the -y term needs every pair, as x - z and z - x differ.
+    A lane fails where M[p] & S[p] is set, or where a point p != 0 is in
+    neither M[p] nor S[p].
+    """
+    sp = _sp.space(n)
+    both = [columns[y] | columns[sp.neg[y]] for y in range(sp.size)]
+    sums = [0] * sp.size
+    for x, mx in enumerate(columns):
+        if mx:
+            row = sp.add_row(x)
+            for y, my in enumerate(both):
+                hit = mx & my
+                if hit:
+                    sums[row[y]] |= hit
+    for p, (member, blocked) in enumerate(zip(columns, sums)):
+        lanes &= ~(member & blocked)
+        if p:
+            lanes &= member | blocked
+    return lanes
+
+
 def is_maximal_sum_free(a: TernarySet) -> bool:
     """Sum-free and not properly contained in any sum-free set."""
     return _sum_free_and_maximal(a.bits, a.dim)[1]

@@ -5,8 +5,9 @@ partition H.  Besides U itself they come in pairs {C, (-U)+(-C)}, and a
 half is a union of translates picking exactly one member of each pair.
 Any half W therefore satisfies |W| = (|H| - |U|)/2 and splits H into the
 disjoint union of U, W and (-U)+(-W).  _half_bits lists the halves as
-bitsets, read directly by the primitive stream and check_half_fact;
-enumerate_halves wraps them in TernarySets.
+bitsets, read by check_half_fact, and _pair_halves lists them from the
+translate pairs, read by the primitive stream; enumerate_halves wraps them
+in TernarySets.
 """
 
 from __future__ import annotations
@@ -70,9 +71,14 @@ def is_half(w: TernarySet, h: AffineSubspace, u: AffineSubspace) -> bool:
 
 
 def _half_bits(h: AffineSubspace, u: AffineSubspace) -> list[int]:
-    """The bitsets of enumerate_halves, in its order: the list doubles once
-    per translate pair, with the pair's second member in the upper half."""
-    pairs = coset_pairs(h, u)
+    """The bitsets of enumerate_halves, in its order."""
+    return _pair_halves(coset_pairs(h, u))
+
+
+def _pair_halves(pairs: list[tuple[int, int]]) -> list[int]:
+    """The halves picking one member of each translate pair: the list
+    doubles once per pair, with the pair's second member in the upper half,
+    so half k takes the second member of pair t when bit t of k is set."""
     if len(pairs) > _MAX_PAIRS:
         raise ValueError(f"{len(pairs)} translate pairs exceed the enumeration cap")
     out = [0]

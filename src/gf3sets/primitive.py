@@ -13,6 +13,12 @@ the set lying in -H determines U as the negated affine hull of that part,
 and U determines the split into W and X.  The recognizer walks candidate
 hyperplanes in canonical order and keeps the first that works, so equal
 sets always receive equal certificates.
+
+The full listing below dimension 4 and the stream over one fixed
+hyperplane are also kept as membership columns (space.member_columns),
+which answer the superset query and the backward check of
+verify_main_theorem in a few dozen big-integer ANDs; the stream's columns
+come from its product structure.
 """
 
 from __future__ import annotations
@@ -252,22 +258,45 @@ def _all_primitive_bits(n: int) -> tuple:
     """Every primitive subset of F_3^n, n <= 3, as bitsets in increasing order."""
     if n > 3:
         raise ValueError("full primitive enumeration is capped at dimension 3")
-    planes = subspaces.enumerate_hyperplanes(n, avoid_origin=True)
-    return tuple(sorted({b for h in planes for b in _primitive_bits_over(h)}))
+    out = set()
+    for h in subspaces.enumerate_hyperplanes(n, avoid_origin=True):
+        out.add(h.members_bits)
+        for pairs, cands in _primitive_blocks(h):
+            out.update(_block_bits(pairs, cands))
+    return tuple(sorted(out))
 
 
-def _primitive_bits_over(h: AffineSubspace):
-    """Yield, as bitsets, the primitive sets whose decomposition uses the
-    origin-avoiding hyperplane h: h itself, then each W | X split over h."""
-    yield h.members_bits
+@functools.lru_cache(maxsize=None)
+def _primitive_columns(n: int) -> tuple:
+    """(member columns, lanes by size) of _all_primitive_bits(n), n <= 3;
+    a few KB, read by the superset query and the backward check."""
+    family = _all_primitive_bits(n)
+    return _sp.member_columns(family, 3**n), _lanes_by_size(family)
+
+
+def _lanes_by_size(family) -> dict:
+    """For each size of a member of the family, the mask of its lanes."""
+    sizes: dict = {}
+    for i, b in enumerate(family):
+        sizes[b.bit_count()] = sizes.get(b.bit_count(), 0) | 1 << i
+    return sizes
+
+
+def _primitive_blocks(h: AffineSubspace):
+    """Yield (pairs, cands) for each U inside the origin-avoiding
+    hyperplane h that has X candidates, in (dim U, U) order: U's translate
+    pairs in h and its X candidates.  The block's sets are
+    _block_bits(pairs, cands); h itself is no block."""
     for udim in range(h.dim):
         for u in subspaces.enumerate_affine_subspaces(h, udim):
             cands = _x_candidates(u, cone_of_subspace(u), h)
-            if not cands:
-                continue
-            for w in halves._half_bits(h, u):
-                for xb in cands:
-                    yield w | xb
+            if cands:
+                yield halves.coset_pairs(h, u), cands
+
+
+def _block_bits(pairs: list, cands: list) -> list:
+    """The sets of one block, halves outer and candidates inner."""
+    return [w | xb for w in halves._pair_halves(pairs) for xb in cands]
 
 
 def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> list:
@@ -293,7 +322,6 @@ def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> l
     return sorted(out, key=_set_key)
 
 
-@functools.lru_cache(maxsize=None)
 def iter_primitive_fixed_hyperplane(n: int) -> tuple:
     """Every primitive set whose decomposition uses the first canonical
     origin-avoiding hyperplane, as a tuple of bitsets.
@@ -301,12 +329,51 @@ def iter_primitive_fixed_hyperplane(n: int) -> tuple:
     For a fixed hyperplane the decomposition is unique, so there are no
     repeats.  Together with transitivity of the linear group on these
     hyperplanes, the stream covers all primitive sets up to isomorphism.
-    The tuple is built once and kept for the life of the process (about
-    10.5 MB at n = 4), so verify_main_theorem and _orbit_reps share it.
+    The tuple is built once, with its membership columns, and kept for the
+    life of the process (about 10.5 MB at n = 4), so verify_main_theorem
+    and _orbit_reps share it (see _fixed_hyperplane_family).
     """
-    return tuple(_primitive_bits_over(
-        subspaces.enumerate_hyperplanes(n, avoid_origin=True)[0]
-    ))
+    return _fixed_hyperplane_family(n)[0]
+
+
+@functools.lru_cache(maxsize=None)
+def _fixed_hyperplane_family(n: int) -> tuple:
+    """(stream, columns, sizes) from one walk over the blocks of the
+    fixed-hyperplane stream: its sets as a tuple of bitsets, their member
+    columns (space.member_columns) and the lane mask of each set size.
+
+    Lane 0 is H.  A block is 2^P halves times Q candidates, lane j * Q + k
+    being half j with candidate k, so its columns need no per-set work.
+    The first member of translate pair t lies in the halves with bit t of
+    j clear, runs of Q << t lanes; the second member in the others.  A
+    candidate point's Q-bit column, and each candidate size (plus the
+    block's |W|), repeat 2^P times by one multiplication.  About 2.4 MB of
+    columns at n = 4.
+    """
+    h = subspaces.enumerate_hyperplanes(n, avoid_origin=True)[0]
+    stream = [h.members_bits]
+    columns = [h.members_bits >> p & 1 for p in range(3**n)]
+    sizes = {h.size: 1}
+    for pairs, cands in _primitive_blocks(h):
+        offset = len(stream)
+        stream += _block_bits(pairs, cands)
+        q = len(cands)
+        width = q << len(pairs)
+        lanes = ((1 << width) - 1) << offset
+        for t, (first, second) in enumerate(pairs):
+            run = q << t
+            low = _sp._repeat((1 << run) - 1, 2 * run, width) << offset
+            for member, mask in ((first, low), (second, lanes ^ low)):
+                for p in iter_bits(member):
+                    columns[p] |= mask
+        every = _sp._repeat(1, q, width) << offset  # lane k of each half
+        for p, col in enumerate(_sp.member_columns(cands, 3**n)):
+            if col:
+                columns[p] |= col * every
+        half_size = sum(first.bit_count() for first, _ in pairs)
+        for s, col in _lanes_by_size(cands).items():
+            sizes[half_size + s] = sizes.get(half_size + s, 0) | col * every
+    return tuple(stream), tuple(columns), sizes
 
 
 def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:
@@ -397,13 +464,25 @@ def is_subprimitive(a: TernarySet) -> bool:
 
 
 def _primitive_superset(a: TernarySet) -> Optional[int]:
-    """Bitset of some primitive set containing a, or None; a must be sum-free."""
+    """Bitset of some primitive set containing a, or None; a must be sum-free.
+
+    Below dimension 4 it is the first of _all_primitive_bits(n) that holds
+    a: the lowest lane of the AND of the columns of a's members, all lanes
+    for the empty set.
+    """
     n = a.dim
     if n > 4:
         raise ValueError("subprimitive testing is available up to dimension 4")
     if n <= 3:
-        b = a.bits
-        return next((p for p in _all_primitive_bits(n) if b & ~p == 0), None)
+        family = _all_primitive_bits(n)
+        columns, _ = _primitive_columns(n)
+        lanes = (1 << len(family)) - 1  # the lanes holding every member so far
+        rest = a.bits
+        while rest and lanes:
+            low = rest & -rest
+            lanes &= columns[low.bit_length() - 1]
+            rest ^= low
+        return family[(lanes & -lanes).bit_length() - 1] if lanes else None
     return _primitive_superset_dim4(a.bits)
 
 

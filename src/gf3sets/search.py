@@ -445,7 +445,11 @@ def verify_main_theorem(
     large enough; below dimension 4 the full structural enumeration is
     used, in dimension 4 the fixed-hyperplane stream (soundness of that
     reduction rests on hyperplane transitivity, which is itself checked
-    here).  Orbit representative sets from both sides must agree exactly.
+    here).  Both families are read as member columns and checked in one
+    pass of core._maximal_sum_free_lanes.  A failure names the first
+    failing set in checking order (_set_key order below dimension 4,
+    stream order in it) and how many sets preceded it.  Orbit
+    representative sets from both sides must agree exactly.
     """
     if not 1 <= n <= 4:
         raise ValueError("verification is supported for dimensions 1 through 4")
@@ -468,7 +472,8 @@ def verify_main_theorem(
         forward += 1
 
     if n <= 3:
-        stream = sorted(primitive._all_primitive_bits(n), key=primitive._set_key)
+        family = primitive._all_primitive_bits(n)
+        columns, sizes = primitive._primitive_columns(n)
     else:
         planes = subspaces.enumerate_hyperplanes(4, avoid_origin=True)
         orbit = canon.orbit_of_bits(planes[0].members_bits, 4)
@@ -479,15 +484,23 @@ def verify_main_theorem(
                 {**details, "direction": "backward",
                  "failure": "hyperplane transitivity"},
             )
-        stream = primitive.iter_primitive_fixed_hyperplane(4)
-    backward = 0
-    for b in stream:
-        if b.bit_count() < threshold or not core._sum_free_and_maximal(b, n)[1]:
-            return VerificationVerdict(
-                n, False, forward, backward,
-                list(iter_bits(b)), {**details, "direction": "backward"},
-            )
-        backward += 1
+        family, columns, sizes = primitive._fixed_hyperplane_family(4)
+    lanes = (1 << len(family)) - 1
+    failed = lanes & ~core._maximal_sum_free_lanes(columns, lanes, n)
+    for size, mask in sizes.items():
+        if size < threshold:
+            failed |= mask
+    backward = len(family)
+    if failed:
+        backward = (failed & -failed).bit_length() - 1
+        bad = family[backward]
+        if n <= 3:
+            bad = min((family[i] for i in iter_bits(failed)), key=primitive._set_key)
+            backward = sum(primitive._set_key(b) < primitive._set_key(bad) for b in family)
+        return VerificationVerdict(
+            n, False, forward, backward,
+            list(iter_bits(bad)), {**details, "direction": "backward"},
+        )
 
     max_reps = {tuple(s) for s, _, _ in report.representatives}
     prim_reps = {tuple(iter_bits(r)) for r in primitive._orbit_reps(n)}

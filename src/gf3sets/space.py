@@ -72,6 +72,23 @@ def orbit_bits(points: int, perms: list[list[int]]) -> int:
     return out
 
 
+def member_columns(family, size: int) -> tuple[int, ...]:
+    """A family of bitsets over size points as membership columns (a
+    bitmap index, Chan and Ioannidis, SIGMOD 1998): bit i of column p is
+    set when member i holds p.  Filled as bytearrays, at one step per
+    member point."""
+    family = tuple(family)
+    width = (len(family) + 7) // 8
+    cols = [bytearray(width) for _ in range(size)]
+    for i, bits in enumerate(family):
+        byte, lane = i >> 3, 1 << (i & 7)
+        while bits:
+            low = bits & -bits
+            cols[low.bit_length() - 1][byte] |= lane
+            bits ^= low
+    return tuple(int.from_bytes(c, "little") for c in cols)
+
+
 def encode(trits: Iterable[int]) -> int:
     index = 0
     power = 1

@@ -203,13 +203,13 @@ def _affine_above_sym(name: str, a: TernarySet, **_) -> CheckResult:
     n = a.dim
     sym_size = sym_group_bits(a.bits, n).bit_count()
     d = round(math.log(sym_size, 3)) + 1
-    for e in subspaces.enumerate_affine_subspaces(subspaces.full_space(n), d):
-        if e.members_bits & ~a.bits == 0:
-            return CheckResult.holds(
-                name,
-                f"contains an affine subspace of dimension {d} > symmetry dimension {d - 1}",
-                witness={"E": e.to_json()},
-            )
+    inside = subspaces.flats_within(a.bits, n, d)
+    if inside:
+        return CheckResult.holds(
+            name,
+            f"contains an affine subspace of dimension {d} > symmetry dimension {d - 1}",
+            witness={"E": inside[0].to_json()},
+        )
     return CheckResult.counterexample(
         name,
         f"no affine subspace of dimension {d} fits inside the set",
@@ -362,12 +362,8 @@ def _conclusion_grid(name: str, a: TernarySet, **_) -> CheckResult:
 
 
 def _lines_within(a: TernarySet) -> list:
-    full = subspaces.full_space(a.dim)
-    return [
-        e
-        for e in subspaces.enumerate_affine_subspaces(full, 1)
-        if e.members_bits & ~a.bits == 0
-    ]
+    """The lines inside a, in enumerate_affine_subspaces order."""
+    return subspaces.flats_within(a.bits, a.dim, 1)
 
 
 def _five_in_cube(name: str, a: TernarySet, **_) -> CheckResult:

@@ -275,7 +275,7 @@ def _check_linear(v: AffineSubspace) -> None:
 
 def _from_chart(v: AffineSubspace, h: AffineSubspace) -> AffineSubspace:
     """The image in the ambient space of a subspace h of v's chart."""
-    if len(v.basis) == v.dim_ambient:
+    if v.dim == v.dim_ambient:
         # the chart of the full space is the identity
         return h
     rows = [chart_decode(v, b) for b in h.basis]
@@ -286,7 +286,7 @@ def _from_chart(v: AffineSubspace, h: AffineSubspace) -> AffineSubspace:
 def hyperplanes_within(v: AffineSubspace, avoid_origin: bool = False) -> list[AffineSubspace]:
     """Affine hyperplanes of the linear subspace v, in canonical chart order."""
     _check_linear(v)
-    return [_from_chart(v, h) for h in enumerate_hyperplanes(len(v.basis), avoid_origin)]
+    return [_from_chart(v, h) for h in enumerate_hyperplanes(v.dim, avoid_origin)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,11 +311,12 @@ def hyperplanes_covering(v: AffineSubspace, bits: int):
     functional on v, so bits lies in their union exactly when the chart
     image of bits misses the functional's kernel.  That test is one AND
     with a mask of the cached per-dimension kernel table, and only a
-    passing hyperplane is built in the ambient space.
+    passing hyperplane is built in the ambient space.  The dimension of v
+    is read off its member count, so the full space builds no chart.
     """
     _check_linear(v)
     chart_bits = bits
-    k = len(v.basis)
+    k = v.dim
     if k < v.dim_ambient:
         chart_bits = sum(1 << chart_encode(v, x) for x in iter_bits(bits))
     planes = enumerate_hyperplanes(k, avoid_origin=True)
@@ -380,3 +381,26 @@ def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> tuple[AffineSubspac
             out.append(AffineSubspace(n, coset))
             rest &= ~coset
     return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _flat_columns(n: int, k: int) -> tuple[int, ...]:
+    """Member columns (space.member_columns) of the k-flats of F_3^n, kept
+    beside the flat tuple and refused with it above MAX_FLATS."""
+    flats = enumerate_affine_subspaces(full_space(n), k)
+    return _sp.member_columns((e.members_bits for e in flats), 3**n)
+
+
+def flats_within(bits: int, n: int, k: int) -> list[AffineSubspace]:
+    """The k-flats of F_3^n inside the bitset, in enumerate_affine_subspaces
+    order: the lanes left after clearing the column of every point outside
+    it."""
+    flats = enumerate_affine_subspaces(full_space(n), k)
+    columns = _flat_columns(n, k)
+    lanes = (1 << len(flats)) - 1
+    outside = _sp.space(n).full_bits & ~bits
+    while outside and lanes:
+        low = outside & -outside
+        lanes &= ~columns[low.bit_length() - 1]
+        outside ^= low
+    return [flats[i] for i in iter_bits(lanes)]

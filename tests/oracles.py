@@ -5,6 +5,7 @@ arithmetic and python sets; no tables, encodings, or helpers are shared
 with the package under test.
 """
 
+import functools
 from itertools import combinations, product
 
 
@@ -176,15 +177,24 @@ def apply_matrix(mat, v):
     return out
 
 
-def orbit_min(a, n, group=None):
+@functools.lru_cache(maxsize=None)
+def gl_action(n):
+    """The action of each element of gl_elements(n) on the points, as a
+    tuple of images indexed by point index; built once per session with
+    apply_matrix."""
+    points = sorted(all_vectors(n), key=to_index)
+    return [tuple(to_index(apply_matrix(mat, v)) for v in points) for mat in gl_elements(n)]
+
+
+def orbit_min(a, n):
     """Least image of the set under the full linear group, as a sorted
-    index tuple, with the number of elements achieving it."""
-    if group is None:
-        group = gl_elements(n)
+    index tuple, with the number of elements achieving it: a brute-force
+    minimum over every group element's image of the set."""
+    idx = [to_index(v) for v in a]
     best = None
     hits = 0
-    for mat in group:
-        img = tuple(sorted(to_index(apply_matrix(mat, v)) for v in a))
+    for image_of in gl_action(n):
+        img = tuple(sorted(image_of[i] for i in idx))
         if best is None or img < best:
             best, hits = img, 1
         elif img == best:

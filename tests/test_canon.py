@@ -1,6 +1,5 @@
 """Linear group action, least orbit members, stabilizer counts."""
 
-import functools
 import random
 import time
 import tracemalloc
@@ -81,23 +80,21 @@ def test_canonical_forms_are_refused_above_dimension_6():
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_canonicalization_matches_oracle_exhaustively(n):
-    group = oracles.gl_elements(n)
     for bits in range(1 << 3**n):
         a = TernarySet(n, bits)
         got = canonical_form(a)
         stab = stabilizer_order(a)
         trits = [oracles.to_trits(i, n) for i in iter_bits(bits)]
-        best, hits = oracles.orbit_min(trits, n, group)
+        best, hits = oracles.orbit_min(trits, n)
         assert tuple(got.indices()) == (best or ())
         assert stab == hits if bits else stab == gl_order(n)
 
 
 def test_lexmin_and_canonical_form_match_oracle_dim2_exhaustively():
-    group = oracles.gl_elements(2)
     lexmin = 0
     for bits in range(1 << 9):
         trits = [oracles.to_trits(i, 2) for i in iter_bits(bits)]
-        least = TernarySet.from_indices(2, oracles.orbit_min(trits, 2, group)[0] or ()).bits
+        least = TernarySet.from_indices(2, oracles.orbit_min(trits, 2)[0] or ()).bits
         assert canon.canonical_form_bits(bits, 2) == least
         assert canon.is_lexmin_bits(bits, 2) == (bits == least)
         lexmin += bits == least
@@ -105,12 +102,11 @@ def test_lexmin_and_canonical_form_match_oracle_dim2_exhaustively():
 
 
 def test_lexmin_and_canonical_form_match_oracle_dim3_sampled():
-    group = _gl3()
     rng = random.Random(6)
     for _ in range(8):
         bits = TernarySet.from_indices(3, rng.sample(range(27), rng.randrange(1, 9))).bits
         trits = [oracles.to_trits(i, 3) for i in iter_bits(bits)]
-        least = TernarySet.from_indices(3, oracles.orbit_min(trits, 3, group)[0]).bits
+        least = TernarySet.from_indices(3, oracles.orbit_min(trits, 3)[0]).bits
         assert canon.canonical_form_bits(bits, 3) == least
         assert canon.is_lexmin_bits(bits, 3) == (bits == least)
         assert canon.is_lexmin_bits(least, 3)
@@ -119,7 +115,6 @@ def test_lexmin_and_canonical_form_match_oracle_dim3_sampled():
 
 
 def test_canonicalization_matches_oracle_dim3_sampled():
-    group = oracles.gl_elements(3)
     rng = random.Random(3)
     for _ in range(12):
         size = rng.randrange(0, 8)
@@ -128,7 +123,7 @@ def test_canonicalization_matches_oracle_dim3_sampled():
         got = canonical_form(a)
         stab = stabilizer_order(a)
         trits = [oracles.to_trits(i, 3) for i in idxs]
-        best, hits = oracles.orbit_min(trits, 3, group)
+        best, hits = oracles.orbit_min(trits, 3)
         assert tuple(got.indices()) == (best or ())
         if size:
             assert stab == hits
@@ -213,16 +208,11 @@ def test_canonical_form_and_stabilizer_are_invariant(n):
     check()
 
 
-@functools.lru_cache(maxsize=None)
-def _gl3():
-    return oracles.gl_elements(3)
-
-
 @settings(max_examples=12, deadline=None)
 @given(affine_unions(3))
 def test_structured_canonicalization_matches_oracle_dim3(bits):
     trits = [oracles.to_trits(i, 3) for i in iter_bits(bits)]
-    best, hits = oracles.orbit_min(trits, 3, _gl3())
+    best, hits = oracles.orbit_min(trits, 3)
     assert canon.canonicalize_bits(bits, 3) == (
         TernarySet.from_indices(3, best).bits, hits
     )

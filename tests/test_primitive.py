@@ -31,7 +31,8 @@ from gf3sets import canon
 from gf3sets import halves
 from gf3sets import primitive as prim
 from gf3sets import subspaces as sub
-from gf3sets.space import iter_bits
+from gf3sets.core import _maximal_sum_free_lanes
+from gf3sets.space import iter_bits, member_columns
 
 
 def lev3():
@@ -246,20 +247,22 @@ def test_x_candidates_read_one_chart_list_per_cone(data):
 
 def test_the_stream_is_built_once_per_process(monkeypatch):
     built = []
-    real = prim._primitive_bits_over
+    real = prim._primitive_blocks
 
     def counting(h):
         built.append(h.dim_ambient)
         return real(h)
 
-    monkeypatch.setattr(prim, "_primitive_bits_over", counting)
+    monkeypatch.setattr(prim, "_primitive_blocks", counting)
     prim._orbit_reps.cache_clear()
-    prim.iter_primitive_fixed_hyperplane.cache_clear()
+    prim._fixed_hyperplane_family.cache_clear()
     try:
         prim._orbit_reps(3)
         stream = prim.iter_primitive_fixed_hyperplane(3)
         assert type(stream) is tuple and len(stream) == 145
         assert prim.iter_primitive_fixed_hyperplane(3) is stream
+        # the columns come from the same walk over the blocks
+        assert prim._fixed_hyperplane_family(3)[0] is stream
         assert built.count(3) == 1
     finally:
         prim._orbit_reps.cache_clear()
@@ -528,3 +531,98 @@ def test_classify_set_flags_match_the_predicates(a):
         vecs = {oracles.to_trits(i, a.dim) for i in iter_bits(a.bits)}
         assert rep.sum_free == oracles.is_sum_free(vecs)
         assert rep.maximal == oracles.is_maximal_sum_free(vecs, a.dim)
+
+
+def _sizes_by_scan(family):
+    sizes = {}
+    for i, b in enumerate(family):
+        sizes[b.bit_count()] = sizes.get(b.bit_count(), 0) | 1 << i
+    return sizes
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_block_built_columns_are_the_transposed_stream(n):
+    stream, columns, sizes = prim._fixed_hyperplane_family(n)
+    assert stream is prim.iter_primitive_fixed_hyperplane(n)
+    assert columns == member_columns(stream, 3**n)
+    assert sizes == _sizes_by_scan(stream)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_primitive_columns_are_the_transposed_listing(n):
+    family = prim._all_primitive_bits(n)
+    columns, sizes = prim._primitive_columns(n)
+    assert columns == member_columns(family, 3**n)
+    assert sizes == _sizes_by_scan(family)
+
+
+def _superset_by_scan(a):
+    """The scan the column query replaced: the first primitive set, in
+    _all_primitive_bits order, that holds a."""
+    return next((p for p in prim._all_primitive_bits(a.dim) if a.bits & ~p == 0), None)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_superset_query_matches_the_scan_on_every_subset(n):
+    for bits in range(1 << 3**n):
+        a = TernarySet(n, bits)
+        assert prim._primitive_superset(a) == _superset_by_scan(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_superset_query_matches_the_scan_dim3(data):
+    family = prim._all_primitive_bits(3)
+    if data.draw(st.booleans()):  # a subset of a primitive set: some superset exists
+        base = data.draw(st.sampled_from(family))
+        keep = data.draw(st.lists(st.sampled_from(list(iter_bits(base))), unique=True))
+    else:
+        keep = data.draw(st.lists(st.integers(0, 26), max_size=9, unique=True))
+    a = TernarySet.from_indices(3, keep)
+    assert prim._primitive_superset(a) == _superset_by_scan(a)
+
+
+def _greedy_maximal(n, order):
+    bits = 0
+    for v in order:
+        if is_sum_free(TernarySet(n, bits | 1 << v)):
+            bits |= 1 << v
+    return bits
+
+
+@st.composite
+def mixed_families(draw):
+    """n <= 4 and a list of subsets of F_3^n that mixes maximal sum-free
+    sets, sum-free sets that are not maximal, sets of at most two points
+    and sets that are not sum-free."""
+    n = draw(st.integers(1, 4))
+    size = 3**n
+    family = []
+    for _ in range(draw(st.integers(1, 12))):
+        kind = draw(st.sampled_from(["maximal", "drop", "add", "small", "random"]))
+        if kind == "small":
+            family.append(sum(1 << v for v in draw(
+                st.lists(st.integers(0, size - 1), max_size=2, unique=True))))
+            continue
+        if kind == "random":
+            family.append(draw(st.integers(0, (1 << size) - 1)))
+            continue
+        bits = _greedy_maximal(n, draw(st.permutations(range(size))))
+        pick = draw(st.integers(0, size - 1))
+        if kind == "drop" and bits >> pick & 1:
+            bits &= ~(1 << pick)  # sum-free, no longer maximal
+        elif kind == "add" and not bits >> pick & 1:
+            bits |= 1 << pick  # a maximal set gains a point: not sum-free
+        family.append(bits)
+    return n, family
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_families())
+def test_column_kernel_matches_is_maximal_sum_free(case):
+    n, family = case
+    lanes = (1 << len(family)) - 1
+    got = _maximal_sum_free_lanes(member_columns(family, 3**n), lanes, n)
+    want = sum(1 << i for i, b in enumerate(family)
+               if is_maximal_sum_free(TernarySet(n, b)))
+    assert got == want

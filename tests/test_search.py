@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import random
 from collections import Counter
 
 import pytest
@@ -21,7 +22,7 @@ from gf3sets import (
     validate_certificate,
     verify_main_theorem,
 )
-from gf3sets import canon, search
+from gf3sets import canon, primitive, search
 from gf3sets import subspaces as sub
 from gf3sets.core import blocked_cover_bits
 from gf3sets.space import iter_bits, orbit_bits, space
@@ -377,6 +378,77 @@ def test_verification_small_dims(n, forward, backward):
     assert verdict.details["orbit_reps_match"]
     obj = verdict.to_json()
     assert obj["verified"] is True and obj["n"] == n
+
+
+def _backward_by_loop(n, ordered):
+    """The per-set backward check that the column kernel replaced: the
+    first set, in checking order, that is too small or not maximal
+    sum-free, and how many sets passed before it."""
+    threshold = 3**n // 6 + 1
+    for checked, b in enumerate(ordered):
+        if b.bit_count() < threshold or not is_maximal_sum_free(TernarySet(n, b)):
+            return checked, list(iter_bits(b))
+    return len(ordered), None
+
+
+def _spoil(kind, b, seed):
+    if kind == "drop":
+        return b & (b - 1)  # loses its least point: no longer maximal
+    if kind == "origin":
+        return b | 1  # gains 0, and x + 0 = x
+    # an image of a maximal sum-free set of 4 < 5 points
+    small = TernarySet.from_indices(3, (1, 3, 9, 26)).bits
+    return canon.random_gl(3, random.Random(seed)).apply_bits(small)
+
+
+@pytest.mark.parametrize("n,kind", [(2, "drop"), (2, "origin"), (3, "drop"),
+                                    (3, "origin"), (3, "small")])
+def test_backward_verdict_matches_the_per_set_loop(n, kind, monkeypatch):
+    """A listing with two bad members gets the verdict of the old loop,
+    which checked the listing in _set_key order: the same set, after the
+    same number of passed sets, also when lane order disagrees."""
+    real = primitive._all_primitive_bits
+    listing = real(n)
+    key = primitive._set_key
+    spoiled = [_spoil(kind, b, i) for i, b in enumerate(listing)]
+    # the first pair of lanes whose spoiled sets come in the other order
+    # in _set_key order, and a pair that does not
+    swapped = next((i, j) for j in range(len(listing)) for i in range(j)
+                   if key(spoiled[j]) < key(spoiled[i]))
+    for i, j in (swapped, (0, len(listing) - 1)):
+        bad = list(listing)
+        bad[i], bad[j] = spoiled[i], spoiled[j]
+        monkeypatch.setattr(primitive, "_all_primitive_bits",
+                            lambda m, bad=tuple(bad): bad if m == n else real(m))
+        monkeypatch.setattr(primitive, "_primitive_columns",
+                            primitive._primitive_columns.__wrapped__)
+        verdict = verify_main_theorem(n)
+        monkeypatch.undo()
+        checked, counterexample = _backward_by_loop(n, sorted(bad, key=key))
+        assert not verdict.verified
+        assert verdict.details["direction"] == "backward"
+        assert (verdict.backward_checked, verdict.counterexample) == (checked, counterexample)
+
+
+def test_backward_verdict_matches_the_per_set_loop_dim4(monkeypatch):
+    """Two spoiled lanes of the n = 4 stream: the verdict names the first
+    in stream order, as the old loop over the stream did."""
+    stream, columns, sizes = primitive._fixed_hyperplane_family(4)
+    stream, columns, sizes = list(stream), list(columns), dict(sizes)
+    for lane in (3000, 1200):
+        b = stream[lane]
+        p = (b & -b).bit_length() - 1
+        stream[lane] = b & ~(1 << p)
+        columns[p] &= ~(1 << lane)
+        sizes[b.bit_count()] &= ~(1 << lane)
+        sizes[b.bit_count() - 1] = sizes.get(b.bit_count() - 1, 0) | 1 << lane
+    monkeypatch.setattr(primitive, "_fixed_hyperplane_family",
+                        lambda n: (tuple(stream), tuple(columns), sizes))
+    verdict = verify_main_theorem(4)
+    assert not verdict.verified
+    assert verdict.details["direction"] == "backward"
+    assert (verdict.backward_checked, verdict.counterexample) == _backward_by_loop(4, stream)
+    assert verdict.backward_checked == 1200
 
 
 def test_verification_guards():

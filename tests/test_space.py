@@ -318,3 +318,16 @@ def test_slabs_partition_each_coordinate():
                 assert set(space.iter_bits(mask)) == {
                     x for x in range(sp.size) if space.decode(x, n)[i] == d
                 }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.integers(0, (1 << size) - 1), max_size=30))))
+def test_member_columns_transpose_the_family(case):
+    size, family = case
+    columns = space.member_columns(family, size)
+    assert len(columns) == size
+    for p, col in enumerate(columns):
+        assert col == sum(1 << i for i, b in enumerate(family) if b >> p & 1)
+    # a generator gives the same table
+    assert space.member_columns(iter(family), size) == columns

@@ -415,3 +415,25 @@ def test_chart_decode_sums_the_scaled_rref_rows(data):
                 want = oracles.add(want, b)
         assert sub.chart_decode(v, i) == oracles.to_index(want)
         assert sub.chart_encode(v, oracles.to_index(want)) == i
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_flats_within_match_a_plain_scan(n):
+    rng = random.Random(n)
+    full = sub.full_space(n)
+    sets = [0, full.members_bits]
+    for _ in range(12):
+        # a few random flats and a few random points, so most k find some
+        bits = 0
+        for _ in range(rng.randrange(1, 4)):
+            k = rng.randrange(0, n + 1)
+            bits |= rng.choice(sub.enumerate_affine_subspaces(full, k)).members_bits
+        for _ in range(rng.randrange(0, 3**n // 3 + 1)):
+            bits |= 1 << rng.randrange(3**n)
+        sets.append(bits)
+    for k in range(-1, n + 2):
+        flats = sub.enumerate_affine_subspaces(full, k)
+        for bits in sets:
+            want = [e for e in flats if e.members_bits & ~bits == 0]
+            assert sub.flats_within(bits, n, k) == want
+    assert sub.flats_within(full.members_bits, n, n + 1) == []

@@ -17,8 +17,8 @@ sets always receive equal certificates.
 The full listing below dimension 4 and the stream over one fixed
 hyperplane are also kept as membership columns (space.member_columns),
 which answer the superset query and the backward check of
-verify_main_theorem in a few dozen big-integer ANDs; the stream's columns
-come from its product structure.
+verify_main_theorem in a few dozen big-integer ANDs.  The stream is stored
+only as its block table, whose product structure gives its columns.
 """
 
 from __future__ import annotations
@@ -255,12 +255,12 @@ def _set_key(bits: int):
 
 @functools.lru_cache(maxsize=None)
 def _all_primitive_bits(n: int) -> tuple:
-    """Every primitive subset of F_3^n, n <= 3, as bitsets in increasing order."""
+    """Every primitive subset of F_3^n, n <= 3, as bitsets in increasing
+    order; none at n = 0, where no hyperplane avoids the origin."""
     if n > 3:
         raise ValueError("full primitive enumeration is capped at dimension 3")
     out = set()
-    for h in subspaces.enumerate_hyperplanes(n, avoid_origin=True):
-        out.add(h.members_bits)
+    for h in subspaces.enumerate_hyperplanes(n, avoid_origin=True) if n else ():
         for pairs, cands in _primitive_blocks(h):
             out.update(_block_bits(pairs, cands))
     return tuple(sorted(out))
@@ -283,10 +283,11 @@ def _lanes_by_size(family) -> dict:
 
 
 def _primitive_blocks(h: AffineSubspace):
-    """Yield (pairs, cands) for each U inside the origin-avoiding
-    hyperplane h that has X candidates, in (dim U, U) order: U's translate
-    pairs in h and its X candidates.  The block's sets are
-    _block_bits(pairs, cands); h itself is no block."""
+    """Yield (pairs, cands) for h, a block with no translate pairs and h as
+    its one candidate, then for each U inside h that has X candidates, in
+    (dim U, U) order: U's translate pairs in h and its X candidates.  A
+    block's sets are _block_bits(pairs, cands)."""
+    yield [], [h.members_bits]
     for udim in range(h.dim):
         for u in subspaces.enumerate_affine_subspaces(h, udim):
             cands = _x_candidates(u, cone_of_subspace(u), h)
@@ -322,25 +323,25 @@ def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> l
     return sorted(out, key=_set_key)
 
 
-def iter_primitive_fixed_hyperplane(n: int) -> tuple:
-    """Every primitive set whose decomposition uses the first canonical
-    origin-avoiding hyperplane, as a tuple of bitsets.
+def iter_primitive_fixed_hyperplane(n: int):
+    """Yield every primitive set whose decomposition uses the first
+    canonical origin-avoiding hyperplane, as a bitset.
 
     For a fixed hyperplane the decomposition is unique, so there are no
     repeats.  Together with transitivity of the linear group on these
     hyperplanes, the stream covers all primitive sets up to isomorphism.
-    The tuple is built once, with its membership columns, and kept for the
-    life of the process (about 10.5 MB at n = 4), so verify_main_theorem
-    and _orbit_reps share it (see _fixed_hyperplane_family).
+    Its order is pinned: block by block of _fixed_hyperplane_family, whose
+    block table is the only stored form of the stream.
     """
-    return _fixed_hyperplane_family(n)[0]
+    for pairs, cands in _fixed_hyperplane_family(n)[0]:
+        yield from _block_bits(pairs, cands)
 
 
 @functools.lru_cache(maxsize=None)
 def _fixed_hyperplane_family(n: int) -> tuple:
-    """(stream, columns, sizes) from one walk over the blocks of the
-    fixed-hyperplane stream: its sets as a tuple of bitsets, their member
-    columns (space.member_columns) and the lane mask of each set size.
+    """(blocks, columns, sizes) of the fixed-hyperplane stream: its block
+    table (_primitive_blocks), the member columns of its sets
+    (space.member_columns) and the lane mask of each set size.
 
     Lane 0 is H.  A block is 2^P halves times Q candidates, lane j * Q + k
     being half j with candidate k, so its columns need no per-set work.
@@ -351,12 +352,11 @@ def _fixed_hyperplane_family(n: int) -> tuple:
     columns at n = 4.
     """
     h = subspaces.enumerate_hyperplanes(n, avoid_origin=True)[0]
-    stream = [h.members_bits]
-    columns = [h.members_bits >> p & 1 for p in range(3**n)]
-    sizes = {h.size: 1}
-    for pairs, cands in _primitive_blocks(h):
-        offset = len(stream)
-        stream += _block_bits(pairs, cands)
+    blocks = tuple(_primitive_blocks(h))
+    columns = [0] * 3**n
+    sizes: dict = {}
+    offset = 0
+    for pairs, cands in blocks:
         q = len(cands)
         width = q << len(pairs)
         lanes = ((1 << width) - 1) << offset
@@ -373,7 +373,8 @@ def _fixed_hyperplane_family(n: int) -> tuple:
         half_size = sum(first.bit_count() for first, _ in pairs)
         for s, col in _lanes_by_size(cands).items():
             sizes[half_size + s] = sizes.get(half_size + s, 0) | col * every
-    return tuple(stream), tuple(columns), sizes
+        offset += width
+    return blocks, tuple(columns), sizes
 
 
 def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:
@@ -416,40 +417,34 @@ def _stream_multiplicity(bits: int, n: int) -> int:
 def _orbit_reps(n: int) -> frozenset:
     """Canonical representatives of the primitive orbits of F_3^n, n <= 4.
 
-    Every orbit meets the fixed-hyperplane stream, so canonicalizing its
-    members would do, but at n = 4 that wastes minutes on a handful of
-    orbits.  The stream is bucketed by set size, which is constant on
-    orbits, and within a bucket members are canonicalized until the found
-    orbits account for the whole bucket: an orbit with representative R
-    meets the stream in exactly |orbit(R)| * d(R) / (3^n - 1) sets, where
-    d(R) is the decomposition multiplicity and 3^n - 1 the number of
-    origin-avoiding hyperplanes, which the linear group permutes
-    transitively.  A bucket the found orbits do not account for exactly
-    raises RuntimeError.  The stream is the cached tuple of
-    iter_primitive_fixed_hyperplane, the one the backward check reads.
+    Every orbit meets the fixed-hyperplane stream, and one with
+    representative R meets it in exactly |orbit(R)| * d(R) / (3^n - 1)
+    sets, d(R) being the decomposition multiplicity and 3^n - 1 the number
+    of origin-avoiding hyperplanes, which the linear group permutes
+    transitively.  Set size is constant on orbits.  So one pass over the
+    stream takes canonical forms until the orbits found for each size
+    account for the stream's sets of that size, counted from the size
+    masks of _fixed_hyperplane_family, instead of canonicalizing all
+    234,289 sets at n = 4; only a new form is walked again for its
+    stabilizer.  A size not accounted for exactly raises RuntimeError.
     """
-    buckets = {}
-    for b in iter_primitive_fixed_hyperplane(n):
-        buckets.setdefault(b.bit_count(), []).append(b)
+    left = {s: mask.bit_count() for s, mask in _fixed_hyperplane_family(n)[2].items()}
     order = canon.gl_order(n)
     reps = set()
-    for members in buckets.values():
-        found = set()
-        accounted = 0
-        for b in members:
-            if accounted >= len(members):
-                break
-            r, stab = canon.canonicalize_bits(b, n)
-            if r in found:
-                continue
-            found.add(r)
-            share, rem = divmod((order // stab) * _stream_multiplicity(r, n), 3**n - 1)
-            if rem:
-                raise RuntimeError("orbit accounting is not divisible")
-            accounted += share
-        if accounted != len(members):
-            raise RuntimeError("orbit accounting failed to cover a bucket")
-        reps.update(found)
+    for b in iter_primitive_fixed_hyperplane(n):
+        if left[b.bit_count()] <= 0:
+            continue
+        r = canon.canonical_form_bits(b, n)
+        if r in reps:
+            continue
+        reps.add(r)
+        stab = canon.canonicalize_bits(r, n)[1]
+        share, rem = divmod((order // stab) * _stream_multiplicity(r, n), 3**n - 1)
+        if rem:
+            raise RuntimeError("orbit accounting is not divisible")
+        left[r.bit_count()] -= share
+    if any(left.values()):
+        raise RuntimeError("orbit accounting failed to cover a size")
     return frozenset(reps)
 
 

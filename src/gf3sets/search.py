@@ -56,6 +56,7 @@ explicit half-of-a-hyperplane example in any dimension from 3 up.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -445,11 +446,11 @@ def verify_main_theorem(
     large enough; below dimension 4 the full structural enumeration is
     used, in dimension 4 the fixed-hyperplane stream (soundness of that
     reduction rests on hyperplane transitivity, which is itself checked
-    here).  Both families are read as member columns and checked in one
-    pass of core._maximal_sum_free_lanes.  A failure names the first
-    failing set in checking order (_set_key order below dimension 4,
-    stream order in it) and how many sets preceded it.  Orbit
-    representative sets from both sides must agree exactly.
+    here).  Both families are read as member columns, one lane per set of
+    their size masks, and checked in one pass of core._maximal_sum_free_lanes.
+    A failure names the first failing set in checking order (_set_key order
+    below dimension 4, stream order in it, read off the stream) and how many
+    sets preceded it.  Orbit representative sets from both sides must agree.
     """
     if not 1 <= n <= 4:
         raise ValueError("verification is supported for dimensions 1 through 4")
@@ -484,19 +485,21 @@ def verify_main_theorem(
                 {**details, "direction": "backward",
                  "failure": "hyperplane transitivity"},
             )
-        family, columns, sizes = primitive._fixed_hyperplane_family(4)
-    lanes = (1 << len(family)) - 1
+        _, columns, sizes = primitive._fixed_hyperplane_family(4)
+    backward = sum(mask.bit_count() for mask in sizes.values())
+    lanes = (1 << backward) - 1
     failed = lanes & ~core._maximal_sum_free_lanes(columns, lanes, n)
     for size, mask in sizes.items():
         if size < threshold:
             failed |= mask
-    backward = len(family)
     if failed:
         backward = (failed & -failed).bit_length() - 1
-        bad = family[backward]
         if n <= 3:
             bad = min((family[i] for i in iter_bits(failed)), key=primitive._set_key)
             backward = sum(primitive._set_key(b) < primitive._set_key(bad) for b in family)
+        else:
+            stream = primitive.iter_primitive_fixed_hyperplane(4)
+            bad = next(itertools.islice(stream, backward, None))
         return VerificationVerdict(
             n, False, forward, backward,
             list(iter_bits(bad)), {**details, "direction": "backward"},

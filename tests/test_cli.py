@@ -314,3 +314,13 @@ def test_classify_lev8_minus_a_point(tmp_path, capsys):
     rep = _json_out(capsys)
     assert rep["sum_free"] and not rep["maximal"]
     assert rep["primitive"] is False and rep["certificate"] is None
+
+
+def test_classify_the_empty_set_in_dimension_zero(tmp_path, capsys):
+    # F_3^0 has no origin-avoiding hyperplane, so no primitive superset
+    path = tmp_path / "dim0.set"
+    path.write_text("dim 0\n")
+    assert cli.main(["classify", str(path), "--format", "json"]) == 0
+    rep = _json_out(capsys)
+    assert rep["dim"] == 0 and rep["size"] == 0
+    assert rep["primitive"] is False and rep["subprimitive"] is False

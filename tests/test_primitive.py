@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import types
 from collections import Counter
 
 import pytest
@@ -258,11 +259,15 @@ def test_the_stream_is_built_once_per_process(monkeypatch):
     prim._fixed_hyperplane_family.cache_clear()
     try:
         prim._orbit_reps(3)
-        stream = prim.iter_primitive_fixed_hyperplane(3)
-        assert type(stream) is tuple and len(stream) == 145
-        assert prim.iter_primitive_fixed_hyperplane(3) is stream
         # the columns come from the same walk over the blocks
-        assert prim._fixed_hyperplane_family(3)[0] is stream
+        blocks, _, _ = prim._fixed_hyperplane_family(3)
+        h = sub.enumerate_hyperplanes(3, avoid_origin=True)[0]
+        assert blocks[0] == ([], [h.members_bits])  # H is the first block
+        stream = prim.iter_primitive_fixed_hyperplane(3)
+        assert isinstance(stream, types.GeneratorType)
+        first = list(stream)
+        assert len(first) == 145 and first[0] == h.members_bits
+        assert list(prim.iter_primitive_fixed_hyperplane(3)) == first
         assert built.count(3) == 1
     finally:
         prim._orbit_reps.cache_clear()
@@ -293,20 +298,24 @@ def test_orbit_accounting_matches_the_full_listing(n):
 
 
 def test_orbit_accounting_refuses_a_stream_with_a_gap(monkeypatch):
-    # Dropping member 0, the hyperplane alone in its size, would empty a
-    # bucket, which the accounting cannot see; verify_main_theorem's orbit
-    # comparison catches that case instead.
-    real = prim.iter_primitive_fixed_hyperplane
+    # The gap is one candidate dropped from a block of the table, so the
+    # size masks and the stream both lose its sets.  Dropping the H block,
+    # alone in its size, would empty a size, which the accounting cannot
+    # see; verify_main_theorem's orbit comparison catches that case instead.
+    real = prim._primitive_blocks
     try:
-        for gap in (7, 100):
-            monkeypatch.setattr(
-                prim, "iter_primitive_fixed_hyperplane",
-                lambda n, gap=gap: (b for i, b in enumerate(real(n)) if i != gap),
-            )
+        for gap in (1, 5):
+            def dropping(h, gap=gap):
+                for i, (pairs, cands) in enumerate(real(h)):
+                    yield pairs, cands[1:] if i == gap else cands
+
+            monkeypatch.setattr(prim, "_primitive_blocks", dropping)
+            prim._fixed_hyperplane_family.cache_clear()
             prim._orbit_reps.cache_clear()
             with pytest.raises(RuntimeError, match="orbit accounting"):
                 prim._orbit_reps(3)
     finally:
+        prim._fixed_hyperplane_family.cache_clear()
         prim._orbit_reps.cache_clear()
 
 
@@ -333,7 +342,8 @@ def test_orbit_reps_dim4():
 
 # first 16 hex digits of the sha256 of repr(list(stream)): the order is
 # pinned too, since a failing backward check reports the first failing set
-# in stream order; n = 4 reads the tuple test_orbit_reps_dim4 has just built
+# in stream order; at n = 4 it walks the block table test_orbit_reps_dim4
+# has just built
 STREAM_DIGESTS = {
     1: "038966de9f6b9a90",
     2: "dae52d45356fb54d",
@@ -364,11 +374,20 @@ def test_subprimitive_paths():
         is_subprimitive(TernarySet.empty(5))
 
 
+def test_dimension_zero_has_no_primitive_set():
+    # F_3^0 = {0} has no origin-avoiding hyperplane
+    assert prim._all_primitive_bits(0) == ()
+    empty = TernarySet.empty(0)
+    assert not is_subprimitive(empty)
+    rep = classify_set(empty)
+    assert rep.sum_free and not rep.primitive and rep.subprimitive is False
+
+
 def test_primitive_sets_are_their_own_primitive_supersets(monkeypatch):
     """classify_set takes subprimitive from the certificate, with no
     superset search, and agrees with is_subprimitive."""
     rng = random.Random(20)
-    stream = prim.iter_primitive_fixed_hyperplane(4)
+    stream = list(prim.iter_primitive_fixed_hyperplane(4))
     sets = [lev_construction(4)[0]]
     sets += [TernarySet(4, stream[i]) for i in sorted(rng.sample(range(len(stream)), 40))]
 
@@ -542,8 +561,8 @@ def _sizes_by_scan(family):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_block_built_columns_are_the_transposed_stream(n):
-    stream, columns, sizes = prim._fixed_hyperplane_family(n)
-    assert stream is prim.iter_primitive_fixed_hyperplane(n)
+    _, columns, sizes = prim._fixed_hyperplane_family(n)
+    stream = list(prim.iter_primitive_fixed_hyperplane(n))
     assert columns == member_columns(stream, 3**n)
     assert sizes == _sizes_by_scan(stream)
 

@@ -264,9 +264,9 @@ def _pool_map(fn, args: list, workers: int):
 
 def _load_checkpoint(path: str, n: int, min_size: int, reduced: bool):
     """Read a checkpoint, refusing any content this search could not have
-    written: every pending root must be a sum-free set, and every found set
-    a maximal sum-free set of at least min_size, both least in their orbits
-    when the search is reduced."""
+    written: the pending roots must be distinct sum-free sets of one size
+    (the rest of one frontier layer), and every found set a maximal sum-free
+    set of at least min_size, both least in their orbits when reduced."""
     with open(path) as fh:
         state = json.load(fh)
     if not isinstance(state, dict):
@@ -296,6 +296,9 @@ def _load_checkpoint(path: str, n: int, min_size: int, reduced: bool):
                 raise ValueError(
                     f"checkpoint {key} entry {a.indices()} cannot come from this search"
                 )
+    pending = state["pending"]  # a repeated or stray root would count its nodes twice
+    if len(set(pending)) < len(pending) or len({b.bit_count() for b in pending}) > 1:
+        raise ValueError("checkpoint pending is not one layer of distinct roots")
     return state
 
 

@@ -3,6 +3,8 @@
 A vector (t_0, ..., t_{n-1}) with trits t_i in {0, 1, 2} is stored as the
 integer index sum(t_i * 3**i).  Subsets of F_3^n are plain Python integers
 used as bitsets: bit i is set iff the vector with index i is a member.
+A vector is its index and nothing else: no table of trit tuples is kept,
+and encode and decode convert one vector at a time where trits are read.
 
 Set operations are bit-sliced.  For each coordinate i a Space keeps three
 digit slabs: slabs[i][d] is the mask of the indices whose trit i is d.
@@ -130,7 +132,7 @@ def _grow(span: int, moves: tuple) -> int:
 
 
 class Space:
-    """Cached lookup tables and raw bitset operations for one dimension."""
+    """Digit slabs, negation and move tables, and bitset operations for one n."""
 
     def __init__(self, n: int):
         check_dim(n)
@@ -147,15 +149,12 @@ class Space:
         # indices x + d*p for d = 0, 1, 2 follow the indices x of the first
         # i coordinates, and their entries follow those of x.  A move list
         # gains the entry of trit d, none for d = 0 (see the module doc).
-        trits: list[tuple[int, ...]] = [()]
         neg = [0]
         moves: list[tuple] = [()]
         for p, (s0, s1, s2) in zip(self.powers, self.slabs):
-            trits = [t + (d,) for d in range(3) for t in trits]
             neg = [x + (-d % 3) * p for d in range(3) for x in neg]
             entry = ((), ((s0 | s1, p, s2, 2 * p),), ((s0, 2 * p, s1 | s2, p),))
             moves = [m + entry[d] for d in range(3) for m in moves]
-        self.trits = trits
         self.neg = neg
         self.moves = moves
         self._rows: dict[int, list[int]] = {}
@@ -169,7 +168,7 @@ class Space:
         row = self._rows.get(v)
         if row is None:
             row = [0]
-            for p, t in zip(self.powers, self.trits[v]):
+            for p, t in zip(self.powers, decode(v, self.n)):
                 row = [x + (d + t) % 3 * p for d in range(3) for x in row]
             if self.n <= MAX_WALK_DIM:
                 self._rows[v] = row

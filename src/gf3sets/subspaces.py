@@ -187,7 +187,7 @@ def _levels(sp: _sp.Space, normal: int) -> tuple[int, int, int]:
     (level c - a_i d before it) & slabs[i][d].
     """
     levels = (sp.full_bits, 0, 0)
-    for a, slabs in zip(sp.trits[normal], sp.slabs):
+    for a, slabs in zip(_sp.decode(normal, sp.n), sp.slabs):
         if a:
             levels = tuple(
                 levels[e] & slabs[0]
@@ -221,8 +221,7 @@ def enumerate_hyperplanes(n: int, avoid_origin: bool = False) -> tuple[AffineSub
     sp = _sp.space(n)
     out = []
     for a in range(1, sp.size):
-        trits = sp.trits[a]
-        if next(t for t in trits if t) != 1:
+        if next(t for t in _sp.decode(a, n) if t) != 1:
             continue
         levels = _levels(sp, a)
         for c in (1, 2) if avoid_origin else (0, 1, 2):
@@ -231,23 +230,18 @@ def enumerate_hyperplanes(n: int, avoid_origin: bool = False) -> tuple[AffineSub
 
 
 def enumerate_rref_bases(n: int, k: int):
-    """Yield all RREF bases of k-dimensional linear subspaces of F_3^n."""
-    if k == 0:
-        yield ()
-        return
+    """Yield all RREF bases of k-dimensional linear subspaces of F_3^n, each
+    a tuple of k row indices in pivot order; the free cells after each
+    pivot run over all trits, the last cell fastest."""
     for pivots in itertools.combinations(range(n), k):
-        free_cells = []
-        for i, p in enumerate(pivots):
-            for j in range(p + 1, n):
-                if j not in pivots:
-                    free_cells.append((i, j))
+        free_cells = [
+            (i, 3**j) for i, p in enumerate(pivots) for j in range(p + 1, n) if j not in pivots
+        ]
         for values in itertools.product((0, 1, 2), repeat=len(free_cells)):
-            rows = [[0] * n for _ in range(k)]
-            for i, p in enumerate(pivots):
-                rows[i][p] = 1
-            for (i, j), v in zip(free_cells, values):
-                rows[i][j] = v
-            yield tuple(tuple(r) for r in rows)
+            rows = [3**p for p in pivots]
+            for (i, power), t in zip(free_cells, values):
+                rows[i] += t * power
+            yield tuple(rows)
 
 
 def chart_decode(v: AffineSubspace, chart_index: int) -> int:
@@ -264,8 +258,7 @@ def chart_decode(v: AffineSubspace, chart_index: int) -> int:
 def chart_encode(v: AffineSubspace, index: int) -> int:
     """Coordinates of an ambient member of the linear subspace v in its
     chart: its trits at the pivots of v."""
-    trits = _sp.space(v.dim_ambient).trits[index]
-    return _sp.encode(trits[p] for p in v._chart[1])
+    return _sp.encode(index // 3**p % 3 for p in v._chart[1])
 
 
 def _check_linear(v: AffineSubspace) -> None:
@@ -368,7 +361,7 @@ def enumerate_affine_subspaces(h: AffineSubspace, k: int) -> tuple[AffineSubspac
     d = h.direction()
     directions = sorted(
         (
-            AffineSubspace(n, sp.span_bits(chart_decode(d, _sp.encode(r)) for r in rows))
+            AffineSubspace(n, sp.span_bits(chart_decode(d, r) for r in rows))
             for rows in enumerate_rref_bases(h.dim, k)
         ),
         key=lambda e: e.basis,

@@ -12,7 +12,7 @@ import oracles
 from gf3sets import TernarySet, canonical_form, gl_order, stabilizer_order
 from gf3sets import canon
 from gf3sets import subspaces as sub
-from gf3sets.space import iter_bits, orbit_bits, space
+from gf3sets.space import decode, iter_bits, orbit_bits, space
 
 
 def test_group_orders():
@@ -44,7 +44,7 @@ def test_group_element_action_matches_oracle():
     for n in (2, 3, 4):
         for _ in range(20):
             g = canon.random_gl(n, rng)
-            mat = [space(n).trits[v] for v in g.imgs]
+            mat = [decode(v, n) for v in g.imgs]
             for idx in range(3**n):
                 want = oracles.to_index(
                     oracles.apply_matrix(mat, oracles.to_trits(idx, n))
@@ -62,7 +62,7 @@ def test_invalid_group_element_rejected():
 
 def test_canonical_forms_are_refused_above_dimension_6():
     bits = 1 << 1 | 1 << 3 | 1 << 9  # e_0, e_1, e_2
-    space(7)  # the trit tables are built; no addition table may be
+    space(7)  # the slab and move tables are built; no addition table may be
     tracemalloc.start()
     try:
         t0 = time.monotonic()

@@ -248,6 +248,8 @@ def _corrupt_checkpoint(tmp_path, key, value):
     ("found", [2]),         # {1} is sum-free but not maximal
     ("found", [True]),
     ("nodes", "4"),
+    ("pending", [2, 2]),    # {1} twice: its subtree would be searched twice
+    ("pending", [2, 10]),   # {1} beside {1, 3}, which is a layer deeper
 ])
 def test_corrupt_checkpoint_exits_two(tmp_path, capsys, key, value):
     args = _corrupt_checkpoint(tmp_path, key, value)

@@ -24,7 +24,7 @@ from gf3sets import (
 )
 from gf3sets import canon, primitive, search
 from gf3sets import subspaces as sub
-from gf3sets.core import blocked_cover_bits
+from gf3sets.core import blocked_cover_bits, is_sum_free
 from gf3sets.space import iter_bits, orbit_bits, space
 
 
@@ -366,6 +366,29 @@ def test_checkpoint_mismatch_is_refused(tmp_path):
     json.dump(state, open(path, "w"))
     with pytest.raises(ValueError):
         enumerate_maximal_sumfree(2, 1, checkpoint=path)
+
+
+@pytest.mark.parametrize("stray", ["repeat", "larger"])
+def test_checkpoint_pending_must_be_distinct_roots_of_one_size(tmp_path, stray):
+    # a fresh run counts 17 nodes; resumed with the first root listed twice
+    # it counted 23, and with a one-point extension of it appended, 21
+    tasks, shallow, nodes = search._expand_frontier(3, 5, True, 1)
+    first = tasks[0]
+    if stray == "repeat":
+        extra = first
+    else:
+        extra = next(
+            first | 1 << p for p in range(27)
+            if not first >> p & 1
+            and is_sum_free(TernarySet(3, first | 1 << p))
+            and canon.is_lexmin_bits(first | 1 << p, 3)
+        )
+    path = str(tmp_path / "state.json")
+    search._save_checkpoint(path, 3, 5, True, tasks + [extra], shallow, nodes)
+    with pytest.raises(ValueError, match="checkpoint pending"):
+        enumerate_maximal_sumfree(3, 5, checkpoint=path)
+    search._save_checkpoint(path, 3, 5, True, tasks, shallow, nodes)
+    assert enumerate_maximal_sumfree(3, 5, checkpoint=path).node_count == 17
 
 
 @pytest.mark.parametrize("n,forward,backward", [(1, 1, 2), (2, 1, 8), (3, 2, 1898)])

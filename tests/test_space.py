@@ -177,7 +177,7 @@ def test_move_lists_have_one_entry_per_nonzero_trit(n):
     assert len(sp.moves) == sp.size
     for v in random.Random(4000 + n).sample(range(sp.size), min(sp.size, 40)):
         shifts = [(p, 2 * p) if t == 1 else (2 * p, p)
-                  for p, t in zip(sp.powers, sp.trits[v]) if t]
+                  for p, t in zip(sp.powers, space.decode(v, n)) if t]
         assert [(a, b) for _, a, _, b in sp.moves[v]] == shifts
 
 
@@ -247,7 +247,6 @@ def test_sumset_kernel_matches_per_point_reference(case):
 @pytest.mark.parametrize("n", range(9))
 def test_tables_match_decode_reference(n):
     sp = space.space(n)
-    assert sp.trits == [space.decode(i, n) for i in range(sp.size)]
     assert sp.neg == [_neg_ref(i, n) for i in range(sp.size)]
     for v in random.Random(1000 + n).sample(range(sp.size), min(sp.size, 3)):
         assert sp.add_row(v) == [
@@ -271,6 +270,19 @@ def test_a_fresh_space_builds_no_addition_table():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_a_space_holds_no_per_vector_trit_table():
+    # at n = 9 the negation and move tables hold about 2.7 MiB; a table of
+    # the 19,683 vectors' trit tuples held about 2.2 MiB more
+    tracemalloc.start()
+    try:
+        sp = space.Space(9)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert sp.size == 3**9
+    assert held < 3.5 * (1 << 20)
 
 
 def test_rows_are_not_kept_above_the_walk_cap():

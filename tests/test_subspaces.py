@@ -203,14 +203,22 @@ def test_gaussian_binomial_and_rref_bases():
     assert oracles.gaussian_binomial(4, 2) == 130
     assert oracles.gaussian_binomial(3, 1) == 13
     assert oracles.gaussian_binomial(3, 3) == 1
-    for n, k in ((2, 1), (3, 1), (3, 2)):
+    for n, k in ((2, 1), (3, 1), (3, 2), (4, 2)):
         bases = list(sub.enumerate_rref_bases(n, k))
         assert len(bases) == oracles.gaussian_binomial(n, k)
-        spans = {
-            sub.linear_subspace(n, [_sp.encode(r) for r in rows]).members_bits
-            for rows in bases
-        }
+        spans = {sub.linear_subspace(n, rows).members_bits for rows in bases}
         assert len(spans) == len(bases)
+        for rows in bases:
+            # each row's pivot is its first nonzero trit: it is 1, and every
+            # other row has trit 0 there
+            trits = [_sp.decode(r, n) for r in rows]
+            pivots = [next(p for p, t in enumerate(row) if t) for row in trits]
+            assert pivots == sorted(set(pivots))
+            for row, p in zip(trits, pivots):
+                assert row[p] == 1
+                assert all(row[q] == 0 for q in pivots if q != p)
+    for n in range(4):
+        assert list(sub.enumerate_rref_bases(n, 0)) == [()]
 
 
 def test_enumerate_affine_subspaces_counts():

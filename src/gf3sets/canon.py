@@ -21,10 +21,25 @@ from its parent's with one bit per entry, since (A | {v}) - x =
 (A - x) | {v - x}.  Reading the best's new block bit by bit, a few
 big-integer ANDs split the candidates into those that make a smaller
 image, those tied with the best, and those cut.  A fixed-mode walk stops
-as soon as the smaller part is not empty; a minimizing walk splits again
-whenever its best changes.  In fixed mode the best is A itself, along the
-identity path, for the whole walk, so it is read once and a node never
-compares its prefix with it.
+at the first candidate that makes a smaller image; a minimizing walk
+splits again whenever its best changes.  In fixed mode the best is A
+itself, along the identity path, for the whole walk, so it is read once
+and a node never compares its prefix with it.
+
+A path h is a tuple.  The child's path for w_j is h followed by the
+images h(r) + w_j and then h(r) - w_j, read off the translation rows of
+w_j and -w_j by one itemgetter over h per frame.  The child's span,
+span + <w_j>, comes from a span table: for each span met, a dict from w
+to that span plus <w>, each entry made on first use with two translates
+of the span.
+The spans and the w met repeat across the walks of one search far more
+than within one walk, so a search run hands one table to all its lexmin
+tests (search keeps one per frontier and one per task); a walk given none
+makes its own and drops it on return.  A table holds the spans of one n
+only, and it is emptied before it would hold more than _SPAN_TABLE_MAX
+spans, so it keeps at most _SPAN_TABLE_MAX * 3^n entries at every n up to
+MAX_WALK_DIM (F_3^4 has 212 subspaces, so a search there never empties
+it).
 
 A child's candidates are split in its parent, before the child's frame
 is opened, and the frame is opened only when some candidate is smaller or
@@ -85,9 +100,13 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from . import space as _sp
 from .space import MAX_WALK_DIM, iter_bits, orbit_bits
+
+
+_SPAN_TABLE_MAX = 256  # spans a span table keeps before it is emptied
 
 
 def gl_order(n: int) -> int:
@@ -186,7 +205,7 @@ class _Smaller(Exception):
     pass
 
 
-def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
+def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
     """Minimize bits over GL(n,3), or (fixed) test bits against itself.
 
     Returns (best, autos): the least image, and the automorphisms of bits
@@ -194,8 +213,9 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
     points of the span of bits), after the known ones it was given.  In
     fixed mode the best path is the identity, and _Smaller is raised as
     soon as any strictly smaller image is certain.  tables, when given, are
-    the walk tables (plus, minus) complete.  Raises ValueError above
-    MAX_WALK_DIM, before building anything.
+    the walk tables (plus, minus) complete.  spans, when given, is a span
+    table of dimension n to read and grow; without it the walk makes its
+    own.  Raises ValueError above MAX_WALK_DIM, before building anything.
     """
     if n > MAX_WALK_DIM:
         raise ValueError(f"canonical forms need n <= {MAX_WALK_DIM}, got n = {n}")
@@ -216,12 +236,14 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
     else:
         (plus, minus), neg_bits = tables, None
     tables = ((plus, bits, neg), (minus, neg_bits, range(size)))
+    if spans is None:
+        spans = {}
     # the least image so far and its path; in fixed mode bits itself, along
     # the identity, for the whole walk
     best = bits if fixed else None
     best_hmap = range(size)
 
-    def leaf(j: int, hmap: list[int], image: int):
+    def leaf(j: int, hmap: tuple, image: int):
         """Settle a complete path whose image is not bigger than the best;
         returns the depth to jump back to."""
         nonlocal best, best_hmap
@@ -239,9 +261,11 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
         autos.append(a)
         return k
 
-    def split(hmap: list[int], want: int, cands: int) -> tuple[int, int]:
+    def split(hmap: tuple, want: int, cands: int) -> tuple[int, int]:
         """(smaller, tied): the candidates whose new block beats, or
-        equals, the block want, compared least index first; the rest lose."""
+        equals, the block want, compared least index first; the rest lose.
+        In fixed mode raises _Smaller at the first candidate that beats it,
+        so smaller is always 0 there."""
         smaller = 0
         for table, source, shift in tables:
             for x in hmap:
@@ -250,7 +274,9 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
                     t = table[x] = translate(source, shift[x])
                 if want & 1:
                     cands &= t
-                else:
+                elif cands & t:
+                    if fixed:
+                        raise _Smaller
                     smaller |= cands & t
                     cands &= ~t
                 if not cands:
@@ -258,7 +284,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
                 want >>= 1
         return smaller, cands
 
-    def rec(j: int, hmap: list[int], span: int, prefix: int, gens: list,
+    def rec(j: int, hmap: tuple, span: int, prefix: int, gens: list,
             smaller: int, tied: int):
         """Search below a node whose candidates for w_j split into smaller
         and tied against the current best, not both empty.  gens are the
@@ -270,6 +296,14 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
         skip = 0  # their orbits under gens
         rest = bits & ~span  # the candidates not yet visited
         split_best = best  # the best that smaller and tied were split against
+        kids = spans.get(span)  # w -> span + <w>, shared by every node on span
+        if kids is None:
+            if len(spans) >= _SPAN_TABLE_MAX:
+                spans.clear()
+            kids = spans[span] = {}
+        # the path's images of x + w and x - w for the x of the block, read
+        # off the rows of w and -w; a one-index getter returns a scalar
+        get = itemgetter(*hmap) if block > 1 else lambda row: (row[0],)
         while True:
             if not fixed and best != split_best:
                 split_best = best
@@ -296,18 +330,15 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
             searched |= bit
             skip |= orbit_bits(bit, gens) if gens else bit
             w = bit.bit_length() - 1
-            # images of x + e_j, then of x - e_j, for the x of the block
-            row1 = rows.get(w) or add_row(w)
-            row2 = rows.get(neg[w]) or add_row(neg[w])
-            images = list(map(row1.__getitem__, hmap))
-            images += map(row2.__getitem__, hmap)
-            child = hmap + images
-            # the images are distinct points off the span: sum their bits
-            new_span = span | sum(map((1).__lshift__, images))
+            child = (hmap + get(rows.get(w) or add_row(w))
+                     + get(rows.get(neg[w]) or add_row(neg[w])))
+            new_span = kids.get(w)
+            if new_span is None:
+                new_span = kids[w] = span | translate(span, w) | translate(span, neg[w])
             t = prefix  # the child's image on [0, 3 * block), unread in fixed mode
             if smaller & bit:
-                for r, p in enumerate(images, block):
-                    if bits >> p & 1:
+                for r in range(block, 3 * block):
+                    if bits >> child[r] & 1:
                         t |= 1 << r
             elif not fixed:
                 t = best & low
@@ -315,15 +346,14 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
             if not child_rest:
                 back = leaf(j + 1, child, t)
             else:
-                # split the child's candidates here, and open its frame
+                # split the child's candidates here (a fixed-mode split
+                # raises _Smaller on a smaller one), and open its frame
                 # only if one of them is smaller or tied
                 if smaller & bit:
                     child_smaller, child_tied = child_rest, 0
                 else:
                     child_smaller, child_tied = split(child, best >> 3 * block,
                                                       child_rest)
-                    if fixed and child_smaller:
-                        raise _Smaller
                     if not child_smaller | child_tied:
                         continue
                 back = rec(j + 1, child, new_span, t,
@@ -333,14 +363,17 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None):
                 return back
 
     rest = bits & ~1
-    if fixed:
-        smaller, tied = split([0], best >> 1, rest)
-        if smaller:
-            raise _Smaller
-    else:
-        smaller, tied = rest, 0
-    if smaller | tied:
-        rec(0, [0], 1, bits & 1, autos[:], smaller, tied)
+    try:
+        if fixed:
+            smaller, tied = split((0,), best >> 1, rest)
+        else:
+            smaller, tied = rest, 0
+        if smaller | tied:
+            rec(0, (0,), 1, bits & 1, autos[:], smaller, tied)
+    finally:
+        # rec reaches itself through its closure; without this the walk's
+        # tables would wait for the cycle collector
+        rec = None
     return best, autos
 
 
@@ -376,7 +409,7 @@ def canonical_form_bits(bits: int, n: int) -> int:
 
 
 def is_lexmin_bits(bits: int, n: int, autos: list | None = None,
-                   tables: tuple | None = None) -> bool:
+                   tables: tuple | None = None, spans: dict | None = None) -> bool:
     """Whether bits is least in its orbit.
 
     autos, when given, may already hold automorphisms of bits, in the form
@@ -384,10 +417,11 @@ def is_lexmin_bits(bits: int, n: int, autos: list | None = None,
     On acceptance the automorphisms the walk recorded are appended to it.
     tables, when given, are the walk tables of bits complete: plus[x] =
     bits - x and minus[x] = x - bits for every index x (see the module
-    docstring)."""
+    docstring).  spans, when given, is a span table of dimension n that the
+    walk reads and grows, shared by the tests of one search run."""
     known = autos or ()
     try:
-        found = _walk(bits, n, True, known, tables)[1]
+        found = _walk(bits, n, True, known, tables, spans)[1]
     except _Smaller:
         return False
     if autos is not None:

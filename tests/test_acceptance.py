@@ -108,6 +108,7 @@ def test_criterion_5_dim4_verification(tmp_path):
     fresh = enumerate_maximal_sumfree(4, min_size=14, checkpoint=ck)
     assert fresh.counts_by_size == {14: 17_694_720, 15: 74_880, 27: 80}
     assert fresh.orbit_counts_by_size == {14: 4, 15: 1, 27: 1}
+    assert fresh.node_count == 1488
 
     # resume from a frontier-only state and from the finished state
     front = str(tmp_path / "front.json")

@@ -299,3 +299,110 @@ def test_automorphisms_are_refused_off_the_least_orbit_member():
     assert canon.automorphisms_bits(0, 2) == []
     with pytest.raises(ValueError):
         canon.automorphisms_bits(1 << 2, 2)  # {-e_0}; its least image is {e_0}
+
+
+def _check_span_table(spans, n, child_span):
+    """Every entry of a span table is span + <w>, for a subspace span and
+    a point w off it, and equals child_span(generators of span, w)."""
+    sp = space(n)
+    for span, kids in spans.items():
+        grown, generators = sp.span_members_bits(span)
+        assert grown == span
+        for w, child in kids.items():
+            assert not span >> w & 1
+            assert child == child_span(generators, w), (span, w)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_span_table_entries_are_the_spans_of_the_path(n):
+    # one table for every walk, as a search run shares one across its tests
+    sp = space(n)
+    spans = {}
+
+    @settings(max_examples=30, deadline=None)
+    @given(affine_unions(n), st.integers(0, 2**32))
+    def check(bits, seed):
+        image = canon.random_gl(n, random.Random(seed)).apply_bits(bits)
+        lone = canon._walk(image, n, False)
+        assert canon._walk(image, n, False, spans=spans) == lone
+        for b in (image, lone[0]):
+            got, want = [], []
+            assert (canon.is_lexmin_bits(b, n, got, spans=spans)
+                    == canon.is_lexmin_bits(b, n, want))
+            assert got == want
+        assert len(spans) < canon._SPAN_TABLE_MAX  # never emptied at n <= 4
+        _check_span_table(spans, n, lambda gens, w: sp.span_bits(gens + [w]))
+
+    check()
+
+
+def test_a_full_span_table_is_emptied_and_the_walks_go_on(monkeypatch):
+    monkeypatch.setattr(canon, "_SPAN_TABLE_MAX", 3)
+    rng = random.Random(5)
+    spans = {}
+    for _ in range(20):
+        idxs = rng.sample(range(27), rng.randint(2, 9))
+        bits = TernarySet.from_indices(3, idxs).bits
+        best = oracles.orbit_min([oracles.to_trits(i, 3) for i in idxs], 3)[0]
+        least = TernarySet.from_indices(3, best).bits
+        assert canon._walk(bits, 3, False, spans=spans)[0] == least
+        assert canon.is_lexmin_bits(least, 3, spans=spans)
+        assert len(spans) <= 3
+
+
+def test_walks_in_several_dimensions_interleaved_match_the_oracle():
+    # a span table per dimension, grown across walks at n = 2, 3 and 4 in
+    # turn, with lone walks (which make their own) in between
+    rng = random.Random(24)
+    tables = {2: {}, 3: {}, 4: {}}
+    for _ in range(5):
+        for n in rng.sample([2, 3, 4], 3):
+            spans = tables[n]
+            if n < 4:
+                idxs = rng.sample(range(3**n), rng.randint(1, 3**n // 3))
+                bits = TernarySet.from_indices(n, idxs).bits
+                best, hits = oracles.orbit_min([oracles.to_trits(i, n) for i in idxs], n)
+                least = TernarySet.from_indices(n, best).bits
+                stab = hits
+            else:
+                # a linear subspace: the least of its dimension k is [0, 3^k)
+                trits = [oracles.to_trits(rng.randrange(81), 4) for _ in range(rng.randint(1, 3))]
+                bits = sum(1 << oracles.to_index(v) for v in oracles.span(trits, 4))
+                k = len(oracles.rref(trits, 4))
+                least = (1 << 3**k) - 1
+                stab = gl_order(4) // oracles.gaussian_binomial(4, k)
+            assert canon._walk(bits, n, False, spans=spans)[0] == least
+            assert canon.is_lexmin_bits(bits, n, spans=spans) == (bits == least)
+            assert canon.is_lexmin_bits(least, n, spans=spans)
+            assert canon.canonicalize_bits(bits, n) == (least, stab)
+    for n, spans in tables.items():
+        assert spans
+
+        def oracle_span(gens, w, n=n):
+            vectors = [oracles.to_trits(g, n) for g in gens + [w]]
+            return sum(1 << oracles.to_index(v) for v in oracles.span(vectors, n))
+
+        _check_span_table(spans, n, oracle_span)
+
+
+def test_walks_retain_none_of_their_tables():
+    # each walk that is not handed a span table makes its own and drops it
+    # on return, with its other tables; the translation rows the walks read
+    # are kept by design, so all of them are built first.  A per-space
+    # table kept across these walks would retain about 40 KiB of sparse
+    # entries (a dense row per span far more), and walks left to the cycle
+    # collector about 360 KiB
+    sp = space(6)
+    for w in range(sp.size):
+        sp.add_row(w)
+    rng = random.Random(2006)
+    sets = [sum(1 << p for p in rng.sample(range(sp.size), rng.randint(1, 8)))
+            for _ in range(30)]
+    tracemalloc.start()
+    try:
+        for bits in sets:
+            canon.canonicalize_bits(bits, 6)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 14

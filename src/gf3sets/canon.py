@@ -23,8 +23,37 @@ big-integer ANDs split the candidates into those that make a smaller
 image, those tied with the best, and those cut.  A fixed-mode walk stops
 at the first candidate that makes a smaller image; a minimizing walk
 splits again whenever its best changes.  In fixed mode the best is A
-itself, along the identity path, for the whole walk, so it is read once
-and a node never compares its prefix with it.
+itself, along the identity path, for the whole walk, so a node never
+compares its prefix with it, and what a split reads depends only on its
+level: the walk lists, per level on first use, the points r it reads,
+each with the bit of A it is compared with.
+
+A fixed-mode split of a sum-free set reads few of its points.  Lemma:
+let A be sum-free, let a split run on a path h whose image ties the best
+B on [0, L), L = 3^j (every split does: the root's trivially, a child's
+by its parent's look-ahead), and let B hold position L.  Then the reads
+at r = 0 and at r in B, in either half, and at r in -B, in the plus
+half, change nothing.  Proof: B = A, and the candidates w lie in A.  A
+sum-free set misses A + A, A - A (a - b = c puts a in A + A) and -A (a
+and -a in A put -a = a + a in A + A).  For r in B, h(r) is in A by the
+tie, so h(r) + w is in A + A and h(r) - w in A - A; B's points r + e_j
+and r - e_j lie in the same sets, as e_j (index L) is in B.  So neither
+B nor any candidate holds position L + r or 2L + r.  For -r in B, h(r) =
+-h(-r) as h is linear, so h(r) + w and r + e_j lie in A - A, and neither
+side holds L + r.  At r = 0, h(0) = 0: every candidate holds L (it is w)
+as B does, and neither holds 2L (-w and -e_j are in -A).  A read where B
+and every candidate agree neither drops a candidate nor finds a smaller
+one.  Without position L in B the lemma fails: at r = 0 every candidate
+holds L and B does not, which is how the root split rejects {-e_0}
+(index 2) at n = 2.  So the lists of a sum-free set leave those points
+out; a set that is not sum-free, or a level whose L is not in B, reads
+every point.  Sum-freeness costs one AND per member with complete tables
+(plus[a] & A over a in A) and one sumset without.
+
+A minimizing walk does not use the lemma.  Its lists would depend on its
+best, which changes during the walk, and rebuilding them at each change
+made the 185 canonicalizations of _orbit_reps(4) about 45% slower in a
+prototype (2-CPU x86-64 VM, Python 3.11).
 
 A path h is a tuple.  The child's path for w_j is h followed by the
 images h(r) + w_j and then h(r) - w_j, read off the translation rows of
@@ -211,9 +240,10 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
     Returns (best, autos): the least image, and the automorphisms of bits
     recorded on the way as index permutations of the space (each moves only
     points of the span of bits), after the known ones it was given.  In
-    fixed mode the best path is the identity, and _Smaller is raised as
-    soon as any strictly smaller image is certain.  tables, when given, are
-    the walk tables (plus, minus) complete.  spans, when given, is a span
+    fixed mode the best path is the identity, _Smaller is raised as soon
+    as any strictly smaller image is certain, and a split of a sum-free
+    set reads only the points the lemma leaves open.  tables, when given,
+    are the walk tables (plus, minus) complete.  spans, when given, is a span
     table of dimension n to read and grow; without it the walk makes its
     own.  Raises ValueError above MAX_WALK_DIM, before building anything.
     """
@@ -235,7 +265,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
         plus, minus, neg_bits = [None] * size, [None] * size, sp.neg_set_bits(bits)
     else:
         (plus, minus), neg_bits = tables, None
-    tables = ((plus, bits, neg), (minus, neg_bits, range(size)))
+    halves = ((plus, bits, neg), (minus, neg_bits, range(size)))
     if spans is None:
         spans = {}
     # the least image so far and its path; in fixed mode bits itself, along
@@ -261,28 +291,75 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
         autos.append(a)
         return k
 
-    def split(hmap: tuple, want: int, cands: int) -> tuple[int, int]:
-        """(smaller, tied): the candidates whose new block beats, or
-        equals, the block want, compared least index first; the rest lose.
-        In fixed mode raises _Smaller at the first candidate that beats it,
-        so smaller is always 0 there."""
-        smaller = 0
-        for table, source, shift in tables:
-            for x in hmap:
-                t = table[x]
-                if t is None:
-                    t = table[x] = translate(source, shift[x])
-                if want & 1:
-                    cands &= t
-                elif cands & t:
-                    if fixed:
+    if fixed:
+        # whether bits is sum-free, for the lemma of the module docstring
+        if tables is None:
+            sum_free = not sp.sumset_bits(bits, bits) & bits
+        else:
+            sum_free = not any(plus[a] & bits for a in iter_bits(bits))
+        levels = {}  # block -> what a split on a path of block points reads
+
+        def reads(block: int) -> list:
+            """Per half, its table with how to fill it, and the points a
+            split on a path of block points reads in turn, each as the code
+            2r + bit: the path's point r, and the bit of bits at block + r
+            in the plus half and at 2 * block + r in the minus half.  Made
+            on first use in a walk; the lemma drops the points whose answer
+            is known."""
+            if sum_free and bits >> block & 1:
+                kept = [r for r in range(1, block) if not bits >> r & 1]
+                points = ([r for r in kept if not bits >> neg[r] & 1], kept)
+            else:
+                points = (range(block), range(block))
+            # codes, not (r, bit) tuples, and a list, not tuple() of a
+            # generator (built large and shrunk): the 2-tuple free list
+            # keeps what a walk frees, about 0.1 MB more peak resident size
+            # over the dim-4 search
+            got = levels[block] = [
+                (table, source, shift, [r << 1 | bits >> offset + r & 1 for r in rs])
+                for (table, source, shift), offset, rs
+                in zip(halves, (block, 2 * block), points)]
+            return got
+
+        def split(hmap: tuple, cands: int) -> tuple[int, int]:
+            """(0, tied): the candidates whose new block equals that of
+            bits; raises _Smaller at the first, least index first, that
+            beats it."""
+            block = len(hmap)
+            for table, source, shift, codes in levels.get(block) or reads(block):
+                for c in codes:
+                    x = hmap[c >> 1]
+                    t = table[x]
+                    if t is None:
+                        t = table[x] = translate(source, shift[x])
+                    if c & 1:
+                        cands &= t
+                        if not cands:
+                            return 0, 0
+                    elif cands & t:
                         raise _Smaller
-                    smaller |= cands & t
-                    cands &= ~t
-                if not cands:
-                    return smaller, 0
-                want >>= 1
-        return smaller, cands
+            return 0, cands
+    else:
+        def split(hmap: tuple, cands: int) -> tuple[int, int]:
+            """(smaller, tied): the candidates whose new block beats, or
+            equals, that of the best, compared least index first; the rest
+            lose."""
+            want = best >> len(hmap)
+            smaller = 0
+            for table, source, shift in halves:
+                for x in hmap:
+                    t = table[x]
+                    if t is None:
+                        t = table[x] = translate(source, shift[x])
+                    if want & 1:
+                        cands &= t
+                    elif cands & t:
+                        smaller |= cands & t
+                        cands &= ~t
+                    if not cands:
+                        return smaller, 0
+                    want >>= 1
+            return smaller, cands
 
     def rec(j: int, hmap: tuple, span: int, prefix: int, gens: list,
             smaller: int, tied: int):
@@ -313,7 +390,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
                 if c < 0:
                     smaller, tied = rest, 0
                 else:
-                    smaller, tied = split(hmap, best >> block, rest)
+                    smaller, tied = split(hmap, rest)
             live = (smaller | tied) & rest
             if not live:
                 return None
@@ -352,8 +429,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
                 if smaller & bit:
                     child_smaller, child_tied = child_rest, 0
                 else:
-                    child_smaller, child_tied = split(child, best >> 3 * block,
-                                                      child_rest)
+                    child_smaller, child_tied = split(child, child_rest)
                     if not child_smaller | child_tied:
                         continue
                 back = rec(j + 1, child, new_span, t,
@@ -365,7 +441,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
     rest = bits & ~1
     try:
         if fixed:
-            smaller, tied = split((0,), best >> 1, rest)
+            smaller, tied = split((0,), rest)
         else:
             smaller, tied = rest, 0
         if smaller | tied:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from gf3sets import TernarySet, canonical_form, gl_order, stabilizer_order
-from gf3sets import canon
+from gf3sets import canon, search
 from gf3sets import subspaces as sub
 from gf3sets.space import decode, iter_bits, orbit_bits, space
 
@@ -406,3 +406,48 @@ def test_walks_retain_none_of_their_tables():
     finally:
         tracemalloc.stop()
     assert retained < 1 << 14
+
+
+@st.composite
+def lemma_sets(draw, n):
+    """The sets a fixed-mode split treats apart: greedy sum-free sets (cut
+    at a drawn size), random linear images of them, many of which lack
+    index 1 or 3 and so a position the lemma asks for, and arbitrary
+    bitsets, most of them not sum-free."""
+    kind = draw(st.sampled_from(("greedy", "image", "any")))
+    if kind == "any":
+        return draw(st.integers(0, (1 << 3**n) - 1))
+    cap = draw(st.integers(1, 3**n))
+    members = []
+    for i in draw(st.permutations(range(1, 3**n))):
+        if len(members) < cap and oracles.is_sum_free(
+                [oracles.to_trits(j, n) for j in members + [i]]):
+            members.append(i)
+    bits = sum(1 << i for i in members)
+    if kind == "image":
+        bits = canon.random_gl(n, random.Random(draw(st.integers(0, 2**32)))).apply_bits(bits)
+    return bits
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_fixed_mode_walks_of_sum_free_sets_match_the_oracle(n):
+    # the fixed-mode split reads only the points the lemma leaves open for a
+    # sum-free set that holds the position it asks for; every other set, and
+    # every minimizing walk, reads them all
+    sp = space(n)
+
+    @settings(max_examples=150 if n == 2 else 60, deadline=None)
+    @given(lemma_sets(n))
+    def check(bits):
+        best, hits = oracles.orbit_min([oracles.to_trits(i, n) for i in iter_bits(bits)], n)
+        least = sum(1 << i for i in best)
+        # complete tables as a search node holds them, and none
+        complete = search._replay(sp, bits, False)[5]
+        for tables in (None, complete):
+            autos = []
+            assert canon.is_lexmin_bits(bits, n, autos, tables) == (bits == least)
+            for a in autos:
+                assert sum(1 << a[x] for x in iter_bits(bits)) == bits
+        assert canon.canonicalize_bits(bits, n) == (least, hits)
+
+    check()

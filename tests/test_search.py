@@ -1,6 +1,7 @@
 """Exhaustive search engine, verification driver, constructions, propositions."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import random
@@ -159,6 +160,27 @@ def test_search_nodes_carry_their_walk_tables(n, min_size, limit, reduced):
     if limit is None:
         limit = enumerate_maximal_sumfree(n, min_size, up_to_iso=reduced).node_count
     assert visited == limit
+
+
+def test_dim4_lexmin_verdicts_are_pinned(monkeypatch):
+    """The dim-4 search asks its lexmin tests in a fixed order, and a faster
+    walk must answer each the same: the digest of the (set, verdict)
+    sequence was taken before the fixed-mode split read fewer points."""
+    log = []
+    lexmin = canon.is_lexmin_bits
+
+    def logged(bits, n, *args):
+        verdict = lexmin(bits, n, *args)
+        log.append((bits, verdict))
+        return verdict
+
+    monkeypatch.setattr(canon, "is_lexmin_bits", logged)
+    assert enumerate_maximal_sumfree(4, 14).node_count == 1488
+    assert len(log) == 2648
+    assert sum(verdict for _, verdict in log) == 1537
+    text = "".join(f"{bits:x} {int(verdict)}\n" for bits, verdict in log)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "a36252bc599ab41bd638cd2d6a18bc75d7503f7251fdb48c3e58cf272c6084c3")
 
 
 def test_known_census_dim3():

@@ -20,13 +20,15 @@ from the empty tables of the empty set down, and gets a child's tables
 from its parent's with one bit per entry, since (A | {v}) - x =
 (A - x) | {v - x}.  Reading the best's new block bit by bit, a few
 big-integer ANDs split the candidates into those that make a smaller
-image, those tied with the best, and those cut.  A fixed-mode walk stops
-at the first candidate that makes a smaller image; a minimizing walk
-splits again whenever its best changes.  In fixed mode the best is A
-itself, along the identity path, for the whole walk, so a node never
-compares its prefix with it, and what a split reads depends only on its
-level: the walk lists, per level on first use, the points r it reads,
-each with the bit of A it is compared with.
+image, those tied with the best, and those cut.  A node visits them in
+one pass, least first.  A fixed-mode walk stops at the first candidate
+that makes a smaller image.  A minimizing walk splits the candidates it
+has not visited again when a child returns with a new best; that best
+came from a leaf below the node, so it still ties the node's prefix.  In
+fixed mode the best is A itself, along the identity path, for the whole
+walk, so a node never compares its prefix with it, and what a split reads
+depends only on its level: the walk lists, per level on first use, the
+points r it reads, each with the bit of A it is compared with.
 
 A fixed-mode split of a sum-free set reads few of its points.  Lemma:
 let A be sum-free, let a split run on a path h whose image ties the best
@@ -47,8 +49,22 @@ one.  Without position L in B the lemma fails: at r = 0 every candidate
 holds L and B does not, which is how the root split rejects {-e_0}
 (index 2) at n = 2.  So the lists of a sum-free set leave those points
 out; a set that is not sum-free, or a level whose L is not in B, reads
-every point.  Sum-freeness costs one AND per member with complete tables
-(plus[a] & A over a in A) and one sumset without.
+every point.  Sum-freeness costs one AND per member, plus[a] & A over a
+in A, up to the first that meets A (a walk without complete tables fills
+those entries first).
+
+A level's lists depend only on the points of A below 3L, L = 3^j, and on
+whether A is sum-free.  The lemma asks about L and about r and -r for r
+below L (negation maps [0, L) onto itself, trit by trit), and the bits of
+A compared are those at L + r and 2L + r, below 3L.  So a search run
+shares the lists across its tests in a read table, keyed by (L, A & [0,
+3L), sum-freeness), as it shares a span table (below); a walk given none
+makes its own and drops it.  A read table is emptied like a span table.
+The lists of a level whose key holds all of A are not kept: they serve no
+other set of the run.  That level completes the span of a set least in
+its orbit.  A dim-4 search (min size 14) meets 2,393 keys, 2,377 of them
+such; its other 16 keys serve about 7,900 lookups, and keeping the rest
+too raised its peak traced memory by about 135 KB.
 
 A minimizing walk does not use the lemma.  Its lists would depend on its
 best, which changes during the walk, and rebuilding them at each change
@@ -234,7 +250,8 @@ class _Smaller(Exception):
     pass
 
 
-def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
+def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
+          reads=None):
     """Minimize bits over GL(n,3), or (fixed) test bits against itself.
 
     Returns (best, autos): the least image, and the automorphisms of bits
@@ -244,8 +261,9 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
     as any strictly smaller image is certain, and a split of a sum-free
     set reads only the points the lemma leaves open.  tables, when given,
     are the walk tables (plus, minus) complete.  spans, when given, is a span
-    table of dimension n to read and grow; without it the walk makes its
-    own.  Raises ValueError above MAX_WALK_DIM, before building anything.
+    table of dimension n to read and grow, and reads, in fixed mode, a read
+    table; without them the walk makes its own.  Raises ValueError above
+    MAX_WALK_DIM, before building anything.
     """
     if n > MAX_WALK_DIM:
         raise ValueError(f"canonical forms need n <= {MAX_WALK_DIM}, got n = {n}")
@@ -292,33 +310,46 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
         return k
 
     if fixed:
-        # whether bits is sum-free, for the lemma of the module docstring
-        if tables is None:
-            sum_free = not sp.sumset_bits(bits, bits) & bits
-        else:
-            sum_free = not any(plus[a] & bits for a in iter_bits(bits))
+        # whether bits is sum-free, for the lemma of the module docstring:
+        # whether plus[a] = bits - a misses bits for every member a
+        sum_free = True
+        for a in iter_bits(bits):
+            t = plus[a]
+            if t is None:
+                t = plus[a] = translate(bits, neg[a])
+            if t & bits:
+                sum_free = False
+                break
         levels = {}  # block -> what a split on a path of block points reads
+        if reads is None:
+            reads = {}
 
-        def reads(block: int) -> list:
+        def level(block: int) -> list:
             """Per half, its table with how to fill it, and the points a
             split on a path of block points reads in turn, each as the code
             2r + bit: the path's point r, and the bit of bits at block + r
-            in the plus half and at 2 * block + r in the minus half.  Made
-            on first use in a walk; the lemma drops the points whose answer
-            is known."""
-            if sum_free and bits >> block & 1:
-                kept = [r for r in range(1, block) if not bits >> r & 1]
-                points = ([r for r in kept if not bits >> neg[r] & 1], kept)
-            else:
-                points = (range(block), range(block))
-            # codes, not (r, bit) tuples, and a list, not tuple() of a
-            # generator (built large and shrunk): the 2-tuple free list
-            # keeps what a walk frees, about 0.1 MB more peak resident size
-            # over the dim-4 search
-            got = levels[block] = [
-                (table, source, shift, [r << 1 | bits >> offset + r & 1 for r in rs])
-                for (table, source, shift), offset, rs
-                in zip(halves, (block, 2 * block), points)]
+            in the plus half and at 2 * block + r in the minus half.  The
+            lemma drops the points whose answer is known.  Made on first
+            use in a walk, from the read table when it holds them."""
+            key = (block, bits & (1 << 3 * block) - 1, sum_free)
+            codes = reads.get(key)
+            if codes is None:
+                if sum_free and bits >> block & 1:
+                    kept = [r for r in range(1, block) if not bits >> r & 1]
+                    points = ([r for r in kept if not bits >> neg[r] & 1], kept)
+                else:
+                    points = (range(block), range(block))
+                # codes, not (r, bit) tuples, and a list, not tuple() of a
+                # generator (built large and shrunk): the 2-tuple free list
+                # keeps what a walk frees, about 0.1 MB more peak resident
+                # size over the dim-4 search
+                codes = [[r << 1 | bits >> offset + r & 1 for r in rs]
+                         for offset, rs in zip((block, 2 * block), points)]
+                if bits >> 3 * block:  # a key holding all of bits serves no other set
+                    if len(reads) >= _SPAN_TABLE_MAX:
+                        reads.clear()
+                    reads[key] = codes
+            got = levels[block] = [half + (c,) for half, c in zip(halves, codes)]
             return got
 
         def split(hmap: tuple, cands: int) -> tuple[int, int]:
@@ -326,7 +357,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
             bits; raises _Smaller at the first, least index first, that
             beats it."""
             block = len(hmap)
-            for table, source, shift, codes in levels.get(block) or reads(block):
+            for table, source, shift, codes in levels.get(block) or level(block):
                 for c in codes:
                     x = hmap[c >> 1]
                     t = table[x]
@@ -371,7 +402,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
         seen = len(autos)  # the recorded autos in gens so far
         searched = 0  # the candidates searched so far
         skip = 0  # their orbits under gens
-        rest = bits & ~span  # the candidates not yet visited
+        todo = smaller | tied  # the candidates left to visit, least first
         split_best = best  # the best that smaller and tied were split against
         kids = spans.get(span)  # w -> span + <w>, shared by every node on span
         if kids is None:
@@ -381,21 +412,9 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
         # the path's images of x + w and x - w for the x of the block, read
         # off the rows of w and -w; a one-index getter returns a scalar
         get = itemgetter(*hmap) if block > 1 else lambda row: (row[0],)
-        while True:
-            if not fixed and best != split_best:
-                split_best = best
-                c = _compare(prefix, best & ((1 << block) - 1))
-                if c > 0:
-                    return None
-                if c < 0:
-                    smaller, tied = rest, 0
-                else:
-                    smaller, tied = split(hmap, rest)
-            live = (smaller | tied) & rest
-            if not live:
-                return None
-            bit = live & -live
-            rest &= -(bit << 1)
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
             if len(autos) > seen:
                 # recorded below this node, so they fix its path (see the
                 # module docstring)
@@ -437,6 +456,14 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None):
                            child_smaller, child_tied)
             if back is not None and back < j:
                 return back
+            if best != split_best:
+                # a leaf below beat the best, which only a minimizing walk
+                # changes; the new best ties this node's prefix, so the
+                # candidates not yet visited are split against it
+                split_best = best
+                smaller, tied = split(hmap, bits & ~span & -(bit << 1))
+                todo = smaller | tied
+        return None
 
     rest = bits & ~1
     try:
@@ -485,7 +512,8 @@ def canonical_form_bits(bits: int, n: int) -> int:
 
 
 def is_lexmin_bits(bits: int, n: int, autos: list | None = None,
-                   tables: tuple | None = None, spans: dict | None = None) -> bool:
+                   tables: tuple | None = None, spans: dict | None = None,
+                   reads: dict | None = None) -> bool:
     """Whether bits is least in its orbit.
 
     autos, when given, may already hold automorphisms of bits, in the form
@@ -493,11 +521,12 @@ def is_lexmin_bits(bits: int, n: int, autos: list | None = None,
     On acceptance the automorphisms the walk recorded are appended to it.
     tables, when given, are the walk tables of bits complete: plus[x] =
     bits - x and minus[x] = x - bits for every index x (see the module
-    docstring).  spans, when given, is a span table of dimension n that the
-    walk reads and grows, shared by the tests of one search run."""
+    docstring).  spans, when given, is a span table of dimension n, and
+    reads a read table, that the walk reads and grows, each shared by the
+    tests of one search run."""
     known = autos or ()
     try:
-        found = _walk(bits, n, True, known, tables, spans)[1]
+        found = _walk(bits, n, True, known, tables, spans, reads)[1]
     except _Smaller:
         return False
     if autos is not None:

@@ -23,12 +23,15 @@ The lexmin test of a child starts from what its parent knows.  A node
 also carries the walk tables of S (see canon): plus[x] = S - x and
 minus[x] = x - S for every index x.  They start empty at the empty set and
 are passed down: the child S | {v} adds the one point v - x to plus[x] and
-x - v to minus[x], read off two translation rows.  A child v inside the
-span of S starts its walk with the recorded automorphisms of S that fix v;
-they fix S | {v} and are linear on its span, so they are automorphisms of
-the child (canon says why pruning with them is sound).  The child's
-recorded list keeps them.  The lexmin tests of one frontier, and those of
-one task, share one span table (see canon).
+x - v to minus[x], one OR per entry with the point rows of v.  These are
+the one-point sets {v - x} and {x - v} over x, kept by the space, and
+every row references one shared list of the ints 1 << i, so a row holds
+no ints of its own.  A child v inside the span of S starts its walk with
+the recorded automorphisms of S that fix v; they fix S | {v} and are
+linear on its span, so they are automorphisms of the child (canon says
+why pruning with them is sound).  The child's recorded list keeps them.
+The lexmin tests of one frontier, and those of one task, share one span
+table and one read table (see canon).
 
 Blocked elements are maintained incrementally and read off the same
 tables: adding v to S extends the forbidden region by v + S', v - S' and
@@ -63,6 +66,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from operator import or_
 from typing import Optional
 
 from . import canon, core, primitive, subspaces
@@ -141,35 +145,34 @@ def _span_end(sbits: int) -> int:
 
 
 def _child(sp: _sp.Space, node: tuple, v: int, reduced: bool,
-           spans: Optional[dict] = None) -> Optional[tuple]:
+           run: tuple = ()) -> Optional[tuple]:
     """The search node of S | {v} from the node of S, or None when the
     search is reduced and S | {v} is not least in its orbit.  Its walk
     tables are those of S with the one point v - x or x - v added to each
     entry, and its cover grows by the sets that they hold (see the module
-    docstring).  spans is the run's span table for the lexmin test (see
-    canon); without it the test makes its own."""
+    docstring).  run is the run's span table and read table for the lexmin
+    test (see canon); without them the test makes its own."""
     sbits, size, _, cover, autos, (plus, minus) = node
     bits = sbits | 1 << v
-    row, neg = sp.add_row(v), sp.neg
-    plus = [p | 1 << row[y] for p, y in zip(plus, neg)]
-    minus = [q | 1 << d for q, d in zip(minus, sp.add_row(neg[v]))]
+    one_plus, one_minus = sp.point_rows(v)
+    plus = list(map(or_, plus, one_plus))
+    minus = list(map(or_, minus, one_minus))
     if reduced:
         autos = [a for a in autos if a[v] == v] if v < _span_end(sbits) else []
         # on acceptance the walk appends what it recorded to autos
-        if not canon.is_lexmin_bits(bits, sp.n, autos, (plus, minus), spans):
+        if not canon.is_lexmin_bits(bits, sp.n, autos, (plus, minus), *run):
             return None
-    cover |= plus[neg[v]] | minus[v] | plus[v] | 1 << v
+    cover |= plus[sp.neg[v]] | minus[v] | plus[v] | 1 << v
     return bits, size + 1, v, cover, autos, (plus, minus)
 
 
-def _replay(sp: _sp.Space, bits: int, reduced: bool,
-            spans: Optional[dict] = None) -> tuple:
+def _replay(sp: _sp.Space, bits: int, reduced: bool, run: tuple = ()) -> tuple:
     """The search node of a set the search reaches, rebuilt by adding its
     members to the empty set in increasing order (see the module
     docstring)."""
     node = _root(sp, reduced)
     for v in iter_bits(bits):
-        node = _child(sp, node, v, reduced, spans)
+        node = _child(sp, node, v, reduced, run)
     return node
 
 
@@ -192,10 +195,10 @@ def _prune_by_symmetry(sbits: int, free: int, autos: list) -> int:
 
 
 def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
-            found: dict, spans: Optional[dict] = None) -> list:
+            found: dict, run: tuple = ()) -> list:
     """Visit one node: record it in found when it is maximal and large
-    enough, and return the children that remain to be searched.  spans is
-    the run's span table, as for _child."""
+    enough, and return the children that remain to be searched.  run is
+    as for _child."""
     sbits, size, maxv, cover, autos, _ = node
     full = sp.full_bits
     if cover == full:
@@ -211,7 +214,7 @@ def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
             return []
     if reduced:
         free_above = _prune_by_symmetry(sbits, free_above, autos)
-    children = (_child(sp, node, v, reduced, spans) for v in iter_bits(free_above))
+    children = (_child(sp, node, v, reduced, run) for v in iter_bits(free_above))
     return [child for child in children if child is not None]
 
 
@@ -226,13 +229,13 @@ def _expand_frontier(n: int, min_size: int, reduced: bool, jobs: int):
     """
     sp = _sp.space(n)
     found: dict = {}
-    spans: dict = {}
+    run = ({}, {})
     layer = [_root(sp, reduced)]
     nodes = 0
     while len(layer) < 8 * jobs:
         nxt = []
         for node in layer:
-            nxt += _expand(sp, min_size, reduced, node, found, spans)
+            nxt += _expand(sp, min_size, reduced, node, found, run)
         nodes += len(layer)
         narrower = len(nxt) < len(layer)
         layer = nxt
@@ -244,16 +247,16 @@ def _expand_frontier(n: int, min_size: int, reduced: bool, jobs: int):
 def _run_task(args) -> tuple:
     """DFS below one pending root, its node rebuilt by replay; returns the
     maximal sets found and the nodes visited.  Its lexmin tests share one
-    span table."""
+    span table and one read table."""
     n, min_size, reduced, start_bits = args
     sp = _sp.space(n)
-    spans: dict = {}
-    stack = [_replay(sp, start_bits, reduced, spans)]
+    run = ({}, {})
+    stack = [_replay(sp, start_bits, reduced, run)]
     found: dict = {}
     nodes = 0
     while stack:
         nodes += 1
-        stack += _expand(sp, min_size, reduced, stack.pop(), found, spans)
+        stack += _expand(sp, min_size, reduced, stack.pop(), found, run)
     return sorted(found), nodes
 
 

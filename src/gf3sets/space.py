@@ -31,7 +31,9 @@ Scalar addition reads rows of the translations x -> x + v, each built on
 first use.  Rows are kept only up to MAX_WALK_DIM, where the orbit walk of
 canon reads them over and over; above it a kept row per right operand
 would hold 3^n entries for the life of the process, so each call builds
-its row afresh.
+its row afresh.  The search, at n <= 4, also reads point rows: the
+one-point sets {v - x} and {x - v} over the indices x, which reference one
+list of the ints 1 << i and are kept once built.
 """
 
 from __future__ import annotations
@@ -63,7 +65,11 @@ def orbit_bits(points: int, perms: list[list[int]]) -> int:
     """The union of the orbits of the points of a bitset under the group
     generated by perms, index permutations of the space."""
     out = points
-    todo = list(iter_bits(points))
+    todo = []
+    while points:
+        low = points & -points
+        todo.append(low.bit_length() - 1)
+        points ^= low
     while todo:
         x = todo.pop()
         for a in perms:
@@ -158,6 +164,10 @@ class Space:
         self.neg = neg
         self.moves = moves
         self._rows: dict[int, list[int]] = {}
+        self._point_rows: dict[int, tuple] = {}
+        # set here, not by a cached_property: writing an instance's
+        # __dict__ makes every attribute read of it slower in CPython 3.11
+        self._ones: list[int] | None = None
 
     # -- scalar index arithmetic ------------------------------------------
 
@@ -173,6 +183,19 @@ class Space:
             if self.n <= MAX_WALK_DIM:
                 self._rows[v] = row
         return row
+
+    def point_rows(self, v: int) -> tuple[list[int], list[int]]:
+        """The one-point sets {v - x} and {x - v} as lists over the indices
+        x, both read off the row of -v; kept once built, and every row
+        references the one list of the ints 1 << i."""
+        got = self._point_rows.get(v)
+        if got is None:
+            ones, neg = self._ones, self.neg
+            if ones is None:
+                ones = self._ones = [1 << i for i in range(self.size)]
+            row = self.add_row(neg[v])
+            got = self._point_rows[v] = ([ones[neg[d]] for d in row], [ones[d] for d in row])
+        return got
 
     def add(self, i: int, j: int) -> int:
         return self.add_row(j)[i]

@@ -5,6 +5,7 @@ import hashlib
 import json
 import os
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+import gf3sets.space
 from gf3sets import (
     TernarySet,
     check_proposition,
@@ -160,6 +162,19 @@ def test_search_nodes_carry_their_walk_tables(n, min_size, limit, reduced):
     if limit is None:
         limit = enumerate_maximal_sumfree(n, min_size, up_to_iso=reduced).node_count
     assert visited == limit
+
+
+def test_a_search_run_retains_only_what_the_space_keeps():
+    # a run's span and read tables and its nodes' tables go when it returns;
+    # the translation rows and point rows are kept by the space by design
+    tracemalloc.start()
+    try:
+        enumerate_maximal_sumfree(4, 14)
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    rest = snapshot.filter_traces([tracemalloc.Filter(False, gf3sets.space.__file__)])
+    assert sum(stat.size for stat in rest.statistics("filename")) < 1 << 14
 
 
 def test_dim4_lexmin_verdicts_are_pinned(monkeypatch):

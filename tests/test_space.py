@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 import gf3sets
-from gf3sets import core, space
+from gf3sets import canon, core, space
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -300,6 +300,38 @@ def test_rows_are_not_kept_above_the_walk_cap():
     assert retained < 1 << 20
     small = space.Space(space.MAX_WALK_DIM)
     assert small.add_row(5) is small.add_row(5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_point_rows_are_the_one_point_sets(n):
+    sp = space.space(n)
+    for v in range(sp.size):
+        plus, minus = sp.point_rows(v)
+        u = oracles.to_trits(v, n)
+        for x in range(sp.size):
+            y = oracles.to_trits(x, n)
+            assert plus[x] == 1 << oracles.to_index(oracles.sub(u, y))
+            assert minus[x] == 1 << oracles.to_index(oracles.sub(y, u))
+        # every row references one int per one-point set, and is kept
+        assert {id(b) for b in plus + minus} <= {id(b) for b in sp.point_rows(0)[1]}
+        assert sp.point_rows(v)[0] is plus
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    st.just(n), st.sets(st.integers(0, 3**n - 1), max_size=4),
+    st.integers(0, 3), st.integers(0, 2**32))))
+def test_orbit_bits_is_the_closure_under_the_permutations(case):
+    n, points, k, seed = case
+    rng = random.Random(seed)
+    perms = [canon.random_gl(n, rng).perm for _ in range(k)]
+    orbit = set(points)
+    while True:
+        more = {a[x] for a in perms for x in orbit} - orbit
+        if not more:
+            break
+        orbit |= more
+    assert space.orbit_bits(sum(1 << x for x in points), perms) == sum(1 << x for x in orbit)
 
 
 def test_no_numpy_in_a_fresh_interpreter():

@@ -16,15 +16,19 @@ sets always receive equal certificates.
 
 The full listing below dimension 4 and the stream over one fixed
 hyperplane are also kept as membership columns (space.member_columns),
-which answer the superset query and the backward check of
-verify_main_theorem in a few dozen big-integer ANDs.  The stream is stored
-only as its block table, whose product structure gives its columns.
+which answer the backward check of verify_main_theorem in a few dozen
+big-integer ANDs, and below dimension 4 the superset query.  The stream is
+stored only as its block table, whose product structure gives its columns.
+At dimension 4 the superset query reads that block table directly, through
+one linear map per origin-avoiding hyperplane, and never builds the
+columns.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -33,7 +37,6 @@ from . import space as _sp
 from .core import (
     TernarySet,
     _sum_free_and_maximal,
-    blocked_cover_bits,
     is_sum_free,
     sym_group_bits,
 )
@@ -301,24 +304,28 @@ def _block_bits(pairs: list, cands: list) -> list:
 
 
 def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> list:
-    """Bitsets eligible as the X part over (h, u), in ambient coordinates."""
-    n = u.dim_ambient
-    du = u.direction().members_bits
-    nu = u.neg()
-    nub = nu.members_bits
-    codim_one = h.dim - u.dim < 2
+    """Bitsets eligible as the X part over (h, u), in ambient coordinates.
+
+    The clauses are tested in the chart of cu, a linear isomorphism onto
+    it that keeps affine hulls, so only the sets that pass are mapped out.
+    """
+    k = cu.dim
     chart = [subspaces.chart_decode(cu, i) for i in range(cu.size)]
+    direction, mirror = u.direction().members_bits, u.neg().members_bits
+    du = nub = 0  # the two in chart coordinates
+    for i, p in enumerate(chart):
+        du |= (direction >> p & 1) << i
+        nub |= (mirror >> p & 1) << i
+    codim_one = h.dim - u.dim < 2
     out = []
-    for cb in _all_primitive_bits(cu.dim):
+    for cb in _all_primitive_bits(k):
+        if cb & du or codim_one and cb == nub:
+            continue
+        if subspaces.affine_hull_bits(cb & nub, k).members_bits != nub:
+            continue
         xb = 0
         for ci in iter_bits(cb):
             xb |= 1 << chart[ci]
-        if xb & du:
-            continue
-        if codim_one and xb == nub:
-            continue
-        if subspaces.affine_hull_bits(xb & nub, n) != nu:
-            continue
         out.append(xb)
     return sorted(out, key=_set_key)
 
@@ -330,17 +337,25 @@ def iter_primitive_fixed_hyperplane(n: int):
     For a fixed hyperplane the decomposition is unique, so there are no
     repeats.  Together with transitivity of the linear group on these
     hyperplanes, the stream covers all primitive sets up to isomorphism.
-    Its order is pinned: block by block of _fixed_hyperplane_family, whose
-    block table is the only stored form of the stream.
+    Its order is pinned: block by block of _fixed_hyperplane_blocks, the
+    only stored form of the stream.
     """
-    for pairs, cands in _fixed_hyperplane_family(n)[0]:
+    for pairs, cands in _fixed_hyperplane_blocks(n):
         yield from _block_bits(pairs, cands)
 
 
 @functools.lru_cache(maxsize=None)
+def _fixed_hyperplane_blocks(n: int) -> tuple:
+    """The block table (_primitive_blocks) of the first canonical
+    origin-avoiding hyperplane, {x_0 = 1}: the one stored form of the
+    stream, read by its columns and by the dimension-4 superset query."""
+    return tuple(_primitive_blocks(subspaces.enumerate_hyperplanes(n, avoid_origin=True)[0]))
+
+
+@functools.lru_cache(maxsize=None)
 def _fixed_hyperplane_family(n: int) -> tuple:
-    """(blocks, columns, sizes) of the fixed-hyperplane stream: its block
-    table (_primitive_blocks), the member columns of its sets
+    """(columns, sizes) of the fixed-hyperplane stream, built from its
+    block table (_fixed_hyperplane_blocks): the member columns of its sets
     (space.member_columns) and the lane mask of each set size.
 
     Lane 0 is H.  A block is 2^P halves times Q candidates, lane j * Q + k
@@ -351,12 +366,10 @@ def _fixed_hyperplane_family(n: int) -> tuple:
     block's |W|), repeat 2^P times by one multiplication.  About 2.4 MB of
     columns at n = 4.
     """
-    h = subspaces.enumerate_hyperplanes(n, avoid_origin=True)[0]
-    blocks = tuple(_primitive_blocks(h))
     columns = [0] * 3**n
     sizes: dict = {}
     offset = 0
-    for pairs, cands in blocks:
+    for pairs, cands in _fixed_hyperplane_blocks(n):
         q = len(cands)
         width = q << len(pairs)
         lanes = ((1 << width) - 1) << offset
@@ -374,7 +387,7 @@ def _fixed_hyperplane_family(n: int) -> tuple:
         for s, col in _lanes_by_size(cands).items():
             sizes[half_size + s] = sizes.get(half_size + s, 0) | col * every
         offset += width
-    return blocks, tuple(columns), sizes
+    return tuple(columns), sizes
 
 
 def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:
@@ -428,7 +441,7 @@ def _orbit_reps(n: int) -> frozenset:
     234,289 sets at n = 4; only a new form is walked again for its
     stabilizer.  A size not accounted for exactly raises RuntimeError.
     """
-    left = {s: mask.bit_count() for s, mask in _fixed_hyperplane_family(n)[2].items()}
+    left = {s: mask.bit_count() for s, mask in _fixed_hyperplane_family(n)[1].items()}
     order = canon.gl_order(n)
     reps = set()
     for b in iter_primitive_fixed_hyperplane(n):
@@ -464,6 +477,18 @@ def _primitive_superset(a: TernarySet) -> Optional[int]:
     Below dimension 4 it is the first of _all_primitive_bits(n) that holds
     a: the lowest lane of the AND of the columns of a's members, all lanes
     for the empty set.
+
+    At dimension 4 it scans the fixed-hyperplane block table once per
+    origin-avoiding hyperplane h with a inside h | -h, in the order of
+    subspaces.hyperplanes_covering, through a linear map g with g(h) = H,
+    the table's hyperplane.  The answer is g^-1 of the lowest set of H's
+    stream holding g(a), over the first h that has one: the lowest lane of
+    the AND of g(a)'s columns in _fixed_hyperplane_family, which the scan
+    never builds.  It is sound: a primitive P holding a either is some
+    hyperplane h or splits over one.  Either way P, and so a, lies in
+    h | -h, and g(P), being H or split over H, is in H's stream, because
+    the decomposition over a fixed hyperplane is unique.  Conversely g^-1
+    of a stream set is primitive.
     """
     n = a.dim
     if n > 4:
@@ -478,34 +503,61 @@ def _primitive_superset(a: TernarySet) -> Optional[int]:
             lanes &= columns[low.bit_length() - 1]
             rest ^= low
         return family[(lanes & -lanes).bit_length() - 1] if lanes else None
-    return _primitive_superset_dim4(a.bits)
+    maps, blocks = _superset_scan_table(n)
+    for h in subspaces.hyperplanes_covering(subspaces.full_space(n), a.bits):
+        to_h, from_h = maps[h.members_bits]
+        image = sum(1 << to_h[p] for p in iter_bits(a.bits))
+        for outside, pairs, cands in blocks:
+            if image & outside:
+                continue
+            found = _lowest_in_block(image, pairs, cands)
+            if found is not None:
+                return sum(1 << from_h[p] for p in iter_bits(found))
+    return None
 
 
-def _primitive_superset_dim4(bits: int) -> Optional[int]:
-    """First primitive maximal superset found by direct extension, or None.
+@functools.lru_cache(maxsize=None)
+def _superset_scan_table(n: int) -> tuple:
+    """(maps, blocks) read by the dimension-4 superset query.
 
-    Branches on the least admissible element: a maximal sum-free superset
-    either contains it or must stay sum-free after it is struck from the
-    admissible pool, and in the latter case the element has to be blocked
-    by something chosen later.
+    maps takes each origin-avoiding hyperplane h, by its members, to the
+    index permutations of g and g^-1, plain lists, where g^-1 is the linear
+    map taking the basis to h's base point and direction basis; it sends
+    H = {x_0 = 1} to h.  blocks is _fixed_hyperplane_blocks(n), each block
+    led by the points outside its translate pairs and candidates, which no
+    set of the block holds.
     """
-    sp = _sp.space(4)
-    full = sp.full_bits
+    maps = {}
+    for h in subspaces.enumerate_hyperplanes(n, avoid_origin=True):
+        from_h = canon.GroupElement(n, (h.base_point, *h.direction().basis)).perm
+        maps[h.members_bits] = (sorted(range(3**n), key=from_h.__getitem__), from_h)
+    full = _sp.space(n).full_bits
+    blocks = []
+    for pairs, cands in _fixed_hyperplane_blocks(n):
+        inside = functools.reduce(operator.or_, cands, sum(f | s for f, s in pairs))
+        blocks.append((full & ~inside, pairs, cands))
+    return maps, tuple(blocks)
 
-    def rec(cur: int, banned: int) -> Optional[int]:
-        free = full & ~blocked_cover_bits(TernarySet(4, cur))
-        open_free = free & ~banned
-        if free == 0:
-            return cur if _recognize(cur, subspaces.full_space(4)) else None
-        if open_free == 0:
-            return None  # some admissible element was banned but never blocked
-        v = (open_free & -open_free).bit_length() - 1
-        hit = rec(cur | 1 << v, banned)
-        if hit is not None:
-            return hit
-        return rec(cur, banned | 1 << v)
 
-    return rec(bits, 0)
+def _lowest_in_block(bits: int, pairs: list, cands: list) -> Optional[int]:
+    """The lowest set of a block holding bits, or None.
+
+    The block's sets run halves outer and candidates inner, and half j
+    takes the second member of pair t when bit t of j is set.  So the
+    lowest half takes each pair's first member unless bits meets the
+    second, and there is none when bits meets both; the candidate, off
+    every pair, is the first that holds the rest of bits.
+    """
+    w = 0
+    for first, second in pairs:
+        if bits & second:
+            if bits & first:
+                return None
+            w |= second
+        else:
+            w |= first
+    rest = bits & ~w
+    return next((w | x for x in cands if not rest & ~x), None)
 
 
 @dataclass(frozen=True)

@@ -499,7 +499,7 @@ def verify_main_theorem(
                 {**details, "direction": "backward",
                  "failure": "hyperplane transitivity"},
             )
-        _, columns, sizes = primitive._fixed_hyperplane_family(4)
+        columns, sizes = primitive._fixed_hyperplane_family(4)
     backward = sum(mask.bit_count() for mask in sizes.values())
     lanes = (1 << backward) - 1
     failed = lanes & ~core._maximal_sum_free_lanes(columns, lanes, n)

@@ -2,11 +2,14 @@
 
 Everything here works on plain trit tuples with explicit modular
 arithmetic and python sets; no tables, encodings, or helpers are shared
-with the package under test.
+with the package under test.  The one exception is the last function, the
+package's former dimension-4 primitive-superset search, kept verbatim as
+the reference for the block-table scan that replaced it.
 """
 
 import functools
 from itertools import combinations, product
+from typing import Optional
 
 
 def to_trits(index, n):
@@ -213,3 +216,35 @@ def maximal_sumfree_sets(n, min_size=1):
             if is_maximal_sum_free(set(sub_), n):
                 out.append(frozenset(sub_))
     return out
+
+
+def _primitive_superset_dim4(bits: int) -> Optional[int]:
+    """First primitive maximal superset found by direct extension, or None.
+
+    Branches on the least admissible element: a maximal sum-free superset
+    either contains it or must stay sum-free after it is struck from the
+    admissible pool, and in the latter case the element has to be blocked
+    by something chosen later.
+    """
+    from gf3sets import TernarySet, subspaces
+    from gf3sets import space as _sp
+    from gf3sets.core import blocked_cover_bits
+    from gf3sets.primitive import _recognize
+
+    sp = _sp.space(4)
+    full = sp.full_bits
+
+    def rec(cur: int, banned: int) -> Optional[int]:
+        free = full & ~blocked_cover_bits(TernarySet(4, cur))
+        open_free = free & ~banned
+        if free == 0:
+            return cur if _recognize(cur, subspaces.full_space(4)) else None
+        if open_free == 0:
+            return None  # some admissible element was banned but never blocked
+        v = (open_free & -open_free).bit_length() - 1
+        hit = rec(cur | 1 << v, banned)
+        if hit is not None:
+            return hit
+        return rec(cur, banned | 1 << v)
+
+    return rec(bits, 0)

@@ -1,12 +1,15 @@
 """Recognition, certificates, enumeration and the structural checks."""
 
 import hashlib
+import itertools
+import json
 import random
+import time
 import types
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -28,11 +31,11 @@ from gf3sets import (
     stabilizer_order,
     validate_certificate,
 )
-from gf3sets import canon
+from gf3sets import canon, cli
 from gf3sets import halves
 from gf3sets import primitive as prim
 from gf3sets import subspaces as sub
-from gf3sets.core import _maximal_sum_free_lanes
+from gf3sets.core import _maximal_sum_free_lanes, format_set_text
 from gf3sets.space import iter_bits, member_columns
 
 
@@ -256,11 +259,13 @@ def test_the_stream_is_built_once_per_process(monkeypatch):
 
     monkeypatch.setattr(prim, "_primitive_blocks", counting)
     prim._orbit_reps.cache_clear()
+    prim._fixed_hyperplane_blocks.cache_clear()
     prim._fixed_hyperplane_family.cache_clear()
     try:
         prim._orbit_reps(3)
-        # the columns come from the same walk over the blocks
-        blocks, _, _ = prim._fixed_hyperplane_family(3)
+        # the columns and the stream read the same blocks
+        prim._fixed_hyperplane_family(3)
+        blocks = prim._fixed_hyperplane_blocks(3)
         h = sub.enumerate_hyperplanes(3, avoid_origin=True)[0]
         assert blocks[0] == ([], [h.members_bits])  # H is the first block
         stream = prim.iter_primitive_fixed_hyperplane(3)
@@ -310,11 +315,13 @@ def test_orbit_accounting_refuses_a_stream_with_a_gap(monkeypatch):
                     yield pairs, cands[1:] if i == gap else cands
 
             monkeypatch.setattr(prim, "_primitive_blocks", dropping)
+            prim._fixed_hyperplane_blocks.cache_clear()
             prim._fixed_hyperplane_family.cache_clear()
             prim._orbit_reps.cache_clear()
             with pytest.raises(RuntimeError, match="orbit accounting"):
                 prim._orbit_reps(3)
     finally:
+        prim._fixed_hyperplane_blocks.cache_clear()
         prim._fixed_hyperplane_family.cache_clear()
         prim._orbit_reps.cache_clear()
 
@@ -385,11 +392,16 @@ def test_dimension_zero_has_no_primitive_set():
 
 def test_primitive_sets_are_their_own_primitive_supersets(monkeypatch):
     """classify_set takes subprimitive from the certificate, with no
-    superset search, and agrees with is_subprimitive."""
+    superset search, and agrees with is_subprimitive.  A primitive set is
+    maximal sum-free, so the superset query returns the set itself: a
+    hyperplane from the first block, a derived set only over a hyperplane
+    it meets on both sides."""
     rng = random.Random(20)
     stream = list(prim.iter_primitive_fixed_hyperplane(4))
     sets = [lev_construction(4)[0]]
     sets += [TernarySet(4, stream[i]) for i in sorted(rng.sample(range(len(stream)), 40))]
+    for rep in sorted(prim._orbit_reps(4)):
+        sets += [TernarySet(4, b) for b in (rep, canon.random_gl(4, rng).apply_bits(rep))]
 
     def refuse(a):
         raise AssertionError("_primitive_superset called on a primitive set")
@@ -401,6 +413,7 @@ def test_primitive_sets_are_their_own_primitive_supersets(monkeypatch):
         assert rep.primitive
         assert rep.subprimitive is True
         assert rep.subprimitive == is_subprimitive(a)
+        assert prim._primitive_superset(a) == a.bits
 
 
 def test_check_lemma_dispatch():
@@ -561,7 +574,7 @@ def _sizes_by_scan(family):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_block_built_columns_are_the_transposed_stream(n):
-    _, columns, sizes = prim._fixed_hyperplane_family(n)
+    columns, sizes = prim._fixed_hyperplane_family(n)
     stream = list(prim.iter_primitive_fixed_hyperplane(n))
     assert columns == member_columns(stream, 3**n)
     assert sizes == _sizes_by_scan(stream)
@@ -601,9 +614,13 @@ def test_superset_query_matches_the_scan_dim3(data):
     assert prim._primitive_superset(a) == _superset_by_scan(a)
 
 
-def _greedy_maximal(n, order):
+def _greedy_sum_free(n, order, size=None):
+    """The points of order that keep the set sum-free, taken greedily until
+    it has size points; with no size, a maximal sum-free set."""
     bits = 0
     for v in order:
+        if bits.bit_count() == size:
+            break
         if is_sum_free(TernarySet(n, bits | 1 << v)):
             bits |= 1 << v
     return bits
@@ -626,7 +643,7 @@ def mixed_families(draw):
         if kind == "random":
             family.append(draw(st.integers(0, (1 << size) - 1)))
             continue
-        bits = _greedy_maximal(n, draw(st.permutations(range(size))))
+        bits = _greedy_sum_free(n, draw(st.permutations(range(size))))
         pick = draw(st.integers(0, size - 1))
         if kind == "drop" and bits >> pick & 1:
             bits &= ~(1 << pick)  # sum-free, no longer maximal
@@ -645,3 +662,101 @@ def test_column_kernel_matches_is_maximal_sum_free(case):
     want = sum(1 << i for i, b in enumerate(family)
                if is_maximal_sum_free(TernarySet(n, b)))
     assert got == want
+
+
+# -- the dimension-4 superset query ------------------------------------------
+
+# sets that took the former extension search 4.8-6.0 s; the last has no
+# primitive superset
+SLOW_DIM4_SETS = ([1, 40, 76], [21, 35, 63], [45, 48, 53], [14, 20, 29, 60])
+
+
+@st.composite
+def dim4_sum_free_sets(draw):
+    """Sum-free subsets of F_3^4 of three kinds: greedy sets of 0 to 16
+    points, subsets of random linear images of primitive orbit
+    representatives, and maximal sets that are not primitive, so have no
+    primitive superset, less up to two points."""
+    kind = draw(st.sampled_from(["greedy", "primitive", "non-primitive"]))
+    if kind == "greedy":
+        return TernarySet(4, _greedy_sum_free(4, draw(st.permutations(range(81))),
+                                              draw(st.integers(0, 16))))
+    if kind == "primitive":
+        rep = draw(st.sampled_from(sorted(prim._orbit_reps(4))))
+        image = canon.random_gl(4, draw(st.randoms(use_true_random=False))).apply_bits(rep)
+        keep = draw(st.lists(st.sampled_from(list(iter_bits(image))), unique=True))
+        return TernarySet.from_indices(4, keep)
+    bits = _greedy_sum_free(4, draw(st.permutations(range(81))))
+    assume(recognize_primitive(TernarySet(4, bits)) is None)
+    drop = draw(st.lists(st.sampled_from(list(iter_bits(bits))), max_size=2, unique=True))
+    return TernarySet(4, bits & ~sum(1 << v for v in drop))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim4_sum_free_sets())
+def test_dim4_superset_verdicts_match_the_extension_search(a):
+    got = prim._primitive_superset(a)
+    assert (got is None) == (oracles._primitive_superset_dim4(a.bits) is None)
+    if got is not None:
+        assert a.bits & ~got == 0
+        assert recognize_primitive(TernarySet(4, got)) is not None
+
+
+def _superset_by_columns(a):
+    """g^-1 of the lowest lane of the AND of g(a)'s stream columns, over
+    the first hyperplane h covering a whose AND is nonzero, for the linear
+    map g^-1 taking the basis to h's base point and direction basis."""
+    columns, sizes = prim._fixed_hyperplane_family(4)
+    every = (1 << sum(mask.bit_count() for mask in sizes.values())) - 1
+    for h in sub.hyperplanes_covering(sub.full_space(4), a.bits):
+        back = canon.GroupElement(4, (h.base_point, *h.direction().basis))
+        lanes = every
+        for p in iter_bits(a.bits):
+            lanes &= columns[back.perm.index(p)]
+        if lanes:
+            lane = (lanes & -lanes).bit_length() - 1
+            stream = prim.iter_primitive_fixed_hyperplane(4)
+            return back.apply_bits(next(itertools.islice(stream, lane, None)))
+    return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim4_sum_free_sets())
+def test_dim4_superset_is_the_lowest_lane_of_the_column_and(a):
+    assert prim._primitive_superset(a) == _superset_by_columns(a)
+
+
+def test_the_scan_maps_send_each_hyperplane_to_the_fixed_one():
+    maps, blocks = prim._superset_scan_table(4)
+    planes = sub.enumerate_hyperplanes(4, avoid_origin=True)
+    assert sorted(maps) == sorted(h.members_bits for h in planes)
+    assert [b[1:] for b in blocks] == list(prim._fixed_hyperplane_blocks(4))
+    fixed = planes[0].members_bits
+    for h in planes:
+        to_h, from_h = maps[h.members_bits]
+        assert [from_h[i] for i in to_h] == list(range(81))
+        assert sum(1 << to_h[p] for p in iter_bits(h.members_bits)) == fixed
+
+
+@pytest.mark.parametrize("points", SLOW_DIM4_SETS)
+def test_slow_dim4_sets_are_classified_quickly(points, tmp_path, capsys):
+    a = TernarySet.from_indices(4, points)
+    want = points != SLOW_DIM4_SETS[-1]
+    path = tmp_path / "a.set"
+    path.write_text(format_set_text(a))
+    for entry in (
+        lambda: classify_set(a).subprimitive,
+        lambda: is_subprimitive(a),
+        lambda: cli.main(["classify", "--format", "json", str(path)]) == 0
+        and json.loads(capsys.readouterr().out)["subprimitive"],
+    ):
+        t0 = time.perf_counter()
+        assert entry() == want
+        assert time.perf_counter() - t0 < 1.0
+
+
+def test_dim4_superset_query_builds_no_columns():
+    prim._fixed_hyperplane_family.cache_clear()
+    for points in SLOW_DIM4_SETS:
+        is_subprimitive(TernarySet.from_indices(4, points))
+    assert prim._fixed_hyperplane_family.cache_info().currsize == 0

@@ -494,7 +494,7 @@ def test_backward_verdict_matches_the_per_set_loop_dim4(monkeypatch):
     """Two spoiled lanes of the n = 4 stream: the verdict names the first
     in stream order, as the old loop over the stream did, decoding it from
     the stream that yields the spoiled sets."""
-    blocks, columns, sizes = primitive._fixed_hyperplane_family(4)
+    columns, sizes = primitive._fixed_hyperplane_family(4)
     stream = list(primitive.iter_primitive_fixed_hyperplane(4))
     columns, sizes = list(columns), dict(sizes)
     for lane in (3000, 1200):
@@ -505,7 +505,7 @@ def test_backward_verdict_matches_the_per_set_loop_dim4(monkeypatch):
         sizes[b.bit_count()] &= ~(1 << lane)
         sizes[b.bit_count() - 1] = sizes.get(b.bit_count() - 1, 0) | 1 << lane
     monkeypatch.setattr(primitive, "_fixed_hyperplane_family",
-                        lambda n: (blocks, tuple(columns), sizes))
+                        lambda n: (tuple(columns), sizes))
     monkeypatch.setattr(primitive, "iter_primitive_fixed_hyperplane",
                         lambda n: (b for b in stream))
     verdict = verify_main_theorem(4)

@@ -13,22 +13,23 @@ The candidates for w_j are split against the best all at once.  If h maps
 the indices below 3^j to their images, position 3^j + r of the new block
 holds h(r) + w_j and position 2*3^j + r holds h(r) - w_j.  So the
 candidates with a member at those positions are the sets plus[x] = A - x
-and minus[x] = x - A at x = h(r), the walk tables.  A walk fills them
-itself, one translate of A or -A per entry as it is first needed, unless
-its caller hands them over complete: the search keeps them per node,
-from the empty tables of the empty set down, and gets a child's tables
-from its parent's with one bit per entry, since (A | {v}) - x =
-(A - x) | {v - x}.  Reading the best's new block bit by bit, a few
-big-integer ANDs split the candidates into those that make a smaller
-image, those tied with the best, and those cut.  A node visits them in
-one pass, least first.  A fixed-mode walk stops at the first candidate
-that makes a smaller image.  A minimizing walk splits the candidates it
-has not visited again when a child returns with a new best; that best
-came from a leaf below the node, so it still ties the node's prefix.  In
-fixed mode the best is A itself, along the identity path, for the whole
-walk, so a node never compares its prefix with it, and what a split reads
-depends only on its level: the walk lists, per level on first use, the
-points r it reads, each with the bit of A it is compared with.
+and minus[x] = x - A at x = h(r), the walk tables.  Every walk reads
+them complete.  The search hands them over: it keeps them per node, from
+the empty tables of the empty set down, and gets a child's tables from
+its parent's with one bit per entry, since (A | {v}) - x = (A - x) |
+{v - x}.  A walk handed none builds both at its start from the
+translates of A and of -A, grown one coordinate at a time.  Reading the
+best's new block bit by bit, a few big-integer ANDs split the candidates
+into those that make a smaller image, those tied with the best, and
+those cut.  A node visits them in one pass, least first.  A fixed-mode
+walk stops at the first candidate that makes a smaller image.  A
+minimizing walk splits the candidates it has not visited again when a
+child returns with a new best; that best came from a leaf below the
+node, so it still ties the node's prefix.  In fixed mode the best is A
+itself, along the identity path, for the whole walk, so a node never
+compares its prefix with it, and what a split reads depends only on its
+level: the walk lists, per level on first use, the points r it reads,
+each with the bit of A it is compared with.
 
 A fixed-mode split of a sum-free set reads few of its points.  Lemma:
 let A be sum-free, let a split run on a path h whose image ties the best
@@ -50,8 +51,7 @@ holds L and B does not, which is how the root split rejects {-e_0}
 (index 2) at n = 2.  So the lists of a sum-free set leave those points
 out; a set that is not sum-free, or a level whose L is not in B, reads
 every point.  Sum-freeness costs one AND per member, plus[a] & A over a
-in A, up to the first that meets A (a walk without complete tables fills
-those entries first).
+in A, up to the first that meets A.
 
 A level's lists depend only on the points of A below 3L, L = 3^j, and on
 whether A is sum-free.  The lemma asks about L and about r and -r for r
@@ -260,9 +260,9 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
     fixed mode the best path is the identity, _Smaller is raised as soon
     as any strictly smaller image is certain, and a split of a sum-free
     set reads only the points the lemma leaves open.  tables, when given,
-    are the walk tables (plus, minus) complete.  spans, when given, is a span
-    table of dimension n to read and grow, and reads, in fixed mode, a read
-    table; without them the walk makes its own.  Raises ValueError above
+    are the walk tables (plus, minus) complete, spans a span table of
+    dimension n to read and grow, and reads, in fixed mode, a read table;
+    without them the walk makes its own.  Raises ValueError above
     MAX_WALK_DIM, before building anything.
     """
     if n > MAX_WALK_DIM:
@@ -277,13 +277,10 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
     add_row = sp.add_row
     translate = sp.translate_bits
     # plus[x] = bits - x and minus[x] = x - bits, the w with x + w and with
-    # x - w in bits: each is one translate of bits or of -bits, made when
-    # first needed, unless the caller gave them all and -bits is never read
+    # x - w in bits: the caller's, or the translates of bits and of -bits
     if tables is None:
-        plus, minus, neg_bits = [None] * size, [None] * size, sp.neg_set_bits(bits)
-    else:
-        (plus, minus), neg_bits = tables, None
-    halves = ((plus, bits, neg), (minus, neg_bits, range(size)))
+        tables = (itemgetter(*neg)(sp.translates_bits(bits)),
+                  sp.translates_bits(sp.neg_set_bits(bits)))
     if spans is None:
         spans = {}
     # the least image so far and its path; in fixed mode bits itself, along
@@ -312,25 +309,18 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
     if fixed:
         # whether bits is sum-free, for the lemma of the module docstring:
         # whether plus[a] = bits - a misses bits for every member a
-        sum_free = True
-        for a in iter_bits(bits):
-            t = plus[a]
-            if t is None:
-                t = plus[a] = translate(bits, neg[a])
-            if t & bits:
-                sum_free = False
-                break
+        sum_free = not any(tables[0][a] & bits for a in iter_bits(bits))
         levels = {}  # block -> what a split on a path of block points reads
         if reads is None:
             reads = {}
 
         def level(block: int) -> list:
-            """Per half, its table with how to fill it, and the points a
-            split on a path of block points reads in turn, each as the code
-            2r + bit: the path's point r, and the bit of bits at block + r
-            in the plus half and at 2 * block + r in the minus half.  The
-            lemma drops the points whose answer is known.  Made on first
-            use in a walk, from the read table when it holds them."""
+            """Per half, its table and the points a split on a path of
+            block points reads in turn, each as the code 2r + bit: the
+            path's point r, and the bit of bits at block + r in the plus
+            half and at 2 * block + r in the minus half.  The lemma drops
+            the points whose answer is known.  Made on first use in a walk,
+            from the read table when it holds them."""
             key = (block, bits & (1 << 3 * block) - 1, sum_free)
             codes = reads.get(key)
             if codes is None:
@@ -349,7 +339,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
                     if len(reads) >= _SPAN_TABLE_MAX:
                         reads.clear()
                     reads[key] = codes
-            got = levels[block] = [half + (c,) for half, c in zip(halves, codes)]
+            got = levels[block] = list(zip(tables, codes))
             return got
 
         def split(hmap: tuple, cands: int) -> tuple[int, int]:
@@ -357,12 +347,9 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
             bits; raises _Smaller at the first, least index first, that
             beats it."""
             block = len(hmap)
-            for table, source, shift, codes in levels.get(block) or level(block):
+            for table, codes in levels.get(block) or level(block):
                 for c in codes:
-                    x = hmap[c >> 1]
-                    t = table[x]
-                    if t is None:
-                        t = table[x] = translate(source, shift[x])
+                    t = table[hmap[c >> 1]]
                     if c & 1:
                         cands &= t
                         if not cands:
@@ -377,11 +364,9 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
             lose."""
             want = best >> len(hmap)
             smaller = 0
-            for table, source, shift in halves:
+            for table in tables:
                 for x in hmap:
                     t = table[x]
-                    if t is None:
-                        t = table[x] = translate(source, shift[x])
                     if want & 1:
                         cands &= t
                     elif cands & t:

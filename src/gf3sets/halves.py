@@ -58,13 +58,15 @@ def is_half(w: TernarySet, h: AffineSubspace, u: AffineSubspace) -> bool:
     if w.dim != h.dim_ambient:
         raise ValueError("W lives in a different ambient space")
     bits = w.bits
-    for row in u.basis:
-        if sp.translate_bits(bits, row) != bits:
-            return False
-    # W + D = W for U's direction D, and U = b + D, so the mirror
-    # (-U) + (-W) = -b - (W + D) is the one translate -b - W
     u_bits = u.members_bits
-    mirrored = sp.translate_bits(sp.neg_set_bits(bits), sp.neg[u.base_point])
+    neg_base = sp.neg[u.base_point]
+    # W + D = W for U's direction D = U - b, over the members D's span is
+    # grown from (no chart of U); then the mirror (-U) + (-W) = -b - (W + D)
+    # is the one translate -b - W
+    _, gens = sp.span_members_bits(sp.translate_bits(u_bits, neg_base))
+    if any(sp.translate_bits(bits, g) != bits for g in gens):
+        return False
+    mirrored = sp.translate_bits(sp.neg_set_bits(bits), neg_base)
     if u_bits & bits or u_bits & mirrored or bits & mirrored:
         return False
     return (u_bits | bits | mirrored) == h.members_bits

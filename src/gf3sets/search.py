@@ -21,15 +21,17 @@ before any test:
 
 The lexmin test of a child starts from what its parent knows.  A node
 also carries the walk tables of S (see canon): plus[x] = S - x and
-minus[x] = x - S for every index x.  They start empty at the empty set and
-are passed down: the child S | {v} adds the one point v - x to plus[x] and
-x - v to minus[x], one OR per entry with the point rows of v.  These are
-the one-point sets {v - x} and {x - v} over x, kept by the space, and
-every row references one shared list of the ints 1 << i, so a row holds
-no ints of its own.  A child v inside the span of S starts its walk with
-the recorded automorphisms of S that fix v; they fix S | {v} and are
-linear on its span, so they are automorphisms of the child (canon says
-why pruning with them is sound).  The child's recorded list keeps them.
+minus[x] = x - S for every index x.  At the empty set every entry is the
+empty set, and the tables are passed down complete: the child S | {v}
+adds the one point v - x to plus[x] and x - v to minus[x], one OR per
+entry with the point rows of v, and its lexmin test reads them without
+building tables of its own.  The point rows are the one-point sets
+{v - x} and {x - v} over x, kept by the space, and every row references
+one shared list of the ints 1 << i, so a row holds no ints of its own.
+A child v inside the span of S starts its walk with the recorded
+automorphisms of S that fix v; they fix S | {v} and are linear on its
+span, so they are automorphisms of the child (canon says why pruning
+with them is sound).  The child's recorded list keeps them.
 The lexmin tests of one frontier, and those of one task, share one span
 table and one read table (see canon).
 

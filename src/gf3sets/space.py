@@ -205,6 +205,15 @@ class Space:
     def translate_bits(self, bits: int, v: int) -> int:
         return _translate(bits, self.moves[v])
 
+    def translates_bits(self, bits: int) -> list[int]:
+        """bits + x over the indices x, grown one coordinate at a time like
+        the tables above: bits + x + d*p is bits + x moved by trit d at p."""
+        out = [bits]
+        for p in self.powers:
+            steps = self.moves[p] + self.moves[2 * p]
+            out += [(t & up) << a | (t & down) >> b for up, a, down, b in steps for t in out]
+        return out
+
     def neg_set_bits(self, bits: int) -> int:
         for p, (s0, s1, s2) in zip(self.powers, self.slabs):
             bits = bits & s0 | (bits & s1) << p | (bits & s2) >> p

@@ -224,7 +224,9 @@ def _primitive_superset_dim4(bits: int) -> Optional[int]:
     Branches on the least admissible element: a maximal sum-free superset
     either contains it or must stay sum-free after it is struck from the
     admissible pool, and in the latter case the element has to be blocked
-    by something chosen later.
+    by something chosen later.  The blocked cover grows with each element
+    v taken: for A' = A | {v}, A' + A' and A' - A' add v + A', v - A' and
+    A' - v to those of A, and A' adds v itself.
     """
     from gf3sets import TernarySet, subspaces
     from gf3sets import space as _sp
@@ -233,18 +235,21 @@ def _primitive_superset_dim4(bits: int) -> Optional[int]:
 
     sp = _sp.space(4)
     full = sp.full_bits
+    translate = sp.translate_bits
 
-    def rec(cur: int, banned: int) -> Optional[int]:
-        free = full & ~blocked_cover_bits(TernarySet(4, cur))
+    def rec(cur: int, banned: int, cover: int) -> Optional[int]:
+        free = full & ~cover
         open_free = free & ~banned
         if free == 0:
             return cur if _recognize(cur, subspaces.full_space(4)) else None
         if open_free == 0:
             return None  # some admissible element was banned but never blocked
         v = (open_free & -open_free).bit_length() - 1
-        hit = rec(cur | 1 << v, banned)
+        grown = cur | 1 << v
+        hit = rec(grown, banned, cover | 1 << v | translate(grown, v)
+                  | translate(sp.neg_set_bits(grown), v) | translate(grown, sp.neg[v]))
         if hit is not None:
             return hit
-        return rec(cur, banned | 1 << v)
+        return rec(cur, banned | 1 << v, cover)
 
-    return rec(bits, 0)
+    return rec(bits, 0, blocked_cover_bits(TernarySet(4, bits)))

@@ -73,6 +73,8 @@ def test_line_core_halves():
         # halves are unions of U-translates, so U's direction stabilizes them
         sp = space(4)
         assert sp.translate_bits(w.bits, 3) == w.bits
+    # is_half tests W + D = W over members of D, with no RREF chart of U
+    assert "_chart" not in vars(u)
 
 
 def test_check_half_fact_small():

@@ -5,15 +5,17 @@ import hashlib
 import json
 import os
 import random
-import tracemalloc
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-import gf3sets.space
+import gf3sets
 from gf3sets import (
     TernarySet,
     check_proposition,
@@ -166,15 +168,28 @@ def test_search_nodes_carry_their_walk_tables(n, min_size, limit, reduced):
 
 def test_a_search_run_retains_only_what_the_space_keeps():
     # a run's span and read tables and its nodes' tables go when it returns;
-    # the translation rows and point rows are kept by the space by design
-    tracemalloc.start()
-    try:
-        enumerate_maximal_sumfree(4, 14)
-        snapshot = tracemalloc.take_snapshot()
-    finally:
-        tracemalloc.stop()
-    rest = snapshot.filter_traces([tracemalloc.Filter(False, gf3sets.space.__file__)])
-    assert sum(stat.size for stat in rest.statistics("filename")) < 1 << 14
+    # the translation rows and point rows are kept by the space by design.
+    # A fresh interpreter, so that no cache an earlier test filled escapes
+    # the count
+    code = (
+        "import tracemalloc\n"
+        "import gf3sets.space\n"
+        "from gf3sets import enumerate_maximal_sumfree\n"
+        "tracemalloc.start()\n"
+        "enumerate_maximal_sumfree(4, 14)\n"
+        "snapshot = tracemalloc.take_snapshot()\n"
+        "rest = snapshot.filter_traces(\n"
+        "    [tracemalloc.Filter(False, gf3sets.space.__file__)])\n"
+        "for stat in rest.statistics('filename'):\n"
+        "    print(stat.size, stat.traceback[0].filename)\n"
+    )
+    src = str(Path(gf3sets.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    retained = subprocess.run(
+        [sys.executable, "-c", code], check=True, timeout=300,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+    ).stdout
+    assert sum(int(line.split()[0]) for line in retained.splitlines()) < 1 << 14, retained
 
 
 def test_dim4_lexmin_verdicts_are_pinned(monkeypatch):

@@ -168,6 +168,8 @@ def test_every_move_list_matches_per_point_reference(n):
         twice = _translate_ref(1 << v, v, n)
         assert sp.span_bits([v]) == 1 | 1 << v | twice
         assert sp.span_bits([v], base) == _translate_ref(1 | 1 << v | twice, base, n)
+    for bits in (dense, sparse):
+        assert sp.translates_bits(bits) == [_translate_ref(bits, v, n) for v in range(sp.size)]
 
 
 @pytest.mark.parametrize("n", range(9))

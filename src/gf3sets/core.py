@@ -193,10 +193,16 @@ def sym_group_bits(bits: int, n: int) -> int:
     itself exactly when it maps the set onto itself, so the smaller of the
     two is intersected.  The full set's complement is empty, and over no
     translates the intersection is the whole space.
+
+    The stabilizer is a subgroup of order 3^s and the set is a union of
+    its cosets, so 3^s divides |bits|: a set whose size is prime to 3 has
+    only the trivial period, and no translate is taken.
     """
     if bits == 0:
         raise ValueError("the translation stabilizer of the empty set is undefined")
     sp = _sp.space(n)
+    if bits.bit_count() % 3:
+        return 1
     rest = sp.full_bits & ~bits
     if rest.bit_count() < bits.bit_count():
         bits = rest

@@ -8,6 +8,14 @@ W | X.  X must stay off the direction space of U, must differ from the
 mirror -U when U has codimension one in H, and must meet -U in a subset
 whose affine hull is all of -U.
 
+Primitive sets obey Lev's bound: inside a linear ambient of dimension d,
+whose hyperplanes have 3^(d-1) points, (3^(d-1)+1)/2 <= |A| <= 3^(d-1).
+By induction on d: a hyperplane has 3^(d-1) points, and a derived set is
+the disjoint union of W and X, where the half W has (3^(d-1) - 3^k)/2
+points for k = dim U <= d - 2, and X is primitive in the (k+1)-dimensional
+span of U, so (3^k+1)/2 <= |X| <= 3^k.  The recognizer turns away any set
+outside that window before it builds a hull, at every recursion level.
+
 The decomposition, when it exists for a given H, is forced: the part of
 the set lying in -H determines U as the negated affine hull of that part,
 and U determines the split into W and X.  The recognizer walks candidate
@@ -207,6 +215,9 @@ def recognize_primitive(a: TernarySet) -> Optional[PrimitiveCertificate]:
 def _recognize(bits: int, ambient: AffineSubspace) -> Optional[PrimitiveCertificate]:
     n = ambient.dim_ambient
     if bits == 0 or bits & 1 or bits & ~ambient.members_bits:
+        return None
+    third = ambient.members_bits.bit_count() // 3  # Lev's bound, module doc
+    if not third // 2 < bits.bit_count() <= third:
         return None
     hull = subspaces.affine_hull_bits(bits, n)
     if hull.members_bits == bits and hull.dim == ambient.dim - 1:

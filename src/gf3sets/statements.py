@@ -373,6 +373,12 @@ def _five_in_cube(name: str, a: TernarySet, **_) -> CheckResult:
         return CheckResult.not_applicable(name, "set is not sum-free")
     if a.size < 5:
         return CheckResult.not_applicable(name, "set has fewer than 5 members")
+    return _five_in_cube_conclusion(name, a)
+
+
+def _five_in_cube_conclusion(name: str, a: TernarySet) -> CheckResult:
+    """five_in_cube's conclusion for a sum-free a in F_3^3 of at least 5
+    members: subprimitive, and holding a line."""
     sup = primitive._primitive_superset(a)
     lines = _lines_within(a)
     if sup is not None and lines:

@@ -112,14 +112,18 @@ def _sym_by_every_translate(bits, n):
 
 
 def test_stabilizer_walk_passes_a_subgroup_that_does_not_fix_the_set():
-    # A line (n = 2) or plane (n = 3) through 0 plus the point e_{n-1} off
-    # it.  The translates of the set by -0 and -e_0 already meet in that
-    # line or plane, a subgroup of size 3^(n-1) that e_0 does not fix, so
-    # the walk must see that its generators move the set and go on to {0}.
-    for n in (2, 3):
+    # The hyperplane x_{n-1} = 0 (n = 3, 4) plus the three points e, e_1 + e
+    # and 2e for e = e_{n-1}, whose x_0 is 0: 3^(n-1) + 3 points, a count
+    # the size gate leaves to the walk.  The translates of the set by -0
+    # and -e_0 already meet in that hyperplane, a subgroup of size 3^(n-1)
+    # that e_0 does not fix, so the walk must see that its generators move
+    # the set and go on to {0}.
+    for n in (3, 4):
         sp = space(n)
-        subgroup = (1 << 3 ** (n - 1)) - 1
-        bits = subgroup | 1 << 3 ** (n - 1)
+        e = 3 ** (n - 1)
+        subgroup = (1 << e) - 1
+        bits = subgroup | 1 << e | 1 << (e + 3) | 1 << (2 * e)
+        assert bits.bit_count() % 3 == 0
         trail = []
         out = sp.full_bits
         for s in iter_bits(bits):
@@ -130,6 +134,42 @@ def test_stabilizer_walk_passes_a_subgroup_that_does_not_fix_the_set():
         assert sym_group_bits(bits, n) == 1 == _sym_by_every_translate(bits, n)
         want = oracles.sym_group(_as_trits(TernarySet(n, bits)), n)
         assert want == {oracles.to_trits(0, n)}
+
+
+def test_sym_group_bits_checks_emptiness_then_dimension():
+    # the empty set is refused before the dimension is read, and a bad
+    # dimension before the size gate answers
+    for n in (-1, 99):
+        with pytest.raises(ValueError, match="empty set"):
+            sym_group_bits(0, n)
+        for bits in (0b1, 0b11, 0b111):
+            with pytest.raises(ValueError, match="dimension must be"):
+                sym_group_bits(bits, n)
+
+
+# Sets of every size class mod 3 at n <= 3, as random points of a random
+# size in that class; the test also takes their complements.
+@st.composite
+def sets_by_size_mod_3(draw):
+    n = draw(st.integers(1, 3))
+    residue = draw(st.integers(0, 2))
+    size = draw(st.sampled_from([s for s in range(1, 3**n + 1) if s % 3 == residue]))
+    points = draw(st.permutations(range(3**n)))[:size]
+    return n, sum(1 << p for p in points)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sets_by_size_mod_3())
+def test_sym_group_bits_matches_oracle_in_every_size_class(case):
+    n, bits = case
+    for b in (bits, space(n).full_bits & ~bits):
+        if not b:
+            continue
+        got = sym_group_bits(b, n)
+        want = oracles.sym_group(_as_trits(TernarySet(n, b)), n)
+        assert {oracles.to_trits(t, n) for t in iter_bits(got)} == want
+        if b.bit_count() % 3:
+            assert got == 1
 
 
 # Random sets are almost never periodic; these are unions of cosets of a

@@ -390,6 +390,65 @@ def test_dimension_zero_has_no_primitive_set():
     assert rep.sum_free and not rep.primitive and rep.subprimitive is False
 
 
+def _lev_window(n):
+    """The sizes Lev's bound allows a primitive subset of F_3^n."""
+    third = 3**n // 3
+    return range(third // 2 + 1, third + 1)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_recognition_accepts_exactly_the_family_on_every_subset(n):
+    family = set(prim._all_primitive_bits(n))
+    for bits in range(1 << 3**n):
+        cert = recognize_primitive(TernarySet(n, bits))
+        assert (cert is not None) == (bits in family)
+        assert cert is None or cert.member_bits == bits
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_recognition_accepts_exactly_the_family_dim3(data):
+    # members, members with one point toggled (on and just off the
+    # window's edges), and sets of 4 to 10 points
+    family = prim._all_primitive_bits(3)
+    kind = data.draw(st.sampled_from(("member", "toggled", "sized")))
+    if kind == "sized":
+        keep = data.draw(st.lists(st.integers(0, 26), min_size=4, max_size=10, unique=True))
+        bits = sum(1 << p for p in keep)
+    else:
+        bits = data.draw(st.sampled_from(family))
+        if kind == "toggled":
+            bits ^= 1 << data.draw(st.integers(0, 26))
+    cert = recognize_primitive(TernarySet(3, bits))
+    assert (cert is not None) == (bits in family)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_every_primitive_set_has_a_size_in_lev_window(n):
+    sizes = {b.bit_count() for b in prim._all_primitive_bits(n)}
+    assert sizes <= set(_lev_window(n))
+    assert max(sizes) == _lev_window(n)[-1]  # the hyperplanes
+
+
+def test_every_dim4_stream_size_is_in_lev_window():
+    sizes = prim._fixed_hyperplane_family(4)[1]
+    assert sizes and set(sizes) <= set(_lev_window(4))
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_lev_sits_on_the_window_edge_and_loses_no_point(n, monkeypatch):
+    a, _ = lev_construction(n)
+    assert a.size == _lev_window(n)[0]
+    assert recognize_primitive(a) is not None
+
+    def no_hull(*args):
+        raise AssertionError("the size gate should answer before any hull")
+
+    monkeypatch.setattr(sub, "affine_hull_bits", no_hull)
+    for p in a.indices():
+        assert recognize_primitive(TernarySet(n, a.bits & ~(1 << p))) is None
+
+
 def test_primitive_sets_are_their_own_primitive_supersets(monkeypatch):
     """classify_set takes subprimitive from the certificate, with no
     superset search, and agrees with is_subprimitive.  A primitive set is

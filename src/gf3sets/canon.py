@@ -56,15 +56,14 @@ in A, up to the first that meets A.
 A level's lists depend only on the points of A below 3L, L = 3^j, and on
 whether A is sum-free.  The lemma asks about L and about r and -r for r
 below L (negation maps [0, L) onto itself, trit by trit), and the bits of
-A compared are those at L + r and 2L + r, below 3L.  So a search run
-shares the lists across its tests in a read table, keyed by (L, A & [0,
-3L), sum-freeness), as it shares a span table (below); a walk given none
-makes its own and drops it.  A read table is emptied like a span table.
-The lists of a level whose key holds all of A are not kept: they serve no
-other set of the run.  That level completes the span of a set least in
-its orbit.  A dim-4 search (min size 14) meets 2,393 keys, 2,377 of them
-such; its other 16 keys serve about 7,900 lookups, and keeping the rest
-too raised its peak traced memory by about 135 KB.
+A compared are those at L + r and 2L + r, below 3L.  So a read table
+keeps them, keyed by (L, A & [0, 3L), sum-freeness), for the other sets
+of a search run (below).  The lists of a level whose key holds all of A
+are not kept: they serve no other set of the run.  That level completes
+the span of a set least in its orbit.  A dim-4 search (min size 14)
+meets 2,393 keys, 2,377 of them such; its other 16 keys serve about
+7,900 lookups, and keeping the rest too raised its peak traced memory by
+about 135 KB.
 
 A minimizing walk does not use the lemma.  Its lists would depend on its
 best, which changes during the walk, and rebuilding them at each change
@@ -77,14 +76,16 @@ w_j and -w_j by one itemgetter over h per frame.  The child's span,
 span + <w_j>, comes from a span table: for each span met, a dict from w
 to that span plus <w>, each entry made on first use with two translates
 of the span.
-The spans and the w met repeat across the walks of one search far more
-than within one walk, so a search run hands one table to all its lexmin
-tests (search keeps one per frontier and one per task); a walk given none
-makes its own and drops it on return.  A table holds the spans of one n
-only, and it is emptied before it would hold more than _SPAN_TABLE_MAX
-spans, so it keeps at most _SPAN_TABLE_MAX * 3^n entries at every n up to
-MAX_WALK_DIM (F_3^4 has 212 subspaces, so a search there never empties
-it).
+
+A span table and a read table make a run pair.  The spans, the w and the
+read keys met repeat across the walks of one search far more than within
+one walk, so a search run hands one pair to all its lexmin tests (search
+keeps one per frontier and one per task); a walk handed none makes its
+own pair and drops it on return.  Each table is emptied before it would
+hold more than _SPAN_TABLE_MAX keys.  A span table holds the spans of one
+n only, so it keeps at most _SPAN_TABLE_MAX * 3^n entries at every n up
+to MAX_WALK_DIM (F_3^4 has 212 subspaces, so a search there never
+empties it).
 
 A child's candidates are split in its parent, before the child's frame
 is opened, and the frame is opened only when some candidate is smaller or
@@ -250,8 +251,7 @@ class _Smaller(Exception):
     pass
 
 
-def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
-          reads=None):
+def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
     """Minimize bits over GL(n,3), or (fixed) test bits against itself.
 
     Returns (best, autos): the least image, and the automorphisms of bits
@@ -260,10 +260,10 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
     fixed mode the best path is the identity, _Smaller is raised as soon
     as any strictly smaller image is certain, and a split of a sum-free
     set reads only the points the lemma leaves open.  tables, when given,
-    are the walk tables (plus, minus) complete, spans a span table of
-    dimension n to read and grow, and reads, in fixed mode, a read table;
-    without them the walk makes its own.  Raises ValueError above
-    MAX_WALK_DIM, before building anything.
+    are the walk tables (plus, minus) complete, and run a run pair (span
+    table of dimension n, read table) to read and grow; without them the
+    walk makes its own.  Raises ValueError above MAX_WALK_DIM, before
+    building anything.
     """
     if n > MAX_WALK_DIM:
         raise ValueError(f"canonical forms need n <= {MAX_WALK_DIM}, got n = {n}")
@@ -281,8 +281,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
     if tables is None:
         tables = (itemgetter(*neg)(sp.translates_bits(bits)),
                   sp.translates_bits(sp.neg_set_bits(bits)))
-    if spans is None:
-        spans = {}
+    spans, reads = run or ({}, {})
     # the least image so far and its path; in fixed mode bits itself, along
     # the identity, for the whole walk
     best = bits if fixed else None
@@ -311,8 +310,6 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
         # whether plus[a] = bits - a misses bits for every member a
         sum_free = not any(tables[0][a] & bits for a in iter_bits(bits))
         levels = {}  # block -> what a split on a path of block points reads
-        if reads is None:
-            reads = {}
 
         def level(block: int) -> list:
             """Per half, its table and the points a split on a path of
@@ -465,26 +462,21 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, spans=None,
     return best, autos
 
 
-def automorphisms_bits(bits: int, n: int) -> list[list[int]]:
-    """Automorphisms of a set least in its orbit, as its fixed-mode walk
-    records them: index permutations of the space, linear on the span of
-    bits and the identity off it.  They reach every orbit that
-    canonicalize_bits counts.  Raises ValueError if bits is not least in
-    its orbit."""
-    try:
-        return _walk(bits, n, fixed=True)[1]
-    except _Smaller:
-        raise ValueError("the set is not least in its orbit") from None
+def _span_dim(bits: int) -> int:
+    """The span of a set least in its orbit is [0, 3^d), spanned by
+    e_0..e_{d-1}; returns d."""
+    d = 0
+    while bits >> 3**d:
+        d += 1
+    return d
 
 
 def canonicalize_bits(bits: int, n: int) -> tuple[int, int]:
     """(canonical form, setwise stabilizer order), the order counted by
     orbits along the identity path of a fixed-mode walk of the form."""
     best = _walk(bits, n, fixed=False)[0]
-    autos = automorphisms_bits(best, n)
-    d = 0
-    while best >> 3**d:
-        d += 1
+    autos = _walk(best, n, fixed=True)[1]  # best is least, so nothing is raised
+    d = _span_dim(best)
     stab = math.prod(3**n - 3**i for i in range(d, n))
     for j in range(d):
         gens = [a for a in autos if all(a[3**i] == 3**i for i in range(j))]
@@ -497,21 +489,20 @@ def canonical_form_bits(bits: int, n: int) -> int:
 
 
 def is_lexmin_bits(bits: int, n: int, autos: list | None = None,
-                   tables: tuple | None = None, spans: dict | None = None,
-                   reads: dict | None = None) -> bool:
+                   tables: tuple | None = None, run: tuple | None = None) -> bool:
     """Whether bits is least in its orbit.
 
-    autos, when given, may already hold automorphisms of bits, in the form
-    automorphisms_bits gives them; the walk prunes with them from its root.
-    On acceptance the automorphisms the walk recorded are appended to it.
-    tables, when given, are the walk tables of bits complete: plus[x] =
-    bits - x and minus[x] = x - bits for every index x (see the module
-    docstring).  spans, when given, is a span table of dimension n, and
-    reads a read table, that the walk reads and grows, each shared by the
-    tests of one search run."""
+    autos, when given, may already hold automorphisms of bits, as index
+    permutations of the space, linear on the span of bits and the identity
+    off it; the walk prunes with them from its root.  On acceptance the
+    automorphisms the walk recorded are appended to it.  tables, when
+    given, are the walk tables of bits complete: plus[x] = bits - x and
+    minus[x] = x - bits for every index x (see the module docstring).  run,
+    when given, is the run pair (span table of dimension n, read table)
+    that the tests of one search run share; the walk reads and grows it."""
     known = autos or ()
     try:
-        found = _walk(bits, n, True, known, tables, spans, reads)[1]
+        found = _walk(bits, n, True, known, tables, run)[1]
     except _Smaller:
         return False
     if autos is not None:

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import primitive, search, statements, subspaces, suite
-from .core import ParseError, TernarySet, format_set_text, parse_set_text
+from .core import TernarySet, format_set_text, parse_set_text
 
 
 def _read_set(path: str) -> TernarySet:
@@ -274,13 +274,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:

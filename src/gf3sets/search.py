@@ -32,8 +32,9 @@ A child v inside the span of S starts its walk with the recorded
 automorphisms of S that fix v; they fix S | {v} and are linear on its
 span, so they are automorphisms of the child (canon says why pruning
 with them is sound).  The child's recorded list keeps them.
-The lexmin tests of one frontier, and those of one task, share one span
-table and one read table (see canon).
+The lexmin tests of one frontier, and those of one task, share one run
+pair, a span table and a read table, handed to every test as it is (see
+canon).
 
 Blocked elements are maintained incrementally and read off the same
 tables: adding v to S extends the forbidden region by v + S', v - S' and
@@ -132,43 +133,37 @@ class EnumerationReport:
 
 
 def _root(sp: _sp.Space, reduced: bool) -> tuple:
-    """The search node of the empty set: (bits, size, largest member,
-    cover, automorphisms, walk tables), with no automorphisms recorded in
-    a reduced search and None otherwise, and every table entry empty."""
-    return 0, 0, -1, 1, [] if reduced else None, ([0] * sp.size, [0] * sp.size)
-
-
-def _span_end(sbits: int) -> int:
-    """The span of a set least in its orbit is [0, m); returns m, a power of 3."""
-    m = 1
-    while sbits >> m:
-        m *= 3
-    return m
+    """The search node of the empty set: (bits, cover, automorphisms, walk
+    tables), with no automorphisms recorded in a reduced search and None
+    otherwise, and every table entry empty.  A node's size and largest
+    member are read off its bits."""
+    return 0, 1, [] if reduced else None, ([0] * sp.size, [0] * sp.size)
 
 
 def _child(sp: _sp.Space, node: tuple, v: int, reduced: bool,
-           run: tuple = ()) -> Optional[tuple]:
+           run: Optional[tuple] = None) -> Optional[tuple]:
     """The search node of S | {v} from the node of S, or None when the
     search is reduced and S | {v} is not least in its orbit.  Its walk
     tables are those of S with the one point v - x or x - v added to each
     entry, and its cover grows by the sets that they hold (see the module
-    docstring).  run is the run's span table and read table for the lexmin
-    test (see canon); without them the test makes its own."""
-    sbits, size, _, cover, autos, (plus, minus) = node
+    docstring).  run is the search run's pair of a span table and a read
+    table, handed to the lexmin test as it is (see canon); with None the
+    test makes its own."""
+    sbits, cover, autos, (plus, minus) = node
     bits = sbits | 1 << v
     one_plus, one_minus = sp.point_rows(v)
     plus = list(map(or_, plus, one_plus))
     minus = list(map(or_, minus, one_minus))
     if reduced:
-        autos = [a for a in autos if a[v] == v] if v < _span_end(sbits) else []
+        autos = [a for a in autos if a[v] == v] if v < 3 ** canon._span_dim(sbits) else []
         # on acceptance the walk appends what it recorded to autos
-        if not canon.is_lexmin_bits(bits, sp.n, autos, (plus, minus), *run):
+        if not canon.is_lexmin_bits(bits, sp.n, autos, (plus, minus), run):
             return None
     cover |= plus[sp.neg[v]] | minus[v] | plus[v] | 1 << v
-    return bits, size + 1, v, cover, autos, (plus, minus)
+    return bits, cover, autos, (plus, minus)
 
 
-def _replay(sp: _sp.Space, bits: int, reduced: bool, run: tuple = ()) -> tuple:
+def _replay(sp: _sp.Space, bits: int, reduced: bool, run: Optional[tuple] = None) -> tuple:
     """The search node of a set the search reaches, rebuilt by adding its
     members to the empty set in increasing order (see the module
     docstring)."""
@@ -182,7 +177,7 @@ def _prune_by_symmetry(sbits: int, free: int, autos: list) -> int:
     """The points v of free left by rules (i) and (ii) of the module
     docstring.  sbits is least in its orbit, so its span is [0, m) for a
     power m of 3, and autos are automorphisms of it, linear on that span."""
-    m = _span_end(sbits)
+    m = 3 ** canon._span_dim(sbits)
     inside = free & ((1 << m) - 1)
     outside = free >> m << m
     met = 0  # the orbits of the points of inside seen so far
@@ -197,17 +192,18 @@ def _prune_by_symmetry(sbits: int, free: int, autos: list) -> int:
 
 
 def _expand(sp: _sp.Space, min_size: int, reduced: bool, node: tuple,
-            found: dict, run: tuple = ()) -> list:
+            found: dict, run: Optional[tuple] = None) -> list:
     """Visit one node: record it in found when it is maximal and large
     enough, and return the children that remain to be searched.  run is
     as for _child."""
-    sbits, size, maxv, cover, autos, _ = node
+    sbits, cover, autos, _ = node
+    size = sbits.bit_count()
     full = sp.full_bits
     if cover == full:
         if size >= min_size:
             found[sbits] = None
         return []
-    free_above = ~cover & full & -(1 << (maxv + 1))
+    free_above = ~cover & full & -(1 << sbits.bit_length())
     if size < min_size:
         # pair rule: of x and -x at most one can ever join
         f = free_above.bit_count()
@@ -249,7 +245,7 @@ def _expand_frontier(n: int, min_size: int, reduced: bool, jobs: int):
 def _run_task(args) -> tuple:
     """DFS below one pending root, its node rebuilt by replay; returns the
     maximal sets found and the nodes visited.  Its lexmin tests share one
-    span table and one read table."""
+    run pair."""
     n, min_size, reduced, start_bits = args
     sp = _sp.space(n)
     run = ({}, {})

@@ -432,13 +432,22 @@ def _line_everywhere(name: str, a: TernarySet, **_) -> CheckResult:
     return CheckResult.counterexample(name, "contains no line", witness={"set": a.indices()})
 
 
-def _parallel_lines(name: str, a: TernarySet, **_) -> CheckResult:
+def _not_large_dim4_sum_free(name: str, a: TernarySet) -> Optional[CheckResult]:
+    """not_applicable unless a is a sum-free set of F_3^4 with at least 14
+    members."""
     if a.dim != 4:
         return CheckResult.not_applicable(name, "the statement concerns dimension 4")
     if not is_sum_free(a):
         return CheckResult.not_applicable(name, "set is not sum-free")
     if a.size < 14:
         return CheckResult.not_applicable(name, "set has fewer than 14 members")
+    return None
+
+
+def _parallel_lines(name: str, a: TernarySet, **_) -> CheckResult:
+    failed = _not_large_dim4_sum_free(name, a)
+    if failed:
+        return failed
     by_direction: dict = {}
     for line in _lines_within(a):
         by_direction.setdefault(line.basis, []).append(line)
@@ -451,13 +460,7 @@ def _parallel_lines(name: str, a: TernarySet, **_) -> CheckResult:
 
 
 def _dim4(name: str, a: TernarySet, **_) -> CheckResult:
-    if a.dim != 4:
-        return CheckResult.not_applicable(name, "the statement concerns dimension 4")
-    if not is_sum_free(a):
-        return CheckResult.not_applicable(name, "set is not sum-free")
-    if a.size < 14:
-        return CheckResult.not_applicable(name, "set has fewer than 14 members")
-    return _subprimitive_conclusion(name, a, {})
+    return _not_large_dim4_sum_free(name, a) or _subprimitive_conclusion(name, a, {})
 
 
 def _no_zero_4A(name: str, a: TernarySet, **_) -> CheckResult:

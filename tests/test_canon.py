@@ -231,6 +231,12 @@ def test_orbit_stabilizer_for_subspaces_dim4(dim, point):
         assert stab == 303264
 
 
+def _recorded(form, n):
+    """The automorphisms that the fixed-mode walk of a set least in its
+    orbit records, as canonicalize_bits takes them."""
+    return canon._walk(form, n, True)[1]
+
+
 @pytest.mark.parametrize("n", [3, 4])
 def test_recorded_automorphisms_fix_the_set_on_its_span(n):
     sp = space(n)
@@ -239,7 +245,7 @@ def test_recorded_automorphisms_fix_the_set_on_its_span(n):
     @given(affine_unions(n))
     def check(bits):
         form = canon.canonical_form_bits(bits, n)
-        autos = canon.automorphisms_bits(form, n)
+        autos = _recorded(form, n)
         got = []
         assert canon.is_lexmin_bits(form, n, got) and got == autos
         m = 1
@@ -273,7 +279,7 @@ def test_lexmin_tests_take_any_known_automorphisms(n):
     def check(bits, seed):
         rnd = random.Random(seed)
         form = canon.canonical_form_bits(bits, n)
-        full = canon.automorphisms_bits(form, n)
+        full = _recorded(form, n)
         known = rnd.sample(full, rnd.randint(0, len(full)))
         got = list(known)
         assert canon.is_lexmin_bits(form, n, got)
@@ -297,9 +303,11 @@ def test_lexmin_tests_take_any_known_automorphisms(n):
 
 
 def test_automorphisms_are_refused_off_the_least_orbit_member():
-    assert canon.automorphisms_bits(0, 2) == []
-    with pytest.raises(ValueError):
-        canon.automorphisms_bits(1 << 2, 2)  # {-e_0}; its least image is {e_0}
+    assert _recorded(0, 2) == []
+    with pytest.raises(canon._Smaller):
+        _recorded(1 << 2, 2)  # {-e_0}; its least image is {e_0}
+    autos = []
+    assert not canon.is_lexmin_bits(1 << 2, 2, autos) and autos == []
 
 
 def _check_span_table(spans, n, child_span):
@@ -325,10 +333,10 @@ def test_span_table_entries_are_the_spans_of_the_path(n):
     def check(bits, seed):
         image = canon.random_gl(n, random.Random(seed)).apply_bits(bits)
         lone = canon._walk(image, n, False)
-        assert canon._walk(image, n, False, spans=spans) == lone
+        assert canon._walk(image, n, False, run=(spans, {})) == lone
         for b in (image, lone[0]):
             got, want = [], []
-            assert (canon.is_lexmin_bits(b, n, got, spans=spans)
+            assert (canon.is_lexmin_bits(b, n, got, run=(spans, {}))
                     == canon.is_lexmin_bits(b, n, want))
             assert got == want
         assert len(spans) < canon._SPAN_TABLE_MAX  # never emptied at n <= 4
@@ -346,8 +354,8 @@ def test_a_full_span_table_is_emptied_and_the_walks_go_on(monkeypatch):
         bits = TernarySet.from_indices(3, idxs).bits
         best = oracles.orbit_min([oracles.to_trits(i, 3) for i in idxs], 3)[0]
         least = TernarySet.from_indices(3, best).bits
-        assert canon._walk(bits, 3, False, spans=spans)[0] == least
-        assert canon.is_lexmin_bits(least, 3, spans=spans)
+        assert canon._walk(bits, 3, False, run=(spans, {}))[0] == least
+        assert canon.is_lexmin_bits(least, 3, run=(spans, {}))
         assert len(spans) <= 3
 
 
@@ -372,9 +380,9 @@ def test_walks_in_several_dimensions_interleaved_match_the_oracle():
                 k = len(oracles.rref(trits, 4))
                 least = (1 << 3**k) - 1
                 stab = gl_order(4) // oracles.gaussian_binomial(4, k)
-            assert canon._walk(bits, n, False, spans=spans)[0] == least
-            assert canon.is_lexmin_bits(bits, n, spans=spans) == (bits == least)
-            assert canon.is_lexmin_bits(least, n, spans=spans)
+            assert canon._walk(bits, n, False, run=(spans, {}))[0] == least
+            assert canon.is_lexmin_bits(bits, n, run=(spans, {})) == (bits == least)
+            assert canon.is_lexmin_bits(least, n, run=(spans, {}))
             assert canon.canonicalize_bits(bits, n) == (least, stab)
     for n, spans in tables.items():
         assert spans
@@ -443,7 +451,7 @@ def test_fixed_mode_walks_of_sum_free_sets_match_the_oracle(n):
         best, hits = oracles.orbit_min([oracles.to_trits(i, n) for i in iter_bits(bits)], n)
         least = sum(1 << i for i in best)
         # complete tables as a search node holds them, and none
-        complete = search._replay(sp, bits, False)[5]
+        complete = search._replay(sp, bits, False)[3]
         for tables in (None, complete):
             autos = []
             assert canon.is_lexmin_bits(bits, n, autos, tables) == (bits == least)
@@ -466,12 +474,17 @@ def test_lexmin_tests_sharing_run_tables_match_lone_walks(n):
     @settings(max_examples=150 if n == 2 else 60, deadline=None)
     @given(lemma_sets(n))
     def check(bits):
-        complete = search._replay(sp, bits, False)[5]
+        complete = search._replay(sp, bits, False)[3]
         for tables in (None, complete):
             got, want = [], []
-            assert (canon.is_lexmin_bits(bits, n, got, tables, *run)
+            assert (canon.is_lexmin_bits(bits, n, got, tables, run)
                     == canon.is_lexmin_bits(bits, n, want, tables))
             assert got == want
 
     check()
-    assert run[1]  # some read lists were shared
+    spans, reads = run
+    _check_span_table(spans, n, lambda gens, w: sp.span_bits(gens + [w]))
+    assert reads  # some read lists were shared
+    for block, prefix, sum_free in reads:
+        assert block in sp.powers and prefix >> 3 * block == 0
+        assert isinstance(sum_free, bool)

@@ -57,7 +57,7 @@ def _check_symmetry_pruning(bits: int, n: int) -> tuple[int, int]:
     no dropped child may be least in its orbit.  Returns the numbers of
     children dropped outside the span (rule i) and inside it (rule ii)."""
     free = ((1 << 3**n) - 1) & -(1 << bits.bit_length())
-    kept = search._prune_by_symmetry(bits, free, canon.automorphisms_bits(bits, n))
+    kept = search._prune_by_symmetry(bits, free, canon._walk(bits, n, True)[1])
     assert kept & ~free == 0
     dropped = free & ~kept
     for v in iter_bits(dropped):
@@ -111,7 +111,7 @@ def test_child_walks_from_inherited_tables_and_automorphisms(n):
     def check(bits):
         nonlocal inherited
         parent = search._replay(sp, bits, True)
-        parent_autos = parent[4]
+        parent_autos = parent[2]
         for v in range(bits.bit_length(), sp.size):
             child = bits | 1 << v
             node = search._child(sp, parent, v, True)
@@ -119,11 +119,12 @@ def test_child_walks_from_inherited_tables_and_automorphisms(n):
             assert accepted == canon.is_lexmin_bits(child, n), (bits, v)
             if not accepted:
                 continue
-            autos = node[4]
-            known = [a for a in parent_autos if a[v] == v] if v < search._span_end(bits) else []
+            autos = node[2]
+            inside = v < 3 ** canon._span_dim(bits)
+            known = [a for a in parent_autos if a[v] == v] if inside else []
             assert autos[:len(known)] == known
             inherited += len(known) > 0
-            m = search._span_end(child)
+            m = 3 ** canon._span_dim(child)
             for a in autos:
                 assert sorted(a) == list(range(sp.size))
                 assert a[m:] == list(range(m, sp.size))
@@ -131,7 +132,7 @@ def test_child_walks_from_inherited_tables_and_automorphisms(n):
                 for p in sp.powers:
                     if p < m:
                         assert all(a[sp.add(x, p)] == sp.add(a[x], a[p]) for x in range(m))
-            want = canon.automorphisms_bits(child, n)
+            want = canon._walk(child, n, True)[1]
             for x in range(m):
                 assert orbit_bits(1 << x, autos) == orbit_bits(1 << x, want), (bits, v, x)
 
@@ -153,11 +154,11 @@ def test_search_nodes_carry_their_walk_tables(n, min_size, limit, reduced):
     visited = 0
     while stack and visited != limit:
         node = stack.pop()
-        bits, (plus, minus) = node[0], node[5]
+        bits, cover, _, (plus, minus) = node
         neg_bits = sp.neg_set_bits(bits)
         assert plus == [sp.translate_bits(bits, sp.neg[x]) for x in range(sp.size)]
         assert minus == [sp.translate_bits(neg_bits, x) for x in range(sp.size)]
-        assert node[3] == blocked_cover_bits(TernarySet(n, bits))
+        assert cover == blocked_cover_bits(TernarySet(n, bits))
         assert search._replay(sp, bits, reduced) == node
         visited += 1
         stack += search._expand(sp, min_size, reduced, node, found)

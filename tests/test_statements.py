@@ -17,7 +17,7 @@ from gf3sets import (
 )
 from gf3sets import statements, suite
 from gf3sets import subspaces as sub
-from gf3sets.core import format_set_text
+from gf3sets.core import format_set_text, is_sum_free
 from gf3sets.statements import STATEMENTS
 from gf3sets.subspaces import hyperplane_from_normal
 
@@ -78,6 +78,28 @@ def test_statement_outputs_are_frozen(sid):
         results = [check_proposition(sid, a, **kw) for a, _, kw in _cases() if kw is not None]
     text = json.dumps([r.to_json() for r in results], sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == FROZEN[sid]
+
+
+@pytest.mark.parametrize("pid", ["parallel_lines", "dim4"])
+def test_dim4_propositions_refuse_sets_outside_their_hypotheses(pid):
+    lev4 = lev_construction(4)[0]
+    short = TernarySet.from_indices(4, lev4.indices()[:-1])
+    assert short.size == 13 and is_sum_free(short)
+    cases = [
+        (lev_construction(3)[0], "the statement concerns dimension 4"),
+        (TernarySet.from_indices(4, [1, 2]), "set is not sum-free"),  # -e_0 = e_0 + e_0
+        (short, "set has fewer than 14 members"),
+    ]
+    if pid == "parallel_lines":
+        # 14 points of the hyperplane x_0 = 1, so sum-free, with at most one
+        # line in each direction
+        spread = TernarySet.from_indices(
+            4, [1, 4, 10, 13, 16, 25, 37, 49, 52, 61, 67, 70, 76, 79])
+        assert is_sum_free(spread)
+        cases.append((spread, "no two parallel lines inside the set"))
+    for a, detail in cases:
+        got = check_proposition(pid, a)
+        assert (got.status, got.detail) == ("not_applicable", detail), a.indices()
 
 
 def test_lemma_sweeps_recognize_each_primitive_set_once():

@@ -175,18 +175,8 @@ class GroupElement:
 
     @functools.cached_property
     def perm(self) -> list[int]:
-        """Index permutation of the whole space induced by the map.
-
-        Built one coordinate at a time: the indices x + e_j and x - e_j
-        follow the indices x spanned by e_0..e_{j-1}, so their images are
-        the image of x plus and minus the image of e_j.
-        """
-        sp = _sp.space(self.n)
-        perm = [0]
-        for img in self.imgs:
-            plus, minus = sp.add_row(img), sp.add_row(sp.neg[img])
-            perm += [plus[x] for x in perm] + [minus[x] for x in perm]
-        return perm
+        """Index permutation of the whole space induced by the map."""
+        return _sp.space(self.n).linear_map(self.imgs)
 
     def apply_bits(self, bits: int) -> int:
         perm = self.perm

@@ -260,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name", choices=suite.SUITE_NAMES, default="standard")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--samples", type=int, default=None, metavar="K",
-                   help="override sample counts of the randomized checks")
+                   help="override sample counts of the randomized checks (1 to 100000)")
     p.set_defaults(func=_cmd_suite)
 
     return parser

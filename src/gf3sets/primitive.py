@@ -22,14 +22,17 @@ and U determines the split into W and X.  The recognizer walks candidate
 hyperplanes in canonical order and keeps the first that works, so equal
 sets always receive equal certificates.
 
-The full listing below dimension 4 and the stream over one fixed
-hyperplane are also kept as membership columns (space.member_columns),
-which answer the backward check of verify_main_theorem in a few dozen
+The family is built one way, from the block table of the fixed
+hyperplane H = {x_0 = 1}, whose X candidates are filtered once per cone
+dimension (_x_chart), and one linear map taking H to each origin-avoiding
+hyperplane (_hyperplane_maps).  The full listing below dimension 4 is the
+union of the images of H's stream under these maps.  The listing and the
+stream are also kept as membership columns (space.member_columns), which
+answer the backward check of verify_main_theorem in a few dozen
 big-integer ANDs, and below dimension 4 the superset query.  The stream is
 stored only as its block table, whose product structure gives its columns.
 At dimension 4 the superset query reads that block table directly, through
-one linear map per origin-avoiding hyperplane, and never builds the
-columns.
+the same maps, and never builds the columns.
 """
 
 from __future__ import annotations
@@ -89,9 +92,6 @@ class PrimitiveCertificate:
         if self.kind == "hyperplane":
             return self.h.members_bits
         return self.w.bits | self.x.member_bits
-
-    def to_set(self) -> TernarySet:
-        return TernarySet(self.dim_ambient, self.member_bits)
 
     def to_json(self) -> dict:
         if self.kind == "hyperplane":
@@ -270,14 +270,16 @@ def _set_key(bits: int):
 @functools.lru_cache(maxsize=None)
 def _all_primitive_bits(n: int) -> tuple:
     """Every primitive subset of F_3^n, n <= 3, as bitsets in increasing
-    order; none at n = 0, where no hyperplane avoids the origin."""
+    order, the images of H's stream under _hyperplane_maps; none at n = 0,
+    where no hyperplane avoids the origin."""
     if n > 3:
         raise ValueError("full primitive enumeration is capped at dimension 3")
-    out = set()
-    for h in subspaces.enumerate_hyperplanes(n, avoid_origin=True) if n else ():
-        for pairs, cands in _primitive_blocks(h):
-            out.update(_block_bits(pairs, cands))
-    return tuple(sorted(out))
+    maps = _hyperplane_maps(n).values() if n else ()
+    return tuple(sorted({
+        sum(1 << from_h[p] for p in iter_bits(b))
+        for _, from_h in maps
+        for b in iter_primitive_fixed_hyperplane(n)
+    }))
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,14 +301,18 @@ def _lanes_by_size(family) -> dict:
 def _primitive_blocks(h: AffineSubspace):
     """Yield (pairs, cands) for h, a block with no translate pairs and h as
     its one candidate, then for each U inside h that has X candidates, in
-    (dim U, U) order: U's translate pairs in h and its X candidates.  A
-    block's sets are _block_bits(pairs, cands)."""
+    (dim U, U) order: U's translate pairs in h and its X candidates
+    (_x_chart).  A block's sets are _block_bits(pairs, cands)."""
     yield [], [h.members_bits]
+    sp = _sp.space(h.dim_ambient)
     for udim in range(h.dim):
+        chart = _x_chart(udim + 1, h.dim - udim < 2)
+        if not chart:
+            continue
         for u in subspaces.enumerate_affine_subspaces(h, udim):
-            cands = _x_candidates(u, cone_of_subspace(u), h)
-            if cands:
-                yield halves.coset_pairs(h, u), cands
+            to_u = sp.linear_map((u.base_point, *u.direction().basis))
+            cands = [sum(1 << to_u[p] for p in iter_bits(cb)) for cb in chart]
+            yield halves.coset_pairs(h, u), sorted(cands, key=_set_key)
 
 
 def _block_bits(pairs: list, cands: list) -> list:
@@ -314,31 +320,21 @@ def _block_bits(pairs: list, cands: list) -> list:
     return [w | xb for w in halves._pair_halves(pairs) for xb in cands]
 
 
-def _x_candidates(u: AffineSubspace, cu: AffineSubspace, h: AffineSubspace) -> list:
-    """Bitsets eligible as the X part over (h, u), in ambient coordinates.
-
-    The clauses are tested in the chart of cu, a linear isomorphism onto
-    it that keeps affine hulls, so only the sets that pass are mapped out.
-    """
-    k = cu.dim
-    chart = [subspaces.chart_decode(cu, i) for i in range(cu.size)]
-    direction, mirror = u.direction().members_bits, u.neg().members_bits
-    du = nub = 0  # the two in chart coordinates
-    for i, p in enumerate(chart):
-        du |= (direction >> p & 1) << i
-        nub |= (mirror >> p & 1) << i
-    codim_one = h.dim - u.dim < 2
-    out = []
-    for cb in _all_primitive_bits(k):
-        if cb & du or codim_one and cb == nub:
-            continue
-        if subspaces.affine_hull_bits(cb & nub, k).members_bits != nub:
-            continue
-        xb = 0
-        for ci in iter_bits(cb):
-            xb |= 1 << chart[ci]
-        out.append(xb)
-    return sorted(out, key=_set_key)
+@functools.lru_cache(maxsize=None)
+def _x_chart(k: int, codim_one: bool) -> tuple:
+    """The X candidates over a U of dimension k - 1 in H, in U's chart: the
+    map F_3^k -> [U] taking e_0 to U's base point and e_1..e_{k-1} to its
+    direction basis, in which U is {x_0 = 1}, its direction {x_0 = 0} and
+    -U {x_0 = 2}.  U lies in H, so it misses 0, so the chart is an
+    isomorphism onto [U], which keeps primitivity and affine hulls: the
+    clauses are tested once per (k, codim_one), codim_one being whether U
+    has codimension one in H, and _primitive_blocks maps out the result."""
+    direction, _, mirror = _sp.space(k).slabs[0]
+    return tuple(
+        cb for cb in _all_primitive_bits(k)
+        if not (cb & direction or codim_one and cb == mirror)
+        and subspaces.affine_hull_bits(cb & mirror, k).members_bits == mirror
+    )
 
 
 def iter_primitive_fixed_hyperplane(n: int):
@@ -514,7 +510,7 @@ def _primitive_superset(a: TernarySet) -> Optional[int]:
             lanes &= columns[low.bit_length() - 1]
             rest ^= low
         return family[(lanes & -lanes).bit_length() - 1] if lanes else None
-    maps, blocks = _superset_scan_table(n)
+    maps, blocks = _hyperplane_maps(n), _superset_scan_table(n)
     for h in subspaces.hyperplanes_covering(subspaces.full_space(n), a.bits):
         to_h, from_h = maps[h.members_bits]
         image = sum(1 << to_h[p] for p in iter_bits(a.bits))
@@ -528,26 +524,31 @@ def _primitive_superset(a: TernarySet) -> Optional[int]:
 
 
 @functools.lru_cache(maxsize=None)
-def _superset_scan_table(n: int) -> tuple:
-    """(maps, blocks) read by the dimension-4 superset query.
-
-    maps takes each origin-avoiding hyperplane h, by its members, to the
-    index permutations of g and g^-1, plain lists, where g^-1 is the linear
-    map taking the basis to h's base point and direction basis; it sends
-    H = {x_0 = 1} to h.  blocks is _fixed_hyperplane_blocks(n), each block
-    led by the points outside its translate pairs and candidates, which no
-    set of the block holds.
-    """
+def _hyperplane_maps(n: int) -> dict:
+    """(to_h, from_h) for each origin-avoiding hyperplane h, by its members:
+    the index permutations of g and g^-1, plain lists, where g^-1 is the
+    linear map taking the basis to h's base point and direction basis.  It
+    sends H = {x_0 = 1}, the fixed hyperplane, to h, so g carries a set
+    into H's frame, where its splits over h become splits over H."""
+    sp = _sp.space(n)
     maps = {}
     for h in subspaces.enumerate_hyperplanes(n, avoid_origin=True):
-        from_h = canon.GroupElement(n, (h.base_point, *h.direction().basis)).perm
+        from_h = sp.linear_map((h.base_point, *h.direction().basis))
         maps[h.members_bits] = (sorted(range(3**n), key=from_h.__getitem__), from_h)
+    return maps
+
+
+@functools.lru_cache(maxsize=None)
+def _superset_scan_table(n: int) -> tuple:
+    """The blocks read by the dimension-4 superset query:
+    _fixed_hyperplane_blocks(n), each block led by the points outside its
+    translate pairs and candidates, which no set of the block holds."""
     full = _sp.space(n).full_bits
     blocks = []
     for pairs, cands in _fixed_hyperplane_blocks(n):
         inside = functools.reduce(operator.or_, cands, sum(f | s for f, s in pairs))
         blocks.append((full & ~inside, pairs, cands))
-    return maps, tuple(blocks)
+    return tuple(blocks)
 
 
 def _lowest_in_block(bits: int, pairs: list, cands: list) -> Optional[int]:

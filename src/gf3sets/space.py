@@ -200,6 +200,18 @@ class Space:
     def add(self, i: int, j: int) -> int:
         return self.add_row(j)[i]
 
+    def linear_map(self, imgs) -> list[int]:
+        """The linear map F_3^k -> F_3^n with e_i -> imgs[i], k = len(imgs),
+        as a list over the indices of F_3^k.  Built one coordinate at a
+        time: the indices x + e_j and x - e_j follow the indices x spanned
+        by e_0..e_{j-1}, so their images are the image of x plus and minus
+        imgs[j]."""
+        out = [0]
+        for img in imgs:
+            plus, minus = self.add_row(img), self.add_row(self.neg[img])
+            out += [plus[x] for x in out] + [minus[x] for x in out]
+        return out
+
     # -- bitset operations -------------------------------------------------
 
     def translate_bits(self, bits: int, v: int) -> int:

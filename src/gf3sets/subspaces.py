@@ -261,11 +261,6 @@ def chart_encode(v: AffineSubspace, index: int) -> int:
     return _sp.encode(index // 3**p % 3 for p in v._chart[1])
 
 
-def _check_linear(v: AffineSubspace) -> None:
-    if not v.is_linear:
-        raise ValueError("hyperplanes of a subspace need a linear subspace")
-
-
 def _from_chart(v: AffineSubspace, h: AffineSubspace) -> AffineSubspace:
     """The image in the ambient space of a subspace h of v's chart."""
     if v.dim == v.dim_ambient:
@@ -274,12 +269,6 @@ def _from_chart(v: AffineSubspace, h: AffineSubspace) -> AffineSubspace:
     rows = [chart_decode(v, b) for b in h.basis]
     bits = _sp.space(v.dim_ambient).span_bits(rows, chart_decode(v, h.base_point))
     return AffineSubspace(v.dim_ambient, bits)
-
-
-def hyperplanes_within(v: AffineSubspace, avoid_origin: bool = False) -> list[AffineSubspace]:
-    """Affine hyperplanes of the linear subspace v, in canonical chart order."""
-    _check_linear(v)
-    return [_from_chart(v, h) for h in enumerate_hyperplanes(v.dim, avoid_origin)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -299,15 +288,16 @@ def hyperplanes_covering(v: AffineSubspace, bits: int):
     """Yield the origin-avoiding hyperplanes H of v with bits inside H | -H.
 
     v is a linear subspace containing bits.  The hyperplanes come in the
-    order of hyperplanes_within(v, avoid_origin=True).  The two hyperplanes
-    of one chart normal are H and -H, the nonzero level sets of a linear
-    functional on v, so bits lies in their union exactly when the chart
-    image of bits misses the functional's kernel.  That test is one AND
-    with a mask of the cached per-dimension kernel table, and only a
-    passing hyperplane is built in the ambient space.  The dimension of v
-    is read off its member count, so the full space builds no chart.
+    order of their chart images in enumerate_hyperplanes(v.dim, True).  The
+    two hyperplanes of one chart normal are H and -H, the nonzero level
+    sets of a linear functional on v, so bits lies in their union exactly
+    when the chart image of bits misses the functional's kernel.  That test
+    is one AND with a mask of the cached per-dimension kernel table, and
+    only a passing hyperplane is built in the ambient space.  The dimension
+    of v is read off its member count, so the full space builds no chart.
     """
-    _check_linear(v)
+    if not v.is_linear:
+        raise ValueError("hyperplanes of a subspace need a linear subspace")
     chart_bits = bits
     k = v.dim
     if k < v.dim_ambient:

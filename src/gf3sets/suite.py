@@ -25,6 +25,7 @@ from .statements import CheckResult
 from .space import space
 
 SUITE_NAMES = ("standard", "extended")
+MAX_SAMPLES = 10**5  # ten times the largest default count, kneser_random's
 
 
 @dataclass(frozen=True)
@@ -353,8 +354,8 @@ def run_suite(
     """Run one suite; the report is identical for any worker count.
 
     samples, when given, overrides the default sample count of every
-    randomized check (the exhaustive ones are unaffected); it must be at
-    least 1.
+    randomized check (the exhaustive ones are unaffected); it must be
+    between 1 and MAX_SAMPLES.
     """
     if name not in SUITE_NAMES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -362,6 +363,8 @@ def run_suite(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if samples is not None and samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
+    if samples is not None and samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {MAX_SAMPLES}, got {samples}")
     names = _STANDARD if name == "standard" else _EXTENDED
     args = [(c, seed, samples) for c in names]
     workers = min(jobs, len(args), os.cpu_count() or 1)

@@ -2,9 +2,11 @@
 
 Everything here works on plain trit tuples with explicit modular
 arithmetic and python sets; no tables, encodings, or helpers are shared
-with the package under test.  The one exception is the last function, the
-package's former dimension-4 primitive-superset search, kept verbatim as
-the reference for the block-table scan that replaced it.
+with the package under test.  The exceptions are the last three
+functions, former package code kept as the reference for what replaced
+it: the dimension-4 primitive-superset search, the hyperplanes of a
+linear subspace through its chart, and the X candidates over one U
+tested in its own chart.
 """
 
 import functools
@@ -253,3 +255,41 @@ def _primitive_superset_dim4(bits: int) -> Optional[int]:
         return rec(cur, banned | 1 << v, cover)
 
     return rec(bits, 0, blocked_cover_bits(TernarySet(4, bits)))
+
+
+def hyperplanes_within(v, avoid_origin: bool = False) -> list:
+    """Affine hyperplanes of the linear subspace v, each the image of a
+    hyperplane of v's chart by chart_decode, in canonical chart order."""
+    from gf3sets import subspaces
+
+    if not v.is_linear:
+        raise ValueError("hyperplanes of a subspace need a linear subspace")
+    return [
+        subspaces.affine_subspace(
+            v.dim_ambient,
+            [subspaces.chart_decode(v, b) for b in h.basis],
+            subspaces.chart_decode(v, h.base_point),
+        )
+        for h in subspaces.enumerate_hyperplanes(v.dim, avoid_origin)
+    ]
+
+
+def x_candidates_by_point(u, cu, h) -> list:
+    """The X candidates over (h, u) by the clauses of the primitive module
+    docstring, from the primitive sets of the span cu of u's chart, with
+    each chart point mapped by its own chart_decode call."""
+    from gf3sets import primitive, subspaces
+    from gf3sets.space import iter_bits
+
+    n = u.dim_ambient
+    nu = u.neg()
+    out = []
+    for cb in primitive._all_primitive_bits(cu.dim):
+        xb = 0
+        for ci in iter_bits(cb):
+            xb |= 1 << subspaces.chart_decode(cu, ci)
+        off_direction = xb & u.direction().members_bits == 0
+        not_mirror = h.dim - u.dim >= 2 or xb != nu.members_bits
+        if off_direction and not_mirror and subspaces.affine_hull_bits(xb & nu.members_bits, n) == nu:
+            out.append(xb)
+    return out

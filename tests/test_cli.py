@@ -280,6 +280,22 @@ def test_suite_samples_below_one_exit_two(samples, capsys):
     assert "samples must be at least 1" in capsys.readouterr().err
 
 
+def test_suite_samples_above_the_bound_exit_two(capsys, monkeypatch):
+    # refused before any check runs, so a huge count returns at once
+    def crash(args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(suite, "_run_check", crash)
+    for samples in (suite.MAX_SAMPLES + 1, 10**11):
+        assert cli.main(["suite", "--samples", str(samples)]) == 2
+        assert "samples must be at most 100000" in capsys.readouterr().err
+    # the bound itself is accepted
+    monkeypatch.setattr(
+        suite, "_run_check", lambda args: (CheckResult.holds(args[0], str(args[2])), 0.0)
+    )
+    assert suite.run_suite(samples=suite.MAX_SAMPLES).checks[0].detail == "100000"
+
+
 def test_truncated_checkpoint_exits_two(tmp_path):
     path = tmp_path / "state.json"
     args = ["enumerate-maximal", "--dim", "2", "--checkpoint", str(path)]

@@ -24,6 +24,23 @@ def test_encode_decode_roundtrip(n):
         assert space.encode(trits) == i
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_linear_map_matches_the_matrix_oracle(data):
+    n = data.draw(st.integers(1, 4))
+    k = data.draw(st.integers(0, n))
+    imgs = data.draw(st.lists(st.integers(0, 3**n - 1), min_size=k, max_size=k))
+    # a k x n matrix, padded with zero rows to the oracle's square form
+    rows = [oracles.to_trits(v, n) for v in imgs] + [(0,) * n] * (n - k)
+    want = [
+        oracles.to_index(oracles.apply_matrix(rows, oracles.to_trits(x, k) + (0,) * (n - k)))
+        for x in range(3**k)
+    ]
+    assert space.space(n).linear_map(imgs) == want
+    basis = canon.random_basis(n, random.Random(data.draw(st.integers(0, 2**32))))
+    assert canon.GroupElement(n, basis).perm == space.space(n).linear_map(basis)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_add_sub_neg_tables(n):
     sp = space.space(n)

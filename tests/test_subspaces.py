@@ -284,17 +284,19 @@ def test_chart_round_trip():
 
 def test_hyperplanes_within():
     plane = sub.linear_subspace(3, (1, 3))
-    inside = sub.hyperplanes_within(plane)
+    inside = oracles.hyperplanes_within(plane)
     assert all(plane.contains_subspace(j) and j.dim == plane.dim - 1 for j in inside)
     assert len(inside) == 12
-    off = sub.hyperplanes_within(plane, avoid_origin=True)
+    off = oracles.hyperplanes_within(plane, avoid_origin=True)
     assert len(off) == 8
     assert all(0 not in j for j in off)
+    # nothing to cover: every origin-avoiding hyperplane, in chart order
+    assert list(sub.hyperplanes_covering(plane, 0)) == off
     cube = sub.full_space(2)
-    assert len(sub.hyperplanes_within(cube)) == 12
-    assert len(sub.hyperplanes_within(cube, avoid_origin=True)) == 8
+    assert len(oracles.hyperplanes_within(cube)) == 12
+    assert len(oracles.hyperplanes_within(cube, avoid_origin=True)) == 8
     with pytest.raises(ValueError):
-        sub.hyperplanes_within(sub.hyperplane_from_normal(3, 1, 1))
+        list(sub.hyperplanes_covering(sub.hyperplane_from_normal(3, 1, 1), 0))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -310,8 +312,10 @@ def test_full_space_hyperplanes_match_the_chart_path(n, ao):
         )
         for h in sub.enumerate_hyperplanes(n, ao)
     ]
-    got = sub.hyperplanes_within(full, ao)
+    got = oracles.hyperplanes_within(full, ao)
     assert got == list(sub.enumerate_hyperplanes(n, ao)) == charted
+    if ao:  # the full space's chart shortcut in hyperplanes_covering
+        assert list(sub.hyperplanes_covering(full, 0)) == got
     assert [h.members_bits for h in got] == [
         sp.span_bits(h.basis, h.base_point) for h in charted
     ]
@@ -329,7 +333,7 @@ def test_hyperplanes_covering_filters_hyperplanes_within(n):
         if v.dim < 1:
             continue
         pts = sorted(_members(v))
-        planes = sub.hyperplanes_within(v, avoid_origin=True)
+        planes = oracles.hyperplanes_within(v, avoid_origin=True)
         for k in (0, 1, 2, len(pts) // 3, len(pts) - 1):
             bits = sum(1 << p for p in rng.sample(pts[1:], min(k, len(pts) - 1)))
             want = [

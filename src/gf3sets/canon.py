@@ -95,6 +95,19 @@ would split against the same best, and a child with neither kind of
 candidate returns at once, having changed nothing.  The best only
 decreases, so a subtree cut against it stays cut.
 
+The two modes run two frame loops: visit in fixed mode, rec when
+minimizing.  In fixed mode the best is A on the identity path, so a
+child's split needs no best, no prefix of the child's image and no set of
+smaller candidates: it narrows the child's candidates to those tied with
+A, or ends the walk, so it runs inline in the parent's loop, over the
+level's lists.  The best never changes, so a fixed-mode frame never splits
+its own candidates again, and nothing reads the orbit of the last
+candidate a frame visits.  rec keeps all of that.  One loop for both
+modes would branch on the mode at every visit, and the visits are what a
+fixed walk costs: the lexmin tests of a dim-4 search (min size 14) make
+about 130,000 of them, nearly one child split each, and only about 5
+reads per split.
+
 The walk is pruned by automorphisms, after McKay ("Practical graph
 isomorphism", 1981; McKay and Piperno, 2014):
 
@@ -252,11 +265,15 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
     set reads only the points the lemma leaves open.  tables, when given,
     are the walk tables (plus, minus) complete, and run a run pair (span
     table of dimension n, read table) to read and grow; without them the
-    walk makes its own.  Raises ValueError above MAX_WALK_DIM, before
-    building anything.
+    walk makes its own.  Raises ValueError above MAX_WALK_DIM, or when
+    bits is negative or holds an index outside F_3^n, before building
+    anything.
     """
     if n > MAX_WALK_DIM:
         raise ValueError(f"canonical forms need n <= {MAX_WALK_DIM}, got n = {n}")
+    if bits < 0 or bits.bit_length() > 3**n:
+        raise ValueError(f"bits is not a set of F_3^{n}: it is negative or "
+                         f"holds an index of 3^{n} or more")
     sp = _sp.space(n)
     size = sp.size
     autos: list[list[int]] = list(known)
@@ -281,7 +298,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
         """Settle a complete path whose image is not bigger than the best;
         returns the depth to jump back to."""
         nonlocal best, best_hmap
-        if not fixed and (best is None or _compare(image, best) < 0):
+        if best is None or _compare(image, best) < 0:
             best, best_hmap = image, hmap
             return None
         for k in range(j):
@@ -294,6 +311,15 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
             a[x] = y
         autos.append(a)
         return k
+
+    def kids_of(span: int) -> dict:
+        """w -> span + <w>, shared by every node on span."""
+        kids = spans.get(span)
+        if kids is None:
+            if len(spans) >= _SPAN_TABLE_MAX:
+                spans.clear()
+            kids = spans[span] = {}
+        return kids
 
     if fixed:
         # whether bits is sum-free, for the lemma of the module docstring:
@@ -329,40 +355,97 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
             got = levels[block] = list(zip(tables, codes))
             return got
 
-        def split(hmap: tuple, cands: int) -> tuple[int, int]:
-            """(0, tied): the candidates whose new block equals that of
-            bits; raises _Smaller at the first, least index first, that
-            beats it."""
+        def visit(j: int, hmap: tuple, span: int, gens: list, tied: int):
+            """Search below a node whose candidates for w_j tied bits, not
+            none.  gens are the recorded autos that fix the path, a list of
+            this frame's own."""
             block = len(hmap)
-            for table, codes in levels.get(block) or level(block):
+            seen = len(autos)  # the recorded autos in gens so far
+            searched = 0  # the candidates searched so far
+            skip = 0  # their orbits under gens
+            kids = kids_of(span)
+            lev = None  # the children's level lists, made on first split
+            get = itemgetter(*hmap) if block > 1 else lambda row: (row[0],)
+            while tied:
+                bit = tied & -tied
+                tied ^= bit
+                if len(autos) > seen:
+                    gens += autos[seen:]
+                    seen = len(autos)
+                    skip = orbit_bits(searched, gens)
+                if skip & bit:
+                    continue
+                searched |= bit
+                if tied:  # skip is read again only while candidates are left
+                    skip |= orbit_bits(bit, gens) if gens else bit
+                w = bit.bit_length() - 1
+                child = (hmap + get(rows.get(w) or add_row(w))
+                         + get(rows.get(neg[w]) or add_row(neg[w])))
+                new_span = kids.get(w)
+                if new_span is None:
+                    new_span = kids[w] = span | translate(span, w) | translate(span, neg[w])
+                rest = bits & ~new_span
+                if not rest:
+                    back = leaf(j + 1, child, bits)
+                else:
+                    # the child's split against bits, inline; its frame is
+                    # opened only if some candidate ties
+                    if lev is None:
+                        lev = levels.get(3 * block) or level(3 * block)
+                    for table, codes in lev:
+                        for c in codes:
+                            t = table[child[c >> 1]]
+                            if c & 1:
+                                rest &= t
+                                if not rest:
+                                    break
+                            elif rest & t:
+                                raise _Smaller
+                        if not rest:
+                            break
+                    if not rest:
+                        continue
+                    back = visit(j + 1, child, new_span,
+                                 [a for a in gens if a[w] == w], rest)
+                if back is not None and back < j:
+                    return back
+            return None
+
+        try:
+            # the root's split, on the path (0,), whose level lists read at
+            # most its one point in each half
+            tied = bits & ~1
+            for table, codes in level(1):
                 for c in codes:
-                    t = table[hmap[c >> 1]]
                     if c & 1:
-                        cands &= t
-                        if not cands:
-                            return 0, 0
-                    elif cands & t:
+                        tied &= table[0]
+                    elif tied & table[0]:
                         raise _Smaller
-            return 0, cands
-    else:
-        def split(hmap: tuple, cands: int) -> tuple[int, int]:
-            """(smaller, tied): the candidates whose new block beats, or
-            equals, that of the best, compared least index first; the rest
-            lose."""
-            want = best >> len(hmap)
-            smaller = 0
-            for table in tables:
-                for x in hmap:
-                    t = table[x]
-                    if want & 1:
-                        cands &= t
-                    elif cands & t:
-                        smaller |= cands & t
-                        cands &= ~t
-                    if not cands:
-                        return smaller, 0
-                    want >>= 1
-            return smaller, cands
+            visit(0, (0,), 1, autos[:], tied)
+        finally:
+            # visit reaches itself through its closure; without this the
+            # walk's tables would wait for the cycle collector
+            visit = None
+        return best, autos
+
+    def split(hmap: tuple, cands: int) -> tuple[int, int]:
+        """(smaller, tied): the candidates whose new block beats, or
+        equals, that of the best, compared least index first; the rest
+        lose."""
+        want = best >> len(hmap)
+        smaller = 0
+        for table in tables:
+            for x in hmap:
+                t = table[x]
+                if want & 1:
+                    cands &= t
+                elif cands & t:
+                    smaller |= cands & t
+                    cands &= ~t
+                if not cands:
+                    return smaller, 0
+                want >>= 1
+        return smaller, cands
 
     def rec(j: int, hmap: tuple, span: int, prefix: int, gens: list,
             smaller: int, tied: int):
@@ -376,11 +459,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
         skip = 0  # their orbits under gens
         todo = smaller | tied  # the candidates left to visit, least first
         split_best = best  # the best that smaller and tied were split against
-        kids = spans.get(span)  # w -> span + <w>, shared by every node on span
-        if kids is None:
-            if len(spans) >= _SPAN_TABLE_MAX:
-                spans.clear()
-            kids = spans[span] = {}
+        kids = kids_of(span)
         # the path's images of x + w and x - w for the x of the block, read
         # off the rows of w and -w; a one-index getter returns a scalar
         get = itemgetter(*hmap) if block > 1 else lambda row: (row[0],)
@@ -403,19 +482,18 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
             new_span = kids.get(w)
             if new_span is None:
                 new_span = kids[w] = span | translate(span, w) | translate(span, neg[w])
-            t = prefix  # the child's image on [0, 3 * block), unread in fixed mode
-            if smaller & bit:
+            if smaller & bit:  # the child's image on [0, 3 * block)
+                t = prefix
                 for r in range(block, 3 * block):
                     if bits >> child[r] & 1:
                         t |= 1 << r
-            elif not fixed:
+            else:
                 t = best & low
             child_rest = bits & ~new_span
             if not child_rest:
                 back = leaf(j + 1, child, t)
             else:
-                # split the child's candidates here (a fixed-mode split
-                # raises _Smaller on a smaller one), and open its frame
+                # split the child's candidates here, and open its frame
                 # only if one of them is smaller or tied
                 if smaller & bit:
                     child_smaller, child_tied = child_rest, 0
@@ -429,26 +507,18 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
             if back is not None and back < j:
                 return back
             if best != split_best:
-                # a leaf below beat the best, which only a minimizing walk
-                # changes; the new best ties this node's prefix, so the
-                # candidates not yet visited are split against it
+                # a leaf below beat the best; the new best ties this node's
+                # prefix, so the candidates not yet visited are split
+                # against it
                 split_best = best
                 smaller, tied = split(hmap, bits & ~span & -(bit << 1))
                 todo = smaller | tied
         return None
 
-    rest = bits & ~1
     try:
-        if fixed:
-            smaller, tied = split((0,), rest)
-        else:
-            smaller, tied = rest, 0
-        if smaller | tied:
-            rec(0, (0,), 1, bits & 1, autos[:], smaller, tied)
+        rec(0, (0,), 1, bits & 1, autos[:], bits & ~1, 0)
     finally:
-        # rec reaches itself through its closure; without this the walk's
-        # tables would wait for the cycle collector
-        rec = None
+        rec = None  # as visit above
     return best, autos
 
 

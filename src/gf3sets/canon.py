@@ -162,7 +162,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import space as _sp
-from .space import MAX_WALK_DIM, iter_bits, orbit_bits
+from .space import MAX_WALK_DIM, iter_bits, orbit_bits, randbelow
 
 
 _SPAN_TABLE_MAX = 256  # spans a span table keeps before it is emptied
@@ -201,10 +201,11 @@ class GroupElement:
 
 def random_basis(n: int, rng: random.Random) -> tuple[int, ...]:
     """The basis images of a uniformly random invertible linear map: n rows
-    of n random trits each, redrawn until they span the space."""
+    of n random trits each, redrawn until they span the space.  Each trit
+    is randbelow(rng, 3), which draws what rng.randrange(3) draws."""
     sp = _sp.space(n)
     while True:
-        imgs = tuple(sum(rng.randrange(3) * p for p in sp.powers) for _ in range(n))
+        imgs = tuple(sum(randbelow(rng, 3) * p for p in sp.powers) for _ in range(n))
         if sp.span_bits(imgs) == sp.full_bits:
             return imgs
 

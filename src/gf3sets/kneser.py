@@ -11,8 +11,14 @@ them is empty the whole group does.
 
 The arithmetic runs on raw bitsets.  _bound_bits computes the four sizes
 of the bound and its verdict from two member bitsets, and kneser_check
-only formats them; the witness builder works on the bits of its
-arguments.  The samplers draw bitsets, and the public samplers wrap
+only formats them.  Two sumsets of the bound are known without being
+computed whenever K is trivial or whole: X + {0} = X, so K = {0} gives
+|A+K| = |A| and |B+K| = |B|; and if A+B = G then K = G, and X + G = G for
+every nonempty X, so all four sizes are |G|.  Only a proper nontrivial K
+costs the two sumsets A+K and B+K.  find_stabilizer_witness computes
+them always: they are its witness check.  The witness builder works on
+the bits of its arguments.  The samplers draw bitsets through
+space.randbelow and space.sample_bits, and the public samplers wrap
 those same draws in TernarySets only to return them.  So the suite's
 many samples build no TernarySet unless a check fails: a TernarySet is
 made only where the public API returns one.
@@ -27,7 +33,7 @@ from . import canon, subspaces
 from . import space as _sp
 from .core import TernarySet, difference_set, sumset, sym_group_bits
 from .statements import CheckResult
-from .space import iter_bits
+from .space import iter_bits, randbelow, sample_bits
 from .subspaces import AffineSubspace
 
 
@@ -61,10 +67,15 @@ def _bound_bits(a: int, b: int, n: int) -> tuple[int, int, int, int, bool]:
     and K = Sym(A+B)."""
     sp = _sp.space(n)
     s = sp.sumset_bits(a, b)
+    if s == sp.full_bits:  # K = G, and A + G = B + G = G
+        return sp.size, sp.size, sp.size, sp.size, True
     k = sym_group_bits(s, n)
     s_size, k_size = s.bit_count(), k.bit_count()
-    a_plus_k = sp.sumset_bits(a, k).bit_count()
-    b_plus_k = sp.sumset_bits(b, k).bit_count()
+    if k_size == 1:  # K = {0}
+        a_plus_k, b_plus_k = a.bit_count(), b.bit_count()
+    else:
+        a_plus_k = sp.sumset_bits(a, k).bit_count()
+        b_plus_k = sp.sumset_bits(b, k).bit_count()
     return s_size, a_plus_k, b_plus_k, k_size, s_size >= a_plus_k + b_plus_k - k_size
 
 
@@ -182,7 +193,8 @@ def find_stabilizer_witness(
 
 def sample_kneser_pair(rng: random.Random, n: int) -> tuple[TernarySet, TernarySet]:
     """A seeded nonempty pair, biased toward periodic structure so the
-    stabilizer is frequently nontrivial."""
+    stabilizer is frequently nontrivial.  A dimension outside
+    0..MAX_DIM raises ValueError before any draw."""
     a, b = _pair_bits(rng, n)
     return TernarySet(n, a), TernarySet(n, b)
 
@@ -196,16 +208,17 @@ def _pair_bits(rng: random.Random, n: int) -> tuple[int, int]:
 
 
 def _sample_bits(rng: random.Random, sp: _sp.Space) -> int:
+    size = sp.size
     if rng.random() < 1 / 3:
-        k = rng.randrange(0, sp.n + 1)
+        k = randbelow(rng, sp.n + 1)
         v = sp.span_bits(canon.random_basis(sp.n, rng)[:k])
         bits = 0
-        for _ in range(rng.randrange(1, 4)):
-            bits |= sp.translate_bits(v, rng.randrange(sp.size))
-        for _ in range(rng.randrange(0, 3)):
-            bits |= 1 << rng.randrange(sp.size)
+        for _ in range(1 + randbelow(rng, 3)):
+            bits |= sp.translate_bits(v, randbelow(rng, size))
+        for _ in range(randbelow(rng, 3)):
+            bits |= 1 << randbelow(rng, size)
         return bits
-    return _bits_of(rng.sample(range(sp.size), rng.randrange(1, sp.size + 1)))
+    return sample_bits(rng, range(size), 1 + randbelow(rng, size))
 
 
 def sample_witness_triple(
@@ -217,37 +230,34 @@ def sample_witness_triple(
     partial second coset, B as a full coset, and C inside the one coset the
     sumset misses, with sizes drawn to satisfy the mass bound tightly or
     loosely at random.  A quarter of the samples exercise the degenerate
-    path with one side empty.
+    path with one side empty.  A dimension outside 1..MAX_DIM raises
+    ValueError before any draw: F_3^0 has no subgroup of index 3.
     """
     sp = _sp.space(n)
+    if n < 1:
+        raise ValueError("a witness triple needs a subgroup of index 3, so n >= 1")
     size = sp.size
     if rng.random() < 0.25:
-        spare = rng.randrange(0, (size - 1) // 2 + 1)
-        big = _bits_of(rng.sample(range(size), size - spare))
-        c = _bits_of(rng.sample(range(size), rng.randrange(2 * spare + 1, size + 1)))
+        spare = randbelow(rng, (size - 1) // 2 + 1)
+        big = sample_bits(rng, range(size), size - spare)
+        c = sample_bits(rng, range(size), 2 * spare + 1 + randbelow(rng, size - 2 * spare))
         a, b = (0, big) if rng.random() < 0.5 else (big, 0)
     else:
         q = 3 ** (n - 1)
-        cosets = subspaces._levels(sp, rng.randrange(1, size))
+        cosets = subspaces._levels(sp, 1 + randbelow(rng, size - 1))
         a_lab, a2_lab = rng.sample(range(3), 2)
-        b_lab = rng.randrange(3)
+        b_lab = randbelow(rng, 3)
         (c_lab,) = {0, 1, 2} - {(a_lab + b_lab) % 3, (a2_lab + b_lab) % 3}
-        delta = rng.randrange((q + 2) // 2, q + 1)
-        a = cosets[a_lab] | _bits_of(rng.sample(list(iter_bits(cosets[a2_lab])), delta))
+        low = (q + 2) // 2
+        delta = low + randbelow(rng, q + 1 - low)
+        a = cosets[a_lab] | sample_bits(rng, list(iter_bits(cosets[a2_lab])), delta)
         b = cosets[b_lab]
-        csize = rng.randrange(max(1, 2 * q - 2 * delta + 1), q + 1)
-        c = _bits_of(rng.sample(list(iter_bits(cosets[c_lab])), csize))
+        low = max(1, 2 * q - 2 * delta + 1)
+        csize = low + randbelow(rng, q + 1 - low)
+        c = sample_bits(rng, list(iter_bits(cosets[c_lab])), csize)
     s = sp.sumset_bits(a, b) if a and b else 0
     if s & c or not c:
         raise RuntimeError("sampler produced an invalid triple")
     if 2 * a.bit_count() + 2 * b.bit_count() + c.bit_count() <= 2 * size:
         raise RuntimeError("sampler missed the mass bound")
     return TernarySet(n, a), TernarySet(n, b), TernarySet(n, c)
-
-
-def _bits_of(indices) -> int:
-    """The bitset of distinct indices."""
-    bits = 0
-    for i in indices:
-        bits |= 1 << i
-    return bits

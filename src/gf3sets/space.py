@@ -34,11 +34,23 @@ would hold 3^n entries for the life of the process, so each call builds
 its row afresh.  The search, at n <= 4, also reads point rows: the
 one-point sets {v - x} and {x - v} over the indices x, which reference one
 list of the ints 1 << i and are kept once built.
+
+The seeded samplers of kneser, canon and suite draw through randbelow and
+sample_bits.  They make exactly the getrandbits calls that CPython 3.11's
+random.Random makes for randrange(m) and for sample(population, k): a
+draw of m.bit_length() bits, redrawn while it is at least m, and sample's
+own choice between a shrinking pool and a set of the indices drawn so far.
+So every seeded sample, count and report is what the random module would
+give, and sample_bits returns the bitset of the sample without building
+its list.  test_space's parity tests hold them to the random module, draw
+for draw and state for state.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import random
 from typing import Iterable, Iterator
 
 MAX_DIM = 12
@@ -114,6 +126,57 @@ def decode(index: int, n: int) -> tuple[int, ...]:
         out.append(index % 3)
         index //= 3
     return tuple(out)
+
+
+def randbelow(rng: random.Random, m: int) -> int:
+    """rng.randrange(m) from the same getrandbits calls: m.bit_length()
+    bits, redrawn while they are at least m."""
+    if m <= 0:  # getrandbits(0) is 0, so the loop below would never end
+        raise ValueError(f"empty range for randbelow({m})")
+    k = m.bit_length()
+    getrandbits = rng.getrandbits
+    r = getrandbits(k)
+    while r >= m:
+        r = getrandbits(k)
+    return r
+
+
+def sample_bits(rng: random.Random, population, k: int) -> int:
+    """The bitset of rng.sample(population, k) for a sequence of distinct
+    indices, from the same getrandbits calls.
+
+    Like random.sample, it draws from a pool of the members not yet taken,
+    shrunk by moving its last member into the vacancy, when the population
+    is at most setsize (21, plus 4^ceil(log_4 3k) when k > 5); otherwise
+    it draws indices into the whole population and redraws those taken.
+    """
+    n = len(population)
+    if not 0 <= k <= n:
+        raise ValueError(f"sample of {k} from a population of {n}")
+    getrandbits = rng.getrandbits
+    setsize = 21
+    if k > 5:
+        setsize += 4 ** math.ceil(math.log(k * 3, 4))
+    out = 0
+    if n <= setsize:
+        pool = list(population)
+        for m in range(n, n - k, -1):
+            b = m.bit_length()
+            j = getrandbits(b)
+            while j >= m:
+                j = getrandbits(b)
+            out |= 1 << pool[j]
+            pool[j] = pool[m - 1]
+        return out
+    b = n.bit_length()
+    taken = 0
+    for _ in range(k):
+        j = getrandbits(b)
+        while j >= n or taken >> j & 1:
+            j = getrandbits(b)
+        taken |= 1 << j
+        out |= 1 << population[j]
+    return out
 
 
 def _repeat(pattern: int, period: int, size: int) -> int:

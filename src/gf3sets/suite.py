@@ -22,7 +22,7 @@ from .core import (
     is_maximal_sum_free,
 )
 from .statements import CheckResult
-from .space import space
+from .space import randbelow, sample_bits, space
 
 SUITE_NAMES = ("standard", "extended")
 MAX_SAMPLES = 10**5  # ten times the largest default count, kneser_random's
@@ -148,13 +148,13 @@ def _chk_kneser_corollaries(rng: random.Random, samples: int = 1000) -> CheckRes
     for i in range(samples):
         n = 1 + i % 3
         size = 3**n
-        sa = rng.randrange(1, size + 1)
-        sb = rng.randrange(size - sa + 1, size + 1)
-        a = TernarySet.from_indices(n, rng.sample(range(size), sa))
-        b = TernarySet.from_indices(n, rng.sample(range(size), sb))
+        sa = 1 + randbelow(rng, size)
+        sb = size - sa + 1 + randbelow(rng, sa)
+        a = TernarySet(n, sample_bits(rng, range(size), sa))
+        b = TernarySet(n, sample_bits(rng, range(size), sb))
         results.append(kneser.full_sumset_check(a, b))
-        sc = rng.randrange(size // 3 + 1, size + 1)
-        c = TernarySet.from_indices(n, rng.sample(range(size), sc))
+        sc = size // 3 + 1 + randbelow(rng, size - size // 3)
+        c = TernarySet(n, sample_bits(rng, range(size), sc))
         results.append(kneser.difference_cover_check(c))
     return _counterexamples(name, results, f"{2 * samples} corollary instances")
 
@@ -216,7 +216,7 @@ def _chk_lemma_disjoint_transfer(rng: random.Random, samples: int = 200) -> Chec
                 results.append(statements.check_lemma("disjoint_transfer", a, b=a, j=j))
         results.append(
             statements.check_lemma(
-                "disjoint_transfer", a, b=a, j=planes[rng.randrange(len(planes))]
+                "disjoint_transfer", a, b=a, j=planes[randbelow(rng, len(planes))]
             )
         )
     return _counterexamples(name, results, f"{len(results)} transfers")
@@ -229,9 +229,7 @@ def _chk_five_in_cube_sample(rng: random.Random, samples: int = 500) -> CheckRes
     tries = 0
     while len(results) < samples and tries < samples * 400:
         tries += 1
-        bits = 0
-        for i in rng.sample(range(1, 27), 5):
-            bits |= 1 << i
+        bits = sample_bits(rng, range(1, 27), 5)
         if cube.sumset_bits(bits, bits) & bits:  # not sum-free
             continue
         # a sum-free 5-subset of the cube meets every hypothesis, so the

@@ -71,6 +71,13 @@ def sym_group(a, n):
     return {h for h in all_vectors(n) if {add(x, h) for x in a} == a}
 
 
+def kneser_sizes(a, b, n):
+    """(|A+B|, |A+K|, |B+K|, |K|) for K = Sym(A+B), by pairwise sums."""
+    s = sumset(a, b)
+    k = sym_group(s, n)
+    return len(s), len(sumset(a, k)), len(sumset(b, k)), len(k)
+
+
 def span(vectors, n):
     out = {(0,) * n}
     for v in vectors:

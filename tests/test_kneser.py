@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from gf3sets import (
@@ -14,7 +16,12 @@ from gf3sets import (
     kneser_check,
 )
 from gf3sets import canon
-from gf3sets.kneser import _pair_bits, sample_kneser_pair, sample_witness_triple
+from gf3sets.kneser import (
+    _bound_bits,
+    _pair_bits,
+    sample_kneser_pair,
+    sample_witness_triple,
+)
 
 
 def _trits(a):
@@ -28,21 +35,16 @@ def _random_nonempty(rng, n):
 
 def _assert_bound_matches_oracle(a, b):
     """kneser_check's quantities against the oracle; returns |K|."""
-    n = a.dim
     r = kneser_check(a, b)
-    s = oracles.sumset(_trits(a), _trits(b))
-    k = oracles.sym_group(s, n)
     w = r.witness
-    assert w["sumset"] == len(s)
-    assert w["k"] == len(k)
-    assert w["a_plus_k"] == len(oracles.sumset(_trits(a), k))
-    assert w["b_plus_k"] == len(oracles.sumset(_trits(b), k))
+    sizes = oracles.kneser_sizes(_trits(a), _trits(b), a.dim)
+    assert (w["sumset"], w["a_plus_k"], w["b_plus_k"], w["k"]) == sizes
     assert r.status == "holds"
     assert w["sumset"] >= w["a_plus_k"] + w["b_plus_k"] - w["k"]
     assert w["equality"] == (
         w["sumset"] == w["a_plus_k"] + w["b_plus_k"] - w["k"]
     )
-    return len(k)
+    return w["k"]
 
 
 def test_bound_quantities_match_oracle():
@@ -63,6 +65,28 @@ def test_bound_quantities_match_oracle_on_sampled_pairs():
         a, b = sample_kneser_pair(rng, n)
         proper += 1 < _assert_bound_matches_oracle(a, b) < 3**n
     assert proper >= 3
+
+
+@st.composite
+def nonempty_pairs(draw):
+    n = draw(st.integers(1, 3))
+    a, b = (draw(st.integers(1, 2**3**n - 1)) for _ in range(2))
+    return n, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(nonempty_pairs())
+@example((2, 0b1, 0b1))  # A + B = {0}: K = {0}
+@example((1, 0b11, 0b11))  # A + B = G: K = G
+@example((3, 0b1, 2**27 - 1))
+@example((2, 0b1, 0b111))  # A + B = K, a line: |A + K| = 3 > |A| = 1
+@example((3, 0b1001, 0b111))  # K a line, A on two of its cosets
+def test_bound_bits_match_pairwise_sums(case):
+    n, a, b = case
+    s, a_plus_k, b_plus_k, k, holds = _bound_bits(a, b, n)
+    vecs = lambda bits: _trits(TernarySet(n, bits))
+    assert (s, a_plus_k, b_plus_k, k) == oracles.kneser_sizes(vecs(a), vecs(b), n)
+    assert holds == (s >= a_plus_k + b_plus_k - k)
 
 
 def test_equality_and_strict_cases():
@@ -172,6 +196,24 @@ def test_triple_sampler_respects_preconditions():
         empties += a.size == 0 or b.size == 0
         assert c.size
     assert empties  # the degenerate branch was exercised
+
+
+@pytest.mark.parametrize(
+    "sampler, n",
+    [
+        (sample_kneser_pair, -1),
+        (sample_kneser_pair, 13),
+        (sample_witness_triple, -1),
+        (sample_witness_triple, 0),
+        (sample_witness_triple, 13),
+    ],
+)
+def test_samplers_refuse_dimensions_they_cannot_serve_before_drawing(sampler, n):
+    rng = random.Random(3)
+    before = rng.getstate()
+    with pytest.raises(ValueError):
+        sampler(rng, n)
+    assert rng.getstate() == before
 
 
 def _reference_set(rng, n):

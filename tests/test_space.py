@@ -1,7 +1,9 @@
 """Index arithmetic tables and set kernels against the naive trit oracle."""
 
+import contextlib
 import os
 import random
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -394,3 +396,80 @@ def test_member_columns_transpose_the_family(case):
         assert col == sum(1 << i for i, b in enumerate(family) if b >> p & 1)
     # a generator gives the same table
     assert space.member_columns(iter(family), size) == columns
+
+
+# -- the draw helpers against the random module, draw for draw --
+
+# (size, largest k): 26 and 27 take random.sample's set branch for k <= 5
+# and its pool branch above; 21 and 22 sit on either side of its smallest
+# set size, which holds for k <= 5
+SAMPLE_CASES = ((1, 1), (3, 3), (9, 9), (26, 26), (27, 27), (81, 81), (21, 6), (22, 6))
+
+
+def _populations(size):
+    return range(size), [7 + 2 * i for i in range(size)]
+
+
+def test_sample_bits_draws_what_random_sample_draws():
+    # one generator pair per seed runs through every population and every
+    # k: equal bitsets call by call, and equal states at the end, so one
+    # draw more or less anywhere shows
+    for seed in range(1000):
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        for size, top in SAMPLE_CASES:
+            for population in _populations(size):
+                for k in range(top + 1):
+                    want = 0
+                    for x in want_rng.sample(population, k):
+                        want |= 1 << x
+                    assert space.sample_bits(got_rng, population, k) == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_randbelow_draws_what_randrange_draws():
+    for seed in range(20):
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        for m in range(1, 201):
+            for _ in range(5):
+                assert space.randbelow(got_rng, m) == want_rng.randrange(m)
+            assert got_rng.getstate() == want_rng.getstate()
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the body runs longer than seconds:
+    getrandbits(0) is 0, so a draw loop without its guard never ends."""
+
+    def hang(signum, frame):
+        raise TimeoutError(f"still drawing after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, hang)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.parametrize("m", [0, -1, -27])
+def test_randbelow_refuses_an_empty_range_before_drawing(m):
+    rng = random.Random(5)
+    before = rng.getstate()
+    with pytest.raises(ValueError):
+        random.Random(5).randrange(m)
+    with _deadline(5), pytest.raises(ValueError):
+        space.randbelow(rng, m)
+    assert rng.getstate() == before
+
+
+@pytest.mark.parametrize("size, k", [(0, 1), (3, -1), (3, 4), (27, 28), (81, -5)])
+def test_sample_bits_refuses_what_random_sample_refuses(size, k):
+    for population in _populations(size):
+        rng = random.Random(5)
+        before = rng.getstate()
+        with pytest.raises(ValueError):
+            random.Random(5).sample(population, k)
+        with _deadline(5), pytest.raises(ValueError):
+            space.sample_bits(rng, population, k)
+        assert rng.getstate() == before

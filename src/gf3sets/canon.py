@@ -162,7 +162,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from . import space as _sp
-from .space import MAX_WALK_DIM, iter_bits, orbit_bits, randbelow
+from .space import MAX_WALK_DIM, iter_bits, orbit_bits
 
 
 _SPAN_TABLE_MAX = 256  # spans a span table keeps before it is emptied
@@ -201,13 +201,24 @@ class GroupElement:
 
 def random_basis(n: int, rng: random.Random) -> tuple[int, ...]:
     """The basis images of a uniformly random invertible linear map: n rows
-    of n random trits each, redrawn until they span the space.  Each trit
-    is randbelow(rng, 3), which draws what rng.randrange(3) draws."""
+    of n random trits each, t_0 first, redrawn until they span the space.
+    Each trit is rng.getrandbits(2), redrawn while it is 3: the calls that
+    randbelow(rng, 3) and rng.randrange(3) make, drawn inline rather than
+    through one call per trit."""
     sp = _sp.space(n)
+    getrandbits, powers = rng.getrandbits, sp.powers
     while True:
-        imgs = tuple(sum(randbelow(rng, 3) * p for p in sp.powers) for _ in range(n))
+        imgs = []
+        for _ in range(n):
+            img = 0
+            for p in powers:
+                t = getrandbits(2)
+                while t == 3:
+                    t = getrandbits(2)
+                img += t * p
+            imgs.append(img)
         if sp.span_bits(imgs) == sp.full_bits:
-            return imgs
+            return tuple(imgs)
 
 
 def random_gl(n: int, rng: random.Random) -> GroupElement:

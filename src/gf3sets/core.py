@@ -105,25 +105,44 @@ def difference_set(a: TernarySet, b: TernarySet) -> TernarySet:
 
 
 def k_fold_sumset(a: TernarySet, k: int) -> TernarySet:
-    """a + a + ... + a with k summands; k >= 1."""
+    """a + a + ... + a with k summands; k >= 1.
+
+    Write S_j for the j-fold sumset.  A nonempty a has 0 = x + x + x in
+    S_3, so S_{j+3} = S_j + S_3 contains S_j: each residue class of j mod
+    3 gives a chain that only grows, so it grows at most 3^n times.  Once
+    S_j = S_{j-3}, S_{j+1} = S_j + a = S_{j-3} + a = S_{j-2}, and so on,
+    so the sequence has period 3 from j - 3 on and S_k is the one of the
+    last three terms whose index is k mod 3.  The loop stops there, so a
+    huge k costs no more sumsets than the chains take to settle (an empty
+    a settles at once).
+    """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
-    out = a
-    for _ in range(k - 1):
-        out = sumset(out, a)
-    return out
+    last = (a,)  # the last three terms made, oldest first
+    for j in range(2, k + 1):
+        out = sumset(last[-1], a)
+        if j > 3 and out == last[0]:  # S_j = S_{j-3}
+            return last[(k - j) % 3]
+        last = last[-2:] + (out,)
+    return last[-1]
+
+
+def is_sum_free_bits(bits: int, n: int) -> bool:
+    """Whether a = bits misses a + a, the sumset walk stopped at the first
+    block that puts a sum inside a."""
+    return _sp.space(n).sumset_bits(bits, bits, bits) & bits == 0
 
 
 def is_sum_free(a: TernarySet) -> bool:
     """True iff x + y = z has no solution with x, y, z in a (x = y allowed)."""
-    sp = _sp.space(a.dim)
-    return sp.sumset_bits(a.bits, a.bits) & a.bits == 0
+    return is_sum_free_bits(a.bits, a.dim)
 
 
-def _sums_and_differences(bits: int, n: int) -> int:
-    """(a + a) | (a - a) for a = bits: the |a| translates of a | -a."""
+def _sums_and_differences(bits: int, n: int, stop: int = 0) -> int:
+    """(a + a) | (a - a) for a = bits: the |a| translates of a | -a, the
+    walk stopped once it meets stop (Space.sumset_bits)."""
     sp = _sp.space(n)
-    return sp.sumset_bits(bits, bits | sp.neg_set_bits(bits))
+    return sp.sumset_bits(bits, bits | sp.neg_set_bits(bits), stop)
 
 
 def blocked_cover_bits(a: TernarySet) -> int:
@@ -140,9 +159,10 @@ def _sum_free_and_maximal(bits: int, n: int) -> tuple[bool, bool]:
 
     a is sum-free exactly when (a + a) | (a - a) misses a, because
     x - y = z means x = y + z; a sum-free a is maximal when its blocked
-    cover is the whole space.
+    cover is the whole space.  The walk stops at the first sum inside a,
+    so a result that misses a is the whole sumset.
     """
-    sums = _sums_and_differences(bits, n)
+    sums = _sums_and_differences(bits, n, bits)
     sum_free = sums & bits == 0
     return sum_free, sum_free and bits | sums | 1 == (1 << 3**n) - 1
 

@@ -22,7 +22,10 @@ block by block: with k = n // 2, the members that share their last n - k
 trits fill one block of 3^k consecutive indices, the larger set is moved
 once per distinct low part (the first k trits) and those low translates are
 kept for every block, and each block's union of them is moved once by its
-high part.  The walk stops as soon as the union is the whole space.  A
+high part.  The walk stops as soon as the union is the whole space, and,
+when the caller passes a stop mask, as soon as the union meets it: a
+sum-free test asks only whether A + A meets A, and stops at the first
+block that puts a sum inside A.  A
 span grows one generator g at a time, by the translates by g and 2g of
 the span so far; spanning the members of a bitset takes its least member
 outside the span at each step, so it makes at most n steps.
@@ -294,7 +297,7 @@ class Space:
             bits = bits & s0 | (bits & s1) << p | (bits & s2) >> p
         return bits
 
-    def sumset_bits(self, a: int, b: int) -> int:
+    def sumset_bits(self, a: int, b: int, stop: int = 0) -> int:
         """Bitset of a + b, the translates of the larger side by the smaller.
 
         With k = n // 2 and L = 3^k, the members of the smaller side that
@@ -304,7 +307,10 @@ class Space:
         kept for every later block.  A block ORs its members' low
         translates and moves that union once by its high part, so no
         coordinate shift is made that the per-member loop would not make.
-        The union only grows, so the walk stops once it is the whole space.
+        The union only grows, so the walk stops once it is the whole space,
+        or once it meets the stop mask.  A result that misses stop is
+        therefore all of a + b; one that meets it is a subset of a + b that
+        already meets it.  With no mask the result is always all of a + b.
         """
         if a.bit_count() > b.bit_count():
             a, b = b, a
@@ -327,7 +333,7 @@ class Space:
                         t = low[j] = _translate(b, moves[j])
                     union |= t
                 out |= _translate(union, moves[high])
-                if out == full:
+                if out & stop or out == full:
                     break
             a >>= size
             high += size

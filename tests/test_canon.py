@@ -30,13 +30,14 @@ def _reference_basis_draw(n, rng):
             return tuple(oracles.to_index(r) for r in rows)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", range(7))
 def test_random_basis_draws_what_random_gl_draws(n):
-    for seed in range(20):
+    for seed in range(300):
         r1, r2, r3 = (random.Random(seed) for _ in range(3))
-        g = canon.random_gl(n, r1)
-        assert canon.random_basis(n, r2) == g.imgs == _reference_basis_draw(n, r3)
-        assert r1.getstate() == r2.getstate() == r3.getstate()
+        for _ in range(3):
+            g = canon.random_gl(n, r1)
+            assert canon.random_basis(n, r2) == g.imgs == _reference_basis_draw(n, r3)
+            assert r1.getstate() == r2.getstate() == r3.getstate()
 
 
 def test_group_element_action_matches_oracle():

@@ -1,6 +1,8 @@
 """Set type and sum-free predicates against the oracle."""
 
+import contextlib
 import random
+import signal
 
 import pytest
 from hypothesis import assume, given, settings
@@ -16,12 +18,13 @@ from gf3sets import (
     is_maximal_sum_free,
     is_sum_free,
     k_fold_sumset,
+    lev_construction,
     negate,
     parse_set_text,
     sumset,
     sym_group,
 )
-from gf3sets.core import blocked_cover_bits, sym_group_bits
+from gf3sets.core import blocked_cover_bits, is_sum_free_bits, sym_group_bits
 from gf3sets.space import iter_bits, space
 
 
@@ -43,6 +46,29 @@ def test_sumfree_predicates_match_oracle(n):
         assert is_maximal_sum_free(a) == oracles.is_maximal_sum_free(trits, n)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, 2**3**n - 1))))
+def test_sum_free_predicates_match_oracle_on_any_set(case):
+    n, bits = case
+    want = oracles.is_sum_free(_as_trits(TernarySet(n, bits)))
+    assert is_sum_free_bits(bits, n) == is_sum_free(TernarySet(n, bits)) == want
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_sum_free_predicates_match_oracle_around_lev(n):
+    """lev(n) is maximal sum-free: a point added to it puts a sum inside,
+    a point taken away leaves it sum-free."""
+    lev = lev_construction(n)[0].bits
+    rng = random.Random(40 + n)
+    inside = rng.choice(list(iter_bits(lev)))
+    outside = rng.choice([v for v in range(3**n) if not lev >> v & 1])
+    for bits, want in ((lev, True), (lev | 1 << outside, False), (lev ^ 1 << inside, True)):
+        a = TernarySet(n, bits)
+        assert oracles.is_sum_free(_as_trits(a)) == want
+        assert is_sum_free_bits(bits, n) == is_sum_free(a) == want
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_setwise_operations_match_oracle(n):
     rng = random.Random(20 + n)
@@ -55,7 +81,49 @@ def test_setwise_operations_match_oracle(n):
         assert _as_trits(negate(a)) == {oracles.neg(x) for x in _as_trits(a)}
 
 
+def _k_fold_chain(a, k):
+    """[a, 2a, ..., ka] by the plain loop of sumsets."""
+    out = [a]
+    for _ in range(k - 1):
+        out.append(sumset(out[-1], a))
+    return out
+
+
+@contextlib.contextmanager
+def _deadline(seconds):
+    """Fail, instead of hanging, when the body runs longer than seconds."""
+
+    def late(signum, frame):
+        raise TimeoutError(f"still summing after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, late)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
 def test_k_fold_sumset():
+    rng = random.Random(58)
+    for n in range(4):
+        cases = [TernarySet(n, 0), TernarySet(n, 1), TernarySet.full(n)]
+        cases += [_random_set(rng, n) for _ in range(60)]
+        cases += [TernarySet(n, 1 << rng.randrange(3**n)) for _ in range(5)]
+        for a in cases:
+            chain = _k_fold_chain(a, 29)
+            for k in range(1, 30):
+                assert k_fold_sumset(a, k) == chain[k - 1]
+    # each chain a, 4a, 7a, ... grows at most 3^3 - 1 times, so at n = 3
+    # the 79-fold sumset is the 10^12-fold one (10^12 = 1 mod 3)
+    for _ in range(20):
+        a = _random_set(rng, 3)
+        with _deadline(1):
+            got = k_fold_sumset(a, 10**12)
+        assert got == _k_fold_chain(a, 79)[-1]
+    with pytest.raises(ValueError):
+        k_fold_sumset(TernarySet(1, 1), 0)
     a = TernarySet.from_indices(3, [1, 5])
     one = k_fold_sumset(a, 1)
     assert one == a

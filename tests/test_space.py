@@ -265,6 +265,26 @@ def test_sumset_kernel_matches_per_point_reference(case):
     assert sp.difference_set_bits(a, b) == sp.neg_set_bits(minus)
 
 
+@settings(max_examples=200, deadline=None)
+@given(sumset_pairs(), st.data())
+def test_sumset_walk_stopped_at_a_mask(case, data):
+    """With a stop mask the walk returns all of a + b when its result
+    misses the mask, and a part of a + b that meets it otherwise."""
+    n, a, b = case
+    sp = space.space(n)
+    whole = sp.sumset_bits(a, b)
+    drawn = data.draw(st.integers(0, sp.full_bits))
+    point = 1 << data.draw(st.integers(0, sp.size - 1))
+    for stop in (a, b, whole, drawn, point, sp.full_bits & ~whole):
+        for x, y in ((a, b), (b, a)):
+            got = sp.sumset_bits(x, y, stop)
+            assert got & ~whole == 0
+            if whole & stop:
+                assert got & stop
+            else:
+                assert got == whole
+
+
 @pytest.mark.parametrize("n", range(9))
 def test_tables_match_decode_reference(n):
     sp = space.space(n)

@@ -6,6 +6,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gf3sets import (
     TernarySet,
@@ -17,7 +19,8 @@ from gf3sets import (
 )
 from gf3sets import statements, suite
 from gf3sets import subspaces as sub
-from gf3sets.core import format_set_text, is_sum_free
+from gf3sets.core import format_set_text, is_sum_free, k_fold_sumset
+from gf3sets.space import space
 from gf3sets.statements import STATEMENTS
 from gf3sets.subspaces import hyperplane_from_normal
 
@@ -100,6 +103,30 @@ def test_dim4_propositions_refuse_sets_outside_their_hypotheses(pid):
     for a, detail in cases:
         got = check_proposition(pid, a)
         assert (got.status, got.detail) == ("not_applicable", detail), a.indices()
+
+
+def _zero_in_4A_verdicts(a):
+    got = statements._zero_free_4A("four_sum", a).status == "counterexample"
+    return got, 0 in k_fold_sumset(a, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(0, 2**3**n - 1))))
+def test_zero_in_4A_read_off_2A_matches_the_fourfold_sumset(case):
+    got, want = _zero_in_4A_verdicts(TernarySet(*case))
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_zero_in_4A_read_off_2A_around_lev(n):
+    """lev(n) has no zero-sum of four; the negative of a member x gives
+    one, x + x + (-x) + (-x)."""
+    lev = lev_construction(n)[0]
+    assert _zero_in_4A_verdicts(lev) == (False, False)
+    x = lev.indices()[0]
+    with_neg = TernarySet(n, lev.bits | 1 << space(n).neg[x])
+    assert _zero_in_4A_verdicts(with_neg) == (True, True)
 
 
 def test_lemma_sweeps_recognize_each_primitive_set_once():

@@ -140,13 +140,15 @@ the root of the walk.  The returned list, the known ones first, still
 reaches every orbit of every pointwise stabilizer (below), since that
 argument asks only that the automorphisms pruned with be genuine.
 
-Stabilizers are counted by orbits, not by leaves.  A fixed-mode walk of the
-canonical form starts with the identity path and finds, for every level j,
-automorphisms fixing e_0..e_{j-1} that reach the whole orbit of e_j under
-the pointwise stabilizer of e_0..e_{j-1}.  The stabilizer order is the
-product of those orbit lengths over the levels of the span of A, times
-prod(3^n - 3^i) over the basis vectors beyond it, which complete the span
-freely.
+Stabilizers are counted by orbits, not by leaves, in one fixed-mode walk
+of the canonical form.  The form must be least in its orbit: the walk of
+any other set finds a smaller image, and stabilizer_order_bits refuses it
+with ValueError.  The walk starts with the identity path and finds, for
+every level j, automorphisms fixing e_0..e_{j-1} that reach the whole
+orbit of e_j under the pointwise stabilizer of e_0..e_{j-1}.  The
+stabilizer order is the product of those orbit lengths over the levels of
+the span of A, times prod(3^n - 3^i) over the basis vectors beyond it,
+which complete the span freely.
 
 The walk's tables and the translation rows it reads grow as 9^n, so
 canonical forms, stabilizers and lexmin tests are refused above n = 6
@@ -543,17 +545,20 @@ def _span_dim(bits: int) -> int:
     return d
 
 
-def canonicalize_bits(bits: int, n: int) -> tuple[int, int]:
-    """(canonical form, setwise stabilizer order), the order counted by
-    orbits along the identity path of a fixed-mode walk of the form."""
-    best = _walk(bits, n, fixed=False)[0]
-    autos = _walk(best, n, fixed=True)[1]  # best is least, so nothing is raised
-    d = _span_dim(best)
+def stabilizer_order_bits(form: int, n: int) -> int:
+    """The order of the setwise stabilizer of form, a set least in its
+    orbit, counted by orbits along the identity path of one fixed-mode walk
+    of it.  Raises ValueError when form is not least in its orbit."""
+    try:
+        autos = _walk(form, n, fixed=True)[1]
+    except _Smaller:
+        raise ValueError("the set is not least in its orbit") from None
+    d = _span_dim(form)
     stab = math.prod(3**n - 3**i for i in range(d, n))
     for j in range(d):
         gens = [a for a in autos if all(a[3**i] == 3**i for i in range(j))]
         stab *= orbit_bits(1 << 3**j, gens).bit_count()
-    return best, stab
+    return stab
 
 
 def canonical_form_bits(bits: int, n: int) -> int:

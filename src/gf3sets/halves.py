@@ -4,10 +4,9 @@ Given nested nonempty affine subspaces U within H, the translates of U
 partition H.  Besides U itself they come in pairs {C, (-U)+(-C)}, and a
 half is a union of translates picking exactly one member of each pair.
 Any half W therefore satisfies |W| = (|H| - |U|)/2 and splits H into the
-disjoint union of U, W and (-U)+(-W).  _half_bits lists the halves as
-bitsets, read by check_half_fact, and _pair_halves lists them from the
-translate pairs, read by the primitive stream; enumerate_halves wraps them
-in TernarySets.
+disjoint union of U, W and (-U)+(-W).  _pair_halves lists the halves as
+bitsets from the translate pairs, read by check_half_fact and the
+primitive stream; enumerate_halves wraps them in TernarySets.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from . import space as _sp
 from .core import TernarySet
 from .subspaces import AffineSubspace, enumerate_affine_subspaces
 
-# _half_bits materializes 2^pairs bitsets; keep that sane.
+# _pair_halves materializes 2^pairs bitsets; keep that sane.
 _MAX_PAIRS = 20
 
 
@@ -72,11 +71,6 @@ def is_half(w: TernarySet, h: AffineSubspace, u: AffineSubspace) -> bool:
     return (u_bits | bits | mirrored) == h.members_bits
 
 
-def _half_bits(h: AffineSubspace, u: AffineSubspace) -> list[int]:
-    """The bitsets of enumerate_halves, in its order."""
-    return _pair_halves(coset_pairs(h, u))
-
-
 def _pair_halves(pairs: list[tuple[int, int]]) -> list[int]:
     """The halves picking one member of each translate pair: the list
     doubles once per pair, with the pair's second member in the upper half,
@@ -94,7 +88,7 @@ def enumerate_halves(h: AffineSubspace, u: AffineSubspace) -> list[TernarySet]:
     coset_pairs order, the second member exactly when bit i of k is set.
     The count is 2^pairs; U = H yields the single empty half."""
     n = h.dim_ambient
-    return [TernarySet(n, b) for b in _half_bits(h, u)]
+    return [TernarySet(n, b) for b in _pair_halves(coset_pairs(h, u))]
 
 
 def check_half_fact(h: AffineSubspace, u: AffineSubspace) -> bool:
@@ -109,7 +103,7 @@ def check_half_fact(h: AffineSubspace, u: AffineSubspace) -> bool:
     if 0 in h:
         raise ValueError("H must avoid the origin")
     inner = [s.members_bits for s in enumerate_affine_subspaces(h, u.dim + 1)]
-    for bits in _half_bits(h, u):
+    for bits in _pair_halves(coset_pairs(h, u)):
         if not any(bits & s == s for s in inner):
             return False
     return True

@@ -458,7 +458,7 @@ def _orbit_reps(n: int) -> frozenset:
         if r in reps:
             continue
         reps.add(r)
-        stab = canon.canonicalize_bits(r, n)[1]
+        stab = canon.stabilizer_order_bits(r, n)
         share, rem = divmod((order // stab) * _stream_multiplicity(r, n), 3**n - 1)
         if rem:
             raise RuntimeError("orbit accounting is not divisible")

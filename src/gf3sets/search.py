@@ -87,7 +87,7 @@ def canonical_form(a: TernarySet) -> TernarySet:
 
 
 def stabilizer_order(a: TernarySet) -> int:
-    return canon.canonicalize_bits(a.bits, a.dim)[1]
+    return canon.stabilizer_order_bits(canon.canonical_form_bits(a.bits, a.dim), a.dim)
 
 
 @dataclass(frozen=True)
@@ -384,25 +384,25 @@ def enumerate_maximal_sumfree(
 
 def _build_report(n, min_size, up_to_iso, found, nodes, wall) -> EnumerationReport:
     """Tally the found sets; a reduced search found one least member per
-    orbit, which stands for order // stabilizer sets.  Stabilizers and
-    symmetry groups are computed once per orbit, and so are the canonical
-    forms of an unreduced search: the walk of one found set gives its form
-    to every found set in the orbit of that form."""
+    orbit, its own canonical form, which stands for order // stabilizer
+    sets.  Stabilizers and symmetry groups are computed once per orbit, and
+    so are the canonical forms of an unreduced search: the walk of one
+    found set gives its form to every found set in the orbit of that
+    form."""
     order = canon.gl_order(n)
     counts: dict = {}
     orbit_counts: dict = {}
     sym_counts: dict = {}
     forms: dict = {}  # canonical form -> (stabilizer order, sym_dim)
-    form_of: dict = {}  # found set -> canonical form
+    form_of: dict = {b: b for b in found} if up_to_iso else {}  # found set -> form
     for b in found:
         size = b.bit_count()
         if b not in form_of:
             form = canon.canonical_form_bits(b, n)
-            mates = {b} if up_to_iso else found.keys() & canon.orbit_of_bits(form, n)
-            form_of.update(dict.fromkeys(mates, form))
+            form_of.update(dict.fromkeys(found.keys() & canon.orbit_of_bits(form, n), form))
         form = form_of[b]
         if form not in forms:
-            stab = canon.canonicalize_bits(form, n)[1]
+            stab = canon.stabilizer_order_bits(form, n)
             forms[form] = (stab, round(math.log(sym_group_bits(form, n).bit_count(), 3)))
             orbit_counts[size] = orbit_counts.get(size, 0) + 1
         stab, sym_dim = forms[form]

@@ -368,11 +368,6 @@ def _conclusion_grid(name: str, a: TernarySet, **_) -> CheckResult:
     return _subprimitive_conclusion(name, a, {})
 
 
-def _lines_within(a: TernarySet) -> list:
-    """The lines inside a, in enumerate_affine_subspaces order."""
-    return subspaces.flats_within(a.bits, a.dim, 1)
-
-
 def _five_in_cube(name: str, a: TernarySet, **_) -> CheckResult:
     if a.dim != 3:
         return CheckResult.not_applicable(name, "the statement concerns dimension 3")
@@ -387,7 +382,7 @@ def _five_in_cube_conclusion(name: str, a: TernarySet) -> CheckResult:
     """five_in_cube's conclusion for a sum-free a in F_3^3 of at least 5
     members: subprimitive, and holding a line."""
     sup = primitive._primitive_superset(a)
-    lines = _lines_within(a)
+    lines = subspaces.flats_within(a.bits, a.dim, 1)
     if sup is not None and lines:
         return CheckResult.holds(
             name,
@@ -433,7 +428,7 @@ def _line_everywhere(name: str, a: TernarySet, **_) -> CheckResult:
     failed = _not_dense_sum_free(name, a)
     if failed:
         return failed
-    lines = _lines_within(a)
+    lines = subspaces.flats_within(a.bits, a.dim, 1)
     if lines:
         return CheckResult.holds(name, "contains a line", witness={"line": lines[0].to_json()})
     return CheckResult.counterexample(name, "contains no line", witness={"set": a.indices()})
@@ -456,7 +451,7 @@ def _parallel_lines(name: str, a: TernarySet, **_) -> CheckResult:
     if failed:
         return failed
     by_direction: dict = {}
-    for line in _lines_within(a):
+    for line in subspaces.flats_within(a.bits, a.dim, 1):
         by_direction.setdefault(line.basis, []).append(line)
     pair = next((ls for ls in by_direction.values() if len(ls) >= 2), None)
     if pair is None:

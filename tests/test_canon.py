@@ -5,7 +5,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -67,7 +67,7 @@ def test_canonical_forms_are_refused_above_dimension_6():
     tracemalloc.start()
     try:
         t0 = time.monotonic()
-        for fn in (canon.canonicalize_bits, canon.canonical_form_bits,
+        for fn in (canon.stabilizer_order_bits, canon.canonical_form_bits,
                    canon.is_lexmin_bits):
             with pytest.raises(ValueError):
                 fn(bits, 7)
@@ -80,8 +80,8 @@ def test_canonical_forms_are_refused_above_dimension_6():
 
 
 @pytest.mark.parametrize("fn", [canon.is_lexmin_bits, canon.canonical_form_bits,
-                                canon.canonicalize_bits],
-                         ids=["is_lexmin", "canonical_form", "canonicalize"])
+                                canon.stabilizer_order_bits],
+                         ids=["is_lexmin", "canonical_form", "stabilizer_order"])
 @pytest.mark.parametrize("bits, n", [(-1, 3), (1 << 27, 3), (-3, 2), (2, 0)])
 def test_walks_refuse_bits_that_are_not_a_set_of_the_space(fn, bits, n):
     # a negative int, or a bit at an index of 3^n or more, is no subset of
@@ -208,6 +208,33 @@ def affine_unions(draw, n):
     return bits
 
 
+def _form_and_stabilizer(bits, n):
+    """(canonical form, stabilizer order) of bits: one minimizing walk, then
+    the fixed-mode walk of the form."""
+    form = canon.canonical_form_bits(bits, n)
+    return form, canon.stabilizer_order_bits(form, n)
+
+
+def test_stabilizer_order_refuses_a_set_not_least_in_its_orbit():
+    # {-e_0} = {2} is the image of {e_0} = {1} under x -> -x
+    assert canon.stabilizer_order_bits(1 << 1, 1) == 1
+    with pytest.raises(ValueError, match="not least in its orbit"):
+        canon.stabilizer_order_bits(1 << 2, 1)
+
+    # the one fixed-mode walk finds a smaller image of any other member of
+    # the form's orbit, and the set is refused, not minimized again
+    @settings(max_examples=40, deadline=None)
+    @given(affine_unions(3), st.integers(0, 2**32))
+    def check(bits, seed):
+        form = canon.canonical_form_bits(bits, 3)
+        image = canon.random_gl(3, random.Random(seed)).apply_bits(form)
+        assume(image != form)
+        with pytest.raises(ValueError, match="not least in its orbit"):
+            canon.stabilizer_order_bits(image, 3)
+
+    check()
+
+
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_canonical_form_and_stabilizer_are_invariant(n):
     # the n = 5 examples are drawn the same in every run, so a slow union
@@ -216,7 +243,7 @@ def test_canonical_form_and_stabilizer_are_invariant(n):
     @given(affine_unions(n), st.integers(0, 2**32))
     def check(bits, seed):
         image = canon.random_gl(n, random.Random(seed)).apply_bits(bits)
-        assert canon.canonicalize_bits(image, n) == canon.canonicalize_bits(bits, n)
+        assert _form_and_stabilizer(image, n) == _form_and_stabilizer(bits, n)
 
     check()
 
@@ -226,7 +253,7 @@ def test_canonical_form_and_stabilizer_are_invariant(n):
 def test_structured_canonicalization_matches_oracle_dim3(bits):
     trits = [oracles.to_trits(i, 3) for i in iter_bits(bits)]
     best, hits = oracles.orbit_min(trits, 3)
-    assert canon.canonicalize_bits(bits, 3) == (
+    assert _form_and_stabilizer(bits, 3) == (
         TernarySet.from_indices(3, best).bits, hits
     )
 
@@ -245,7 +272,7 @@ def test_orbit_stabilizer_for_subspaces_dim4(dim, point):
 
 def _recorded(form, n):
     """The automorphisms that the fixed-mode walk of a set least in its
-    orbit records, as canonicalize_bits takes them."""
+    orbit records, as stabilizer_order_bits takes them."""
     return canon._walk(form, n, True)[1]
 
 
@@ -395,7 +422,7 @@ def test_walks_in_several_dimensions_interleaved_match_the_oracle():
             assert canon._walk(bits, n, False, run=(spans, {}))[0] == least
             assert canon.is_lexmin_bits(bits, n, run=(spans, {})) == (bits == least)
             assert canon.is_lexmin_bits(least, n, run=(spans, {}))
-            assert canon.canonicalize_bits(bits, n) == (least, stab)
+            assert _form_and_stabilizer(bits, n) == (least, stab)
     for n, spans in tables.items():
         assert spans
 
@@ -422,7 +449,7 @@ def test_walks_retain_none_of_their_tables():
     tracemalloc.start()
     try:
         for bits in sets:
-            canon.canonicalize_bits(bits, 6)
+            _form_and_stabilizer(bits, 6)
         retained = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
@@ -469,7 +496,7 @@ def test_fixed_mode_walks_of_sum_free_sets_match_the_oracle(n):
             assert canon.is_lexmin_bits(bits, n, autos, tables) == (bits == least)
             for a in autos:
                 assert sum(1 << a[x] for x in iter_bits(bits)) == bits
-        assert canon.canonicalize_bits(bits, n) == (least, hits)
+        assert _form_and_stabilizer(bits, n) == (least, hits)
 
     check()
 

@@ -174,7 +174,7 @@ def test_half_bits_follow_the_mask_definition(case):
         for i, (first, second) in enumerate(pairs):
             bits |= second if k >> i & 1 else first
         want.append(bits)
-    assert hv._half_bits(h, u) == want
+    assert hv._pair_halves(pairs) == want
     assert [w.bits for w in hv.enumerate_halves(h, u)] == want
 
 
@@ -182,6 +182,7 @@ def test_half_enumeration_is_capped():
     h = sub.full_space(4)
     u = sub.affine_subspace(4, (), 1)
     assert len(hv.coset_pairs(h, u)) == 40
-    for enumerate_ in (hv._half_bits, hv.enumerate_halves):
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_(h, u)
+    with pytest.raises(ValueError, match="cap"):
+        hv._pair_halves(hv.coset_pairs(h, u))
+    with pytest.raises(ValueError, match="cap"):
+        hv.enumerate_halves(h, u)

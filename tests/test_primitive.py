@@ -269,13 +269,13 @@ def test_the_stream_is_built_once_per_process(monkeypatch):
 
 def test_orbit_representatives_are_cached(monkeypatch):
     calls = []
-    real = canon.canonicalize_bits
+    real = canon.stabilizer_order_bits
 
     def counting(bits, n):
         calls.append(bits)
         return real(bits, n)
 
-    monkeypatch.setattr(canon, "canonicalize_bits", counting)
+    monkeypatch.setattr(canon, "stabilizer_order_bits", counting)
     prim._orbit_reps.cache_clear()
     first = enumerate_primitive(3, up_to_iso=True)
     assert 0 < len(calls) < len(prim._all_primitive_bits(3))

@@ -252,6 +252,35 @@ def test_report_json_shape_and_equality():
     assert twin == report
 
 
+def test_walks_by_mode_are_pinned(monkeypatch):
+    # A reduced report takes each found set as its own canonical form and
+    # makes one fixed-mode walk for its stabilizer; an unreduced report
+    # makes one minimizing walk per orbit and one fixed-mode walk per form;
+    # _orbit_reps makes one minimizing walk per stream set it reads and one
+    # fixed-mode walk per new form.
+    walks = Counter()
+    real_walk, real_build = canon._walk, search._build_report
+
+    def walk(bits, n, fixed, *args, **kwargs):
+        walks["fixed" if fixed else "minimizing"] += 1
+        return real_walk(bits, n, fixed, *args, **kwargs)
+
+    def build(*args):
+        walks.clear()  # the search's own lexmin tests are not the report's
+        return real_build(*args)
+
+    monkeypatch.setattr(canon, "_walk", walk)
+    monkeypatch.setattr(search, "_build_report", build)
+    enumerate_maximal_sumfree(4, 14)
+    assert walks == {"fixed": 6}
+    enumerate_maximal_sumfree(3, 1, up_to_iso=False)
+    assert walks == {"minimizing": 3, "fixed": 3}
+    primitive._orbit_reps.cache_clear()
+    walks.clear()
+    primitive._orbit_reps(4)
+    assert walks == {"minimizing": 185, "fixed": 6}
+
+
 def _canonical_json(report) -> str:
     return json.dumps(report.to_json(), sort_keys=True)
 

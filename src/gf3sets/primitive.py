@@ -84,10 +84,6 @@ class PrimitiveCertificate:
             raise ValueError("a derived certificate needs U, W and X")
 
     @property
-    def dim_ambient(self) -> int:
-        return self.h.dim_ambient
-
-    @property
     def member_bits(self) -> int:
         if self.kind == "hyperplane":
             return self.h.members_bits
@@ -222,20 +218,29 @@ def _recognize(bits: int, ambient: AffineSubspace) -> Optional[PrimitiveCertific
     hull = subspaces.affine_hull_bits(bits, n)
     if hull.members_bits == bits and hull.dim == ambient.dim - 1:
         return PrimitiveCertificate("hyperplane", hull)
-    if ambient.dim < 2:
-        return None
+    return next(_decompositions(bits, ambient), None)
+
+
+def _decompositions(bits: int, ambient: AffineSubspace):
+    """Yield the certificate of bits over each origin-avoiding hyperplane H
+    of ambient that carries one, in the order of
+    subspaces.hyperplanes_covering: H itself when bits is H, else the split
+    over H.  Only a hyperplane with bits inside H | -H can carry either."""
     for h in subspaces.hyperplanes_covering(ambient, bits):
+        if h.members_bits == bits:
+            yield PrimitiveCertificate("hyperplane", h)
+            continue
         cert = _try_derived(bits, h)
         if cert is not None:
-            return cert
-    return None
+            yield cert
 
 
 def _try_derived(bits: int, h: AffineSubspace) -> Optional[PrimitiveCertificate]:
     """The certificate of bits split over h, or None.
 
-    bits must lie inside H | -H, as W lies in H and X in U | -U; both
-    callers take h from subspaces.hyperplanes_covering, which guarantees it.
+    bits must lie inside H | -H, as W lies in H and X in U | -U; its one
+    caller, _decompositions, takes h from subspaces.hyperplanes_covering,
+    which guarantees it.
     """
     n = h.dim_ambient
     mirror = bits & _sp.space(n).neg_set_bits(h.members_bits)
@@ -418,29 +423,15 @@ def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:
     return tuple(TernarySet(n, b) for b in sorted(pool, key=_set_key))
 
 
-def _stream_multiplicity(bits: int, n: int) -> int:
-    """Over how many hyperplanes a primitive set decomposes.
-
-    Counts the ways the set can enter the fixed-hyperplane stream: once if
-    it is a hyperplane itself, plus once per hyperplane it splits over.
-    Only the hyperplanes H with the set inside H | -H can do either, so
-    the walk is the recognizer's own prefilter.
-    """
-    d = 0
-    for h in subspaces.hyperplanes_covering(subspaces.full_space(n), bits):
-        if h.members_bits == bits or _try_derived(bits, h) is not None:
-            d += 1
-    return d
-
-
 @functools.lru_cache(maxsize=None)
 def _orbit_reps(n: int) -> frozenset:
     """Canonical representatives of the primitive orbits of F_3^n, n <= 4.
 
     Every orbit meets the fixed-hyperplane stream, and one with
     representative R meets it in exactly |orbit(R)| * d(R) / (3^n - 1)
-    sets, d(R) being the decomposition multiplicity and 3^n - 1 the number
-    of origin-avoiding hyperplanes, which the linear group permutes
+    sets, d(R) being the number of certificates _decompositions yields for
+    R, one per hyperplane it decomposes over, and 3^n - 1 the number of
+    origin-avoiding hyperplanes, which the linear group permutes
     transitively.  Set size is constant on orbits.  So one pass over the
     stream takes canonical forms until the orbits found for each size
     account for the stream's sets of that size, counted from the size
@@ -459,7 +450,8 @@ def _orbit_reps(n: int) -> frozenset:
             continue
         reps.add(r)
         stab = canon.stabilizer_order_bits(r, n)
-        share, rem = divmod((order // stab) * _stream_multiplicity(r, n), 3**n - 1)
+        d = sum(1 for _ in _decompositions(r, subspaces.full_space(n)))
+        share, rem = divmod((order // stab) * d, 3**n - 1)
         if rem:
             raise RuntimeError("orbit accounting is not divisible")
         left[r.bit_count()] -= share

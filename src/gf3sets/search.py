@@ -63,6 +63,7 @@ explicit half-of-a-hyperplane example in any dimension from 3 up.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -280,11 +281,12 @@ def _load_checkpoint(path: str, n: int, min_size: int, reduced: bool):
         state = json.load(fh)
     if not isinstance(state, dict):
         raise ValueError("checkpoint is not a JSON object")
-    if state.get("version") != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {state.get('version')}")
-    for key, want in (("dim", n), ("min_size", min_size), ("reduced", reduced)):
-        if state.get(key) != want:
-            raise ValueError(f"checkpoint {key} mismatch: {state.get(key)} != {want}")
+    header = (("version", CHECKPOINT_VERSION), ("dim", n), ("min_size", min_size),
+              ("reduced", reduced))
+    for key, want in header:  # of the type written too, as 1 == True == 1.0
+        got = state.get(key)
+        if type(got) is not type(want) or got != want:
+            raise ValueError(f"checkpoint {key} mismatch: {got!r} != {want!r}")
     nodes = state.get("nodes")
     if type(nodes) is not int or nodes < 0:
         raise ValueError(f"checkpoint nodes is not a count: {nodes!r}")
@@ -383,34 +385,38 @@ def enumerate_maximal_sumfree(
 
 
 def _build_report(n, min_size, up_to_iso, found, nodes, wall) -> EnumerationReport:
-    """Tally the found sets; a reduced search found one least member per
-    orbit, its own canonical form, which stands for order // stabilizer
-    sets.  Stabilizers and symmetry groups are computed once per orbit, and
-    so are the canonical forms of an unreduced search: the walk of one
-    found set gives its form to every found set in the orbit of that
-    form."""
+    """Tally the found sets by orbit: each canonical form, with its
+    stabilizer order, stands for order // stabilizer sets.  A reduced
+    search found one least member per orbit, its own form, whose stabilizer
+    one fixed-mode walk gives.  An unreduced search found every set of each
+    orbit it meets, since the linear group keeps size and maximality, so
+    the closure of a found set is read off with no walk: its least member
+    is the form and order // its size the stabilizer.  A closure that
+    leaves found raises RuntimeError."""
     order = canon.gl_order(n)
+    if up_to_iso:  # stabs: canonical form -> stabilizer order
+        stabs = {b: canon.stabilizer_order_bits(b, n) for b in found}
+    else:
+        stabs, left = {}, set(found)
+        for b in found:
+            if b in left:
+                closure = canon.orbit_of_bits(b, n)
+                if not closure <= left:
+                    raise RuntimeError(f"the orbit of {list(iter_bits(b))} leaves the found sets")
+                left -= closure
+                form = min(closure, key=functools.cmp_to_key(canon._compare))
+                stabs[form] = order // len(closure)
     counts: dict = {}
     orbit_counts: dict = {}
     sym_counts: dict = {}
-    forms: dict = {}  # canonical form -> (stabilizer order, sym_dim)
-    form_of: dict = {b: b for b in found} if up_to_iso else {}  # found set -> form
-    for b in found:
-        size = b.bit_count()
-        if b not in form_of:
-            form = canon.canonical_form_bits(b, n)
-            form_of.update(dict.fromkeys(found.keys() & canon.orbit_of_bits(form, n), form))
-        form = form_of[b]
-        if form not in forms:
-            stab = canon.stabilizer_order_bits(form, n)
-            forms[form] = (stab, round(math.log(sym_group_bits(form, n).bit_count(), 3)))
-            orbit_counts[size] = orbit_counts.get(size, 0) + 1
-        stab, sym_dim = forms[form]
-        weight = order // stab if up_to_iso else 1
+    reps = []
+    for form in sorted(stabs, key=primitive._set_key):
+        size, weight = form.bit_count(), order // stabs[form]
+        sym_dim = round(math.log(sym_group_bits(form, n).bit_count(), 3))
         counts[size] = counts.get(size, 0) + weight
-        key = (size, sym_dim)
-        sym_counts[key] = sym_counts.get(key, 0) + weight
-    reps = [(tuple(iter_bits(f)), *forms[f]) for f in sorted(forms, key=primitive._set_key)]
+        orbit_counts[size] = orbit_counts.get(size, 0) + 1
+        sym_counts[size, sym_dim] = sym_counts.get((size, sym_dim), 0) + weight
+        reps.append((tuple(iter_bits(form)), stabs[form], sym_dim))
     return EnumerationReport(
         n=n,
         min_size=min_size,

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from gf3sets import TernarySet, canonical_form, gl_order, stabilizer_order
+from gf3sets import TernarySet, canonical_form, gl_order, is_sum_free, stabilizer_order
 from gf3sets import canon, search
 from gf3sets import subspaces as sub
 from gf3sets.space import decode, iter_bits, orbit_bits, space
@@ -385,9 +385,10 @@ def test_span_table_entries_are_the_spans_of_the_path(n):
 
 
 def test_a_full_span_table_is_emptied_and_the_walks_go_on(monkeypatch):
+    # the read table too: fixed-mode walks of sum-free sets share one
     monkeypatch.setattr(canon, "_SPAN_TABLE_MAX", 3)
     rng = random.Random(5)
-    spans = {}
+    spans, reads, read_sizes = {}, {}, []
     for _ in range(20):
         idxs = rng.sample(range(27), rng.randint(2, 9))
         bits = TernarySet.from_indices(3, idxs).bits
@@ -396,6 +397,18 @@ def test_a_full_span_table_is_emptied_and_the_walks_go_on(monkeypatch):
         assert canon._walk(bits, 3, False, run=(spans, {}))[0] == least
         assert canon.is_lexmin_bits(least, 3, run=(spans, {}))
         assert len(spans) <= 3
+        free = []  # a sum-free set, grown greedily in a random order
+        for i in rng.sample(range(1, 27), 26):
+            if is_sum_free(TernarySet.from_indices(3, free + [i])):
+                free.append(i)
+        best = oracles.orbit_min([oracles.to_trits(i, 3) for i in free], 3)[0]
+        least = TernarySet.from_indices(3, best).bits
+        bits = TernarySet.from_indices(3, free).bits
+        assert canon.is_lexmin_bits(bits, 3, run=({}, reads)) == (bits == least)
+        assert canon.is_lexmin_bits(least, 3, run=({}, reads))
+        read_sizes.append(len(reads))
+    assert max(read_sizes) <= 3
+    assert any(b < a for a, b in zip(read_sizes, read_sizes[1:]))  # emptied
 
 
 def test_walks_in_several_dimensions_interleaved_match_the_oracle():

@@ -8,7 +8,7 @@ import pytest
 from gf3sets import TernarySet, cli, lev_construction, suite
 from gf3sets.core import format_set_text
 from gf3sets.statements import CheckResult
-from gf3sets.search import VerificationVerdict
+from gf3sets.search import VerificationVerdict, enumerate_maximal_sumfree
 from gf3sets.subspaces import hyperplane_from_normal
 
 
@@ -253,6 +253,28 @@ def _corrupt_checkpoint(tmp_path, key, value):
 ])
 def test_corrupt_checkpoint_exits_two(tmp_path, capsys, key, value):
     args = _corrupt_checkpoint(tmp_path, key, value)
+    capsys.readouterr()
+    assert cli.main(args) == 2
+    assert f"error: checkpoint {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [
+    ("version", True),   # each header value equals what the search wrote,
+    ("dim", True),       # as True == 1 == 1.0, but has another type
+    ("min_size", 1.0),
+    ("reduced", 1),
+    ("pending", {"0": 2}),  # not a list
+])
+def test_checkpoint_header_of_another_type_exits_two(tmp_path, capsys, key, value):
+    path = str(tmp_path / "state.json")
+    args = ["enumerate-maximal", "--dim", "1", "--up-to-iso", "--checkpoint", path]
+    assert cli.main(args) == 0
+    state = json.load(open(path))
+    assert state[key] == value or key == "pending"
+    state[key] = value
+    json.dump(state, open(path, "w"))
+    with pytest.raises(ValueError, match=f"checkpoint {key}"):
+        enumerate_maximal_sumfree(1, 1, up_to_iso=True, checkpoint=path)
     capsys.readouterr()
     assert cli.main(args) == 2
     assert f"error: checkpoint {key}" in capsys.readouterr().err

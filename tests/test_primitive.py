@@ -315,6 +315,28 @@ def test_orbit_accounting_refuses_a_stream_with_a_gap(monkeypatch):
         prim._orbit_reps.cache_clear()
 
 
+def _decomposing_sets():
+    """(n, bits) of every primitive set for n <= 3 and of each dimension-4
+    orbit representative."""
+    for n in (1, 2, 3):
+        yield from ((n, b) for b in prim._all_primitive_bits(n))
+    yield from ((4, r) for r in sorted(prim._orbit_reps(4)))
+
+
+def test_decompositions_agree_with_recognition_and_a_scan_of_every_hyperplane():
+    for n, bits in _decomposing_sets():
+        certs = list(prim._decompositions(bits, sub.full_space(n)))
+        assert certs[0] == recognize_primitive(TernarySet(n, bits))
+        assert all(c.member_bits == bits for c in certs)
+        scanned = sum(
+            h.members_bits == bits
+            or not bits & ~(h.members_bits | h.neg().members_bits)
+            and prim._try_derived(bits, h) is not None
+            for h in sub.enumerate_hyperplanes(n, avoid_origin=True)
+        )
+        assert len(certs) == scanned
+
+
 def test_enumeration_guards():
     with pytest.raises(ValueError):
         enumerate_primitive(0)

@@ -255,7 +255,7 @@ def test_report_json_shape_and_equality():
 def test_walks_by_mode_are_pinned(monkeypatch):
     # A reduced report takes each found set as its own canonical form and
     # makes one fixed-mode walk for its stabilizer; an unreduced report
-    # makes one minimizing walk per orbit and one fixed-mode walk per form;
+    # reads form and stabilizer off each orbit's closure and makes no walk;
     # _orbit_reps makes one minimizing walk per stream set it reads and one
     # fixed-mode walk per new form.
     walks = Counter()
@@ -274,11 +274,25 @@ def test_walks_by_mode_are_pinned(monkeypatch):
     enumerate_maximal_sumfree(4, 14)
     assert walks == {"fixed": 6}
     enumerate_maximal_sumfree(3, 1, up_to_iso=False)
-    assert walks == {"minimizing": 3, "fixed": 3}
+    assert walks == {}
     primitive._orbit_reps.cache_clear()
     walks.clear()
     primitive._orbit_reps(4)
     assert walks == {"minimizing": 185, "fixed": 6}
+
+
+def test_an_unreduced_report_refuses_an_orbit_it_did_not_find_whole():
+    report = enumerate_maximal_sumfree(3, 1, up_to_iso=False)
+    found = dict.fromkeys(
+        g for s, _, _ in report.representatives
+        for g in canon.orbit_of_bits(TernarySet.from_indices(3, s).bits, 3)
+    )
+    assert search._build_report(3, 1, False, found, report.node_count, 0.0) == report
+    for form in (TernarySet.from_indices(3, s).bits for s, _, _ in report.representatives):
+        for dropped in (form, max(canon.orbit_of_bits(form, 3))):
+            part = {b: None for b in found if b != dropped}
+            with pytest.raises(RuntimeError, match="leaves the found sets"):
+                search._build_report(3, 1, False, part, 0, 0.0)
 
 
 def _canonical_json(report) -> str:
@@ -558,6 +572,36 @@ def test_backward_verdict_matches_the_per_set_loop_dim4(monkeypatch):
     assert verdict.details["direction"] == "backward"
     assert (verdict.backward_checked, verdict.counterexample) == _backward_by_loop(4, stream)
     assert verdict.backward_checked == 1200
+
+
+def test_a_representative_that_does_not_recognize_fails_forward(monkeypatch):
+    monkeypatch.setattr(primitive, "recognize_primitive", lambda a: None)
+    verdict = verify_main_theorem(3)
+    first = enumerate_maximal_sumfree(3, 5).representatives[0][0]
+    assert not verdict.verified
+    assert verdict.details["direction"] == "forward"
+    assert (verdict.forward_checked, verdict.counterexample) == (0, list(first))
+
+
+def test_a_hyperplane_orbit_short_of_every_hyperplane_fails_backward(monkeypatch):
+    monkeypatch.setattr(canon, "orbit_of_bits", lambda bits, n: {bits})
+    verdict = verify_main_theorem(4)
+    assert not verdict.verified
+    assert verdict.details["direction"] == "backward"
+    assert verdict.details["failure"] == "hyperplane transitivity"
+    assert verdict.details["hyperplane_orbit_size"] == 1
+    assert (verdict.forward_checked, verdict.backward_checked) == (6, 0)
+
+
+def test_a_missing_primitive_orbit_fails_the_orbit_comparison(monkeypatch):
+    reps = sorted(primitive._orbit_reps(3))
+    monkeypatch.setattr(primitive, "_orbit_reps", lambda n: frozenset(reps[1:]))
+    verdict = verify_main_theorem(3)
+    assert not verdict.verified
+    assert verdict.details["direction"] == "orbit comparison"
+    assert verdict.details["orbit_reps_match"] is False
+    assert verdict.counterexample == list(iter_bits(reps[0]))
+    assert (verdict.forward_checked, verdict.backward_checked) == (2, 1898)
 
 
 def test_verification_guards():

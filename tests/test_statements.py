@@ -179,3 +179,35 @@ def test_cli_check_above_the_flat_bound_exits_two(tmp_path, capsys):
     path.write_text(format_set_text(lev_construction(7)[0]))
     assert cli.main(["check", "--prop", "line_everywhere", str(path)]) == 2
     assert "table bound" in capsys.readouterr().err
+
+
+def test_guards_report_their_failed_hypothesis():
+    """Hypotheses that no frozen case fails, each refused with its own
+    detail.  An origin-containing h is skipped: were it taken, lev(3),
+    which misses the hyperplane x_0 = 0, would conclude subprimitive."""
+    lev3, lev5 = lev_construction(3)[0], lev_construction(5)[0]
+    avoiding = next(j for j in sub.enumerate_hyperplanes(3) if not j.members_bits & lev3.bits)
+    plane = TernarySet(3, hyperplane_from_normal(3, 1, 1).members_bits)
+    stray = TernarySet.from_indices(3, lev3.indices()[1:] + [1])
+    linear = hyperplane_from_normal(3, 1, 0)
+    cases = [
+        # {0, e_0, e_1} spans F_3^2 and holds 0 + 0 = 0
+        (check_lemma, "dense_affine", TernarySet.from_indices(2, [0, 1, 3]), {"k": 1},
+         "set is not subprimitive"),
+        (check_lemma, "disjoint_transfer", plane, {"b": plane, "j": avoiding},
+         "set is not a derived primitive"),
+        (check_lemma, "disjoint_transfer", lev3,
+         {"b": lev3, "j": sub.affine_subspace(3, (3,), 1)}, "J is not a hyperplane"),
+        (check_lemma, "disjoint_transfer", lev3, {"b": stray, "j": avoiding},
+         "B is not a subset of A"),
+        (check_proposition, "prop_hyperplane_cover", lev5, {},
+         "needs the verified range n <= 4"),
+        (check_proposition, "prop_empty_slice", lev5, {}, "needs the verified range n <= 4"),
+        (check_proposition, "prop_hyperplane_cover", lev3, {"h": linear},
+         "no hyperplane satisfies the hypotheses"),
+        (check_proposition, "prop_empty_slice", lev3, {"h": linear},
+         "no hyperplane satisfies the hypotheses"),
+    ]
+    for check, sid, a, kw, detail in cases:
+        got = check(sid, a, **kw)
+        assert (got.status, got.detail) == ("not_applicable", detail), (sid, detail)

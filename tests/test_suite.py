@@ -1,6 +1,7 @@
 """Suite runner mechanics: registry, seeding, crash capture, report shape."""
 
 import os
+import random
 
 import pytest
 
@@ -139,3 +140,9 @@ def test_timings_cover_each_check_outside_the_json(monkeypatch):
         assert [name for name, _ in rep.timings] == list(names)
         assert all(s >= 0.0 for _, s in rep.timings)
     assert one == two  # timings take no part in comparison
+
+
+def test_the_dim4_sweep_holds_on_a_small_sample():
+    got = suite._chk_dim4_sweep(random.Random(0), samples=2)
+    assert got == CheckResult.holds(
+        "dim4_sweep", "125 dimension-4 instances: 118 held, 7 inapplicable")

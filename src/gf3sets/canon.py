@@ -3,13 +3,14 @@
 Sets are compared by their sorted index sequences: of two distinct sets,
 the smaller is the one containing the least index where they differ.  The
 canonical form of a set A is the smallest member of its GL(n,3)-orbit under
-this order.  Minimization walks image choices w_j for the standard basis
-vectors e_j, one at a time and only among members of A outside the span
-already chosen; fixing w_0..w_{j-1} pins the image's membership on the
-index block [0, 3^j), so subtrees losing against the current best on that
-prefix are cut without expanding them.
+this order.  A walk tests A against its images: it walks image choices w_j
+for the standard basis vectors e_j, one at a time and only among members
+of A outside the span already chosen; fixing w_0..w_{j-1} pins the image's
+membership on the index block [0, 3^j), so subtrees losing against A on
+that prefix are cut without expanding them, and the walk stops at the
+first prefix that beats A.
 
-The candidates for w_j are split against the best all at once.  If h maps
+The candidates for w_j are split against A all at once.  If h maps
 the indices below 3^j to their images, position 3^j + r of the new block
 holds h(r) + w_j and position 2*3^j + r holds h(r) - w_j.  So the
 candidates with a member at those positions are the sets plus[x] = A - x
@@ -18,25 +19,22 @@ them complete.  The search hands them over: it keeps them per node, from
 the empty tables of the empty set down, and gets a child's tables from
 its parent's with one bit per entry, since (A | {v}) - x = (A - x) |
 {v - x}.  A walk handed none builds both at its start from the
-translates of A and of -A, grown one coordinate at a time.  Reading the
-best's new block bit by bit, a few big-integer ANDs split the candidates
-into those that make a smaller image, those tied with the best, and
-those cut.  A node visits them in one pass, least first.  A fixed-mode
-walk stops at the first candidate that makes a smaller image.  A
-minimizing walk splits the candidates it has not visited again when a
-child returns with a new best; that best came from a leaf below the
-node, so it still ties the node's prefix.  In fixed mode the best is A
+translates of A and of -A, grown one coordinate at a time.  Reading A's
+new block bit by bit, a few big-integer ANDs split the candidates into
+those that make a smaller image, those tied with A, and those cut.  A
+node visits the tied ones in one pass, least first, and the walk stops at
+the first candidate that makes a smaller image.  A is compared with
 itself, along the identity path, for the whole walk, so a node never
-compares its prefix with it, and what a split reads depends only on its
-level: the walk lists, per level on first use, the points r it reads,
-each with the bit of A it is compared with.
+compares its prefix with anything, and what a split reads depends only
+on its level: the walk lists, per level on first use, the points r it
+reads, each with the bit of A it is compared with.
 
-A fixed-mode split of a sum-free set reads few of its points.  Lemma:
-let A be sum-free, let a split run on a path h whose image ties the best
-B on [0, L), L = 3^j (every split does: the root's trivially, a child's
-by its parent's look-ahead), and let B hold position L.  Then the reads
+A split of a sum-free set reads few of its points.  Lemma:
+let A be sum-free, let a split run on a path h whose image ties B = A on
+[0, L), L = 3^j (every split does: the root's trivially, a child's by its
+parent's look-ahead), and let B hold position L.  Then the reads
 at r = 0 and at r in B, in either half, and at r in -B, in the plus
-half, change nothing.  Proof: B = A, and the candidates w lie in A.  A
+half, change nothing.  Proof: the candidates w lie in A.  A
 sum-free set misses A + A, A - A (a - b = c puts a in A + A) and -A (a
 and -a in A put -a = a + a in A + A).  For r in B, h(r) is in A by the
 tie, so h(r) + w is in A + A and h(r) - w in A - A; B's points r + e_j
@@ -65,11 +63,6 @@ meets 2,393 keys, 2,377 of them such; its other 16 keys serve about
 7,900 lookups, and keeping the rest too raised its peak traced memory by
 about 135 KB.
 
-A minimizing walk does not use the lemma.  Its lists would depend on its
-best, which changes during the walk, and rebuilding them at each change
-made the 185 canonicalizations of _orbit_reps(4) about 45% slower in a
-prototype (2-CPU x86-64 VM, Python 3.11).
-
 A path h is a tuple.  The child's path for w_j is h followed by the
 images h(r) + w_j and then h(r) - w_j, read off the translation rows of
 w_j and -w_j by one itemgetter over h per frame.  The child's span,
@@ -87,32 +80,37 @@ n only, so it keeps at most _SPAN_TABLE_MAX * 3^n entries at every n up
 to MAX_WALK_DIM (F_3^4 has 212 subspaces, so a search there never
 empties it).
 
-A child's candidates are split in its parent, before the child's frame
-is opened, and the frame is opened only when some candidate is smaller or
-tied; it starts from that split.  The look-ahead is exact in both modes.
-No leaf is settled between the split and the child's entry, so the child
-would split against the same best, and a child with neither kind of
-candidate returns at once, having changed nothing.  The best only
-decreases, so a subtree cut against it stays cut.
+A child's candidates are split in its parent, inline in the parent's
+loop over the level's lists, before the child's frame is opened: the
+split narrows them to those tied with A, or ends the walk, and the frame
+is opened only when some candidate ties, starting from that split.  A
+child with no such candidate would return at once, having changed
+nothing.  Nothing reads the orbit of the last candidate a frame visits.
+The visits are what a walk costs: the lexmin tests of a dim-4 search (min
+size 14) make about 130,000 of them, nearly one child split each, and
+only about 5 reads per split.
 
-The two modes run two frame loops: visit in fixed mode, rec when
-minimizing.  In fixed mode the best is A on the identity path, so a
-child's split needs no best, no prefix of the child's image and no set of
-smaller candidates: it narrows the child's candidates to those tied with
-A, or ends the walk, so it runs inline in the parent's loop, over the
-level's lists.  The best never changes, so a fixed-mode frame never splits
-its own candidates again, and nothing reads the orbit of the last
-candidate a frame visits.  rec keeps all of that.  One loop for both
-modes would branch on the mode at every visit, and the visits are what a
-fixed walk costs: the lexmin tests of a dim-4 search (min size 14) make
-about 130,000 of them, nearly one child split each, and only about 5
-reads per split.
+Canonical forms come by descent.  A walk that finds a smaller image
+raises _Smaller with its witness: the path of the split, whose image ties
+A on its block, and the candidates for the next basis image that beat A
+on the next block.  _greedy_image extends that path one basis image at a
+time.  At each level it keeps the candidates holding each position of the
+new block, in read order, whenever any does, and takes the least; the
+next level's candidates are the points of A off the path's span.  Once
+the span holds A, it reads the image off the path.  The witness's prefix
+already beats A, so the image is strictly smaller, and the image is
+walked in turn.  The orbit is finite, so the descent ends, at the one
+member of the orbit that its walk accepts: the least.  The greedy step
+takes the least image on each block given the blocks before it, so
+descents are short: the six canonical forms of _orbit_reps(4) take 31
+walks in all, and those of the 1,898 primitive sets of F_3^3 at most 4
+each.
 
 The walk is pruned by automorphisms, after McKay ("Practical graph
 isomorphism", 1981; McKay and Piperno, 2014):
 
-* A complete path whose image equals the current best gives an
-  automorphism of A, sending the best path's span points to this path's.
+* A complete path whose image equals A gives an automorphism of A,
+  sending each span point of the identity path to this path's.
   It is recorded, and the walk jumps back to the depth where the two paths
   part: the rest of that sibling subtree is the image of one already
   searched.
@@ -123,7 +121,7 @@ isomorphism", 1981; McKay and Piperno, 2014):
   subtree onto the skipped one.  Each node carries that list down the
   path: a child takes the members of its parent's list that fix w_j, and
   adds the automorphisms recorded while it is open, unfiltered.  Each of
-  those maps the best path to the path of a leaf below the node, so it
+  those maps the identity path to the path of a leaf below the node, so it
   fixes the points where the two paths agree, and the walk jumps back to
   the depth where they part: every node that goes on searching lies on
   both paths, and the new automorphism fixes its path.  So the list holds
@@ -140,8 +138,8 @@ the root of the walk.  The returned list, the known ones first, still
 reaches every orbit of every pointwise stabilizer (below), since that
 argument asks only that the automorphisms pruned with be genuine.
 
-Stabilizers are counted by orbits, not by leaves, in one fixed-mode walk
-of the canonical form.  The form must be least in its orbit: the walk of
+Stabilizers are counted by orbits, not by leaves, in one walk of the
+canonical form.  The form must be least in its orbit: the walk of
 any other set finds a smaller image, and stabilizer_order_bits refuses it
 with ValueError.  The walk starts with the identity path and finds, for
 every level j, automorphisms fixing e_0..e_{j-1} that reach the whole
@@ -185,6 +183,8 @@ class GroupElement:
         sp = _sp.space(self.n)
         if len(self.imgs) != self.n:
             raise ValueError("need one image per basis vector")
+        if any(type(v) is not int or not 0 <= v < sp.size for v in self.imgs):
+            raise ValueError(f"a basis image is not an int index of F_3^{self.n}")
         if sp.span_bits(self.imgs) != sp.full_bits:
             raise ValueError("basis images are linearly dependent")
 
@@ -265,23 +265,22 @@ def _compare(t: int, b: int) -> int:
 
 
 class _Smaller(Exception):
-    pass
+    """A walk found an image smaller than its set; args are the witness
+    (tables, path, smaller) that _greedy_image extends."""
 
 
-def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
-    """Minimize bits over GL(n,3), or (fixed) test bits against itself.
+def _walk(bits: int, n: int, known=(), tables=None, run=None) -> list:
+    """Test bits against its images under GL(n,3).
 
-    Returns (best, autos): the least image, and the automorphisms of bits
-    recorded on the way as index permutations of the space (each moves only
-    points of the span of bits), after the known ones it was given.  In
-    fixed mode the best path is the identity, _Smaller is raised as soon
-    as any strictly smaller image is certain, and a split of a sum-free
-    set reads only the points the lemma leaves open.  tables, when given,
-    are the walk tables (plus, minus) complete, and run a run pair (span
-    table of dimension n, read table) to read and grow; without them the
-    walk makes its own.  Raises ValueError above MAX_WALK_DIM, or when
-    bits is negative or holds an index outside F_3^n, before building
-    anything.
+    Returns the automorphisms of bits recorded on the way as index
+    permutations of the space (each moves only points of the span of
+    bits), after the known ones it was given.  Raises _Smaller as soon as
+    any strictly smaller image is certain.  A split of a sum-free set reads
+    only the points the lemma leaves open.  tables, when given, are the
+    walk tables (plus, minus) complete, and run a run pair (span table of
+    dimension n, read table) to read and grow; without them the walk makes
+    its own.  Raises ValueError above MAX_WALK_DIM, or when bits is
+    negative or holds an index outside F_3^n, before building anything.
     """
     if n > MAX_WALK_DIM:
         raise ValueError(f"canonical forms need n <= {MAX_WALK_DIM}, got n = {n}")
@@ -292,7 +291,7 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
     size = sp.size
     autos: list[list[int]] = list(known)
     if bits >> 1 == 0:
-        return bits, autos  # no point off the origin, which every map fixes
+        return autos  # no point off the origin, which every map fixes
     neg = sp.neg
     rows = sp._rows  # the translation rows, kept by sp up to MAX_WALK_DIM
     add_row = sp.add_row
@@ -303,183 +302,70 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
         tables = (itemgetter(*neg)(sp.translates_bits(bits)),
                   sp.translates_bits(sp.neg_set_bits(bits)))
     spans, reads = run or ({}, {})
-    # the least image so far and its path; in fixed mode bits itself, along
-    # the identity, for the whole walk
-    best = bits if fixed else None
-    best_hmap = range(size)
+    # whether bits is sum-free, for the lemma of the module docstring:
+    # whether plus[a] = bits - a misses bits for every member a
+    sum_free = not any(tables[0][a] & bits for a in iter_bits(bits))
+    levels = {}  # block -> what a split on a path of block points reads
 
-    def leaf(j: int, hmap: tuple, image: int):
-        """Settle a complete path whose image is not bigger than the best;
-        returns the depth to jump back to."""
-        nonlocal best, best_hmap
-        if best is None or _compare(image, best) < 0:
-            best, best_hmap = image, hmap
-            return None
+    def leaf(j: int, hmap: tuple):
+        """Record the automorphism of a complete path whose image is bits,
+        unless it is the identity path; returns the depth to jump back to."""
         for k in range(j):
-            if hmap[3**k] != best_hmap[3**k]:
+            if hmap[3**k] != 3**k:
                 break
         else:
-            return None  # the best path itself
-        a = list(range(size))
-        for x, y in zip(best_hmap, hmap):
-            a[x] = y
-        autos.append(a)
+            return None  # the identity path
+        autos.append([*hmap, *range(len(hmap), size)])
         return k
 
-    def kids_of(span: int) -> dict:
-        """w -> span + <w>, shared by every node on span."""
-        kids = spans.get(span)
+    def level(block: int) -> list:
+        """Per half, its table and the points a split on a path of block
+        points reads in turn, each as the code 2r + bit: the path's point
+        r, and the bit of bits at block + r in the plus half and at
+        2 * block + r in the minus half.  The lemma drops the points whose
+        answer is known.  Made on first use in a walk, from the read table
+        when it holds them."""
+        key = (block, bits & (1 << 3 * block) - 1, sum_free)
+        codes = reads.get(key)
+        if codes is None:
+            if sum_free and bits >> block & 1:
+                kept = [r for r in range(1, block) if not bits >> r & 1]
+                points = ([r for r in kept if not bits >> neg[r] & 1], kept)
+            else:
+                points = (range(block), range(block))
+            # codes, not (r, bit) tuples, and a list, not tuple() of a
+            # generator (built large and shrunk): the 2-tuple free list
+            # keeps what a walk frees, about 0.1 MB more peak resident
+            # size over the dim-4 search
+            codes = [[r << 1 | bits >> offset + r & 1 for r in rs]
+                     for offset, rs in zip((block, 2 * block), points)]
+            if bits >> 3 * block:  # a key holding all of bits serves no other set
+                if len(reads) >= _SPAN_TABLE_MAX:
+                    reads.clear()
+                reads[key] = codes
+        got = levels[block] = list(zip(tables, codes))
+        return got
+
+    def visit(j: int, hmap: tuple, span: int, gens: list, tied: int):
+        """Search below a node whose candidates for w_j tied bits, not
+        none.  gens are the recorded autos that fix the path, a list of
+        this frame's own."""
+        block = len(hmap)
+        seen = len(autos)  # the recorded autos in gens so far
+        searched = 0  # the candidates searched so far
+        skip = 0  # their orbits under gens
+        kids = spans.get(span)  # w -> span + <w>, shared by every node on span
         if kids is None:
             if len(spans) >= _SPAN_TABLE_MAX:
                 spans.clear()
             kids = spans[span] = {}
-        return kids
-
-    if fixed:
-        # whether bits is sum-free, for the lemma of the module docstring:
-        # whether plus[a] = bits - a misses bits for every member a
-        sum_free = not any(tables[0][a] & bits for a in iter_bits(bits))
-        levels = {}  # block -> what a split on a path of block points reads
-
-        def level(block: int) -> list:
-            """Per half, its table and the points a split on a path of
-            block points reads in turn, each as the code 2r + bit: the
-            path's point r, and the bit of bits at block + r in the plus
-            half and at 2 * block + r in the minus half.  The lemma drops
-            the points whose answer is known.  Made on first use in a walk,
-            from the read table when it holds them."""
-            key = (block, bits & (1 << 3 * block) - 1, sum_free)
-            codes = reads.get(key)
-            if codes is None:
-                if sum_free and bits >> block & 1:
-                    kept = [r for r in range(1, block) if not bits >> r & 1]
-                    points = ([r for r in kept if not bits >> neg[r] & 1], kept)
-                else:
-                    points = (range(block), range(block))
-                # codes, not (r, bit) tuples, and a list, not tuple() of a
-                # generator (built large and shrunk): the 2-tuple free list
-                # keeps what a walk frees, about 0.1 MB more peak resident
-                # size over the dim-4 search
-                codes = [[r << 1 | bits >> offset + r & 1 for r in rs]
-                         for offset, rs in zip((block, 2 * block), points)]
-                if bits >> 3 * block:  # a key holding all of bits serves no other set
-                    if len(reads) >= _SPAN_TABLE_MAX:
-                        reads.clear()
-                    reads[key] = codes
-            got = levels[block] = list(zip(tables, codes))
-            return got
-
-        def visit(j: int, hmap: tuple, span: int, gens: list, tied: int):
-            """Search below a node whose candidates for w_j tied bits, not
-            none.  gens are the recorded autos that fix the path, a list of
-            this frame's own."""
-            block = len(hmap)
-            seen = len(autos)  # the recorded autos in gens so far
-            searched = 0  # the candidates searched so far
-            skip = 0  # their orbits under gens
-            kids = kids_of(span)
-            lev = None  # the children's level lists, made on first split
-            get = itemgetter(*hmap) if block > 1 else lambda row: (row[0],)
-            while tied:
-                bit = tied & -tied
-                tied ^= bit
-                if len(autos) > seen:
-                    gens += autos[seen:]
-                    seen = len(autos)
-                    skip = orbit_bits(searched, gens)
-                if skip & bit:
-                    continue
-                searched |= bit
-                if tied:  # skip is read again only while candidates are left
-                    skip |= orbit_bits(bit, gens) if gens else bit
-                w = bit.bit_length() - 1
-                child = (hmap + get(rows.get(w) or add_row(w))
-                         + get(rows.get(neg[w]) or add_row(neg[w])))
-                new_span = kids.get(w)
-                if new_span is None:
-                    new_span = kids[w] = span | translate(span, w) | translate(span, neg[w])
-                rest = bits & ~new_span
-                if not rest:
-                    back = leaf(j + 1, child, bits)
-                else:
-                    # the child's split against bits, inline; its frame is
-                    # opened only if some candidate ties
-                    if lev is None:
-                        lev = levels.get(3 * block) or level(3 * block)
-                    for table, codes in lev:
-                        for c in codes:
-                            t = table[child[c >> 1]]
-                            if c & 1:
-                                rest &= t
-                                if not rest:
-                                    break
-                            elif rest & t:
-                                raise _Smaller
-                        if not rest:
-                            break
-                    if not rest:
-                        continue
-                    back = visit(j + 1, child, new_span,
-                                 [a for a in gens if a[w] == w], rest)
-                if back is not None and back < j:
-                    return back
-            return None
-
-        try:
-            # the root's split, on the path (0,), whose level lists read at
-            # most its one point in each half
-            tied = bits & ~1
-            for table, codes in level(1):
-                for c in codes:
-                    if c & 1:
-                        tied &= table[0]
-                    elif tied & table[0]:
-                        raise _Smaller
-            visit(0, (0,), 1, autos[:], tied)
-        finally:
-            # visit reaches itself through its closure; without this the
-            # walk's tables would wait for the cycle collector
-            visit = None
-        return best, autos
-
-    def split(hmap: tuple, cands: int) -> tuple[int, int]:
-        """(smaller, tied): the candidates whose new block beats, or
-        equals, that of the best, compared least index first; the rest
-        lose."""
-        want = best >> len(hmap)
-        smaller = 0
-        for table in tables:
-            for x in hmap:
-                t = table[x]
-                if want & 1:
-                    cands &= t
-                elif cands & t:
-                    smaller |= cands & t
-                    cands &= ~t
-                if not cands:
-                    return smaller, 0
-                want >>= 1
-        return smaller, cands
-
-    def rec(j: int, hmap: tuple, span: int, prefix: int, gens: list,
-            smaller: int, tied: int):
-        """Search below a node whose candidates for w_j split into smaller
-        and tied against the current best, not both empty.  gens are the
-        recorded autos that fix the path, a list of this frame's own."""
-        block = len(hmap)
-        low = (1 << 3 * block) - 1  # the positions a child's image fixes
-        seen = len(autos)  # the recorded autos in gens so far
-        searched = 0  # the candidates searched so far
-        skip = 0  # their orbits under gens
-        todo = smaller | tied  # the candidates left to visit, least first
-        split_best = best  # the best that smaller and tied were split against
-        kids = kids_of(span)
+        lev = None  # the children's level lists, made on first split
         # the path's images of x + w and x - w for the x of the block, read
         # off the rows of w and -w; a one-index getter returns a scalar
         get = itemgetter(*hmap) if block > 1 else lambda row: (row[0],)
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
+        while tied:
+            bit = tied & -tied
+            tied ^= bit
             if len(autos) > seen:
                 # recorded below this node, so they fix its path (see the
                 # module docstring)
@@ -489,51 +375,81 @@ def _walk(bits: int, n: int, fixed: bool, known=(), tables=None, run=None):
             if skip & bit:
                 continue
             searched |= bit
-            skip |= orbit_bits(bit, gens) if gens else bit
+            if tied:  # skip is read again only while candidates are left
+                skip |= orbit_bits(bit, gens) if gens else bit
             w = bit.bit_length() - 1
             child = (hmap + get(rows.get(w) or add_row(w))
                      + get(rows.get(neg[w]) or add_row(neg[w])))
             new_span = kids.get(w)
             if new_span is None:
                 new_span = kids[w] = span | translate(span, w) | translate(span, neg[w])
-            if smaller & bit:  # the child's image on [0, 3 * block)
-                t = prefix
-                for r in range(block, 3 * block):
-                    if bits >> child[r] & 1:
-                        t |= 1 << r
+            rest = bits & ~new_span
+            if not rest:
+                back = leaf(j + 1, child)
             else:
-                t = best & low
-            child_rest = bits & ~new_span
-            if not child_rest:
-                back = leaf(j + 1, child, t)
-            else:
-                # split the child's candidates here, and open its frame
-                # only if one of them is smaller or tied
-                if smaller & bit:
-                    child_smaller, child_tied = child_rest, 0
-                else:
-                    child_smaller, child_tied = split(child, child_rest)
-                    if not child_smaller | child_tied:
-                        continue
-                back = rec(j + 1, child, new_span, t,
-                           [a for a in gens if a[w] == w],
-                           child_smaller, child_tied)
+                # the child's split against bits, inline; its frame is
+                # opened only if some candidate ties
+                if lev is None:
+                    lev = levels.get(3 * block) or level(3 * block)
+                for table, codes in lev:
+                    for c in codes:
+                        t = table[child[c >> 1]]
+                        if c & 1:
+                            rest &= t
+                            if not rest:
+                                break
+                        elif rest & t:
+                            raise _Smaller(tables, child, rest & t)
+                    if not rest:
+                        break
+                if not rest:
+                    continue
+                back = visit(j + 1, child, new_span,
+                             [a for a in gens if a[w] == w], rest)
             if back is not None and back < j:
                 return back
-            if best != split_best:
-                # a leaf below beat the best; the new best ties this node's
-                # prefix, so the candidates not yet visited are split
-                # against it
-                split_best = best
-                smaller, tied = split(hmap, bits & ~span & -(bit << 1))
-                todo = smaller | tied
         return None
 
     try:
-        rec(0, (0,), 1, bits & 1, autos[:], bits & ~1, 0)
+        # the root's split, on the path (0,), whose level lists read at
+        # most its one point in each half
+        tied = bits & ~1
+        for table, codes in level(1):
+            for c in codes:
+                if c & 1:
+                    tied &= table[0]
+                elif tied & table[0]:
+                    raise _Smaller(tables, (0,), tied & table[0])
+        visit(0, (0,), 1, autos[:], tied)
     finally:
-        rec = None  # as visit above
-    return best, autos
+        # visit reaches itself through its closure; without this the
+        # walk's tables would wait for the cycle collector
+        visit = None
+    return autos
+
+
+def _greedy_image(bits: int, n: int, tables: tuple, path: tuple, cands: int) -> int:
+    """An image of bits smaller than bits, from a walk's witness: a path
+    whose image ties bits on its block, and the candidates for the next
+    basis image that beat bits on the next block.  The path grows one basis
+    image w at a time, least of the candidates left after keeping, at each
+    position of the new block in read order, those holding it whenever any
+    does; then the candidates are the points of bits off its span.  Once
+    the span holds bits, the image is read off the path."""
+    sp = _sp.space(n)
+    path = list(path)
+    span = sum(1 << x for x in path)
+    while cands:
+        for table in tables:
+            for x in path:
+                if cands & table[x]:
+                    cands &= table[x]
+        w = (cands & -cands).bit_length() - 1
+        plus, minus = sp.add_row(w), sp.add_row(sp.neg[w])
+        path += [plus[x] for x in path] + [minus[x] for x in path]
+        span |= sp.translate_bits(span, w) | sp.translate_bits(span, sp.neg[w])
+        cands = bits & ~span
+    return sum(1 << r for r, x in enumerate(path) if bits >> x & 1)
 
 
 def _span_dim(bits: int) -> int:
@@ -547,10 +463,10 @@ def _span_dim(bits: int) -> int:
 
 def stabilizer_order_bits(form: int, n: int) -> int:
     """The order of the setwise stabilizer of form, a set least in its
-    orbit, counted by orbits along the identity path of one fixed-mode walk
-    of it.  Raises ValueError when form is not least in its orbit."""
+    orbit, counted by orbits along the identity path of one walk of it.
+    Raises ValueError when form is not least in its orbit."""
     try:
-        autos = _walk(form, n, fixed=True)[1]
+        autos = _walk(form, n)
     except _Smaller:
         raise ValueError("the set is not least in its orbit") from None
     d = _span_dim(form)
@@ -562,7 +478,18 @@ def stabilizer_order_bits(form: int, n: int) -> int:
 
 
 def canonical_form_bits(bits: int, n: int) -> int:
-    return _walk(bits, n, fixed=False)[0]
+    """The least member of the orbit of bits, by descent: each walk that
+    finds a smaller image hands its witness to _greedy_image, and the
+    image is walked in turn, until a walk accepts it.  One run pair serves
+    every step."""
+    run = ({}, {})
+    while True:
+        try:
+            _walk(bits, n, run=run)
+        except _Smaller as smaller:
+            bits = _greedy_image(bits, n, *smaller.args)
+        else:
+            return bits
 
 
 def is_lexmin_bits(bits: int, n: int, autos: list | None = None,
@@ -579,7 +506,7 @@ def is_lexmin_bits(bits: int, n: int, autos: list | None = None,
     that the tests of one search run share; the walk reads and grows it."""
     known = autos or ()
     try:
-        found = _walk(bits, n, True, known, tables, run)[1]
+        found = _walk(bits, n, known, tables, run)
     except _Smaller:
         return False
     if autos is not None:

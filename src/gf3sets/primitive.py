@@ -423,6 +423,14 @@ def enumerate_primitive(n: int, up_to_iso: bool = False) -> tuple:
     return tuple(TernarySet(n, b) for b in sorted(pool, key=_set_key))
 
 
+def _orbit_key(bits: int, n: int) -> tuple:
+    """A GL(n,3)-invariant of a set: its size and its sorted section sizes
+    over the affine hyperplanes, which the linear group permutes."""
+    return (bits.bit_count(),
+            tuple(sorted((bits & h.members_bits).bit_count()
+                         for h in subspaces.enumerate_hyperplanes(n))))
+
+
 @functools.lru_cache(maxsize=None)
 def _orbit_reps(n: int) -> frozenset:
     """Canonical representatives of the primitive orbits of F_3^n, n <= 4.
@@ -432,29 +440,43 @@ def _orbit_reps(n: int) -> frozenset:
     sets, d(R) being the number of certificates _decompositions yields for
     R, one per hyperplane it decomposes over, and 3^n - 1 the number of
     origin-avoiding hyperplanes, which the linear group permutes
-    transitively.  Set size is constant on orbits.  So one pass over the
-    stream takes canonical forms until the orbits found for each size
-    account for the stream's sets of that size, counted from the size
-    masks of _fixed_hyperplane_family, instead of canonicalizing all
-    234,289 sets at n = 4; only a new form is walked again for its
+    transitively.  Set size is constant on orbits.  So a size is accounted
+    for once the shares of the distinct orbits found sum to the stream's
+    count of that size, taken from the size masks of
+    _fixed_hyperplane_family: those orbits then hold every stream set of
+    that size, and so every orbit of it.  That holds whichever stream sets
+    were canonicalized, so the choice is free.  A first pass takes the
+    canonical form only of a set of a size still open whose _orbit_key is
+    new, instead of one per set (234,289 at n = 4); two orbits of one size
+    may share a key, so a second pass takes the form of every set of a size
+    the first left open.  Only a new form is walked again for its
     stabilizer.  A size not accounted for exactly raises RuntimeError.
     """
     left = {s: mask.bit_count() for s, mask in _fixed_hyperplane_family(n)[1].items()}
     order = canon.gl_order(n)
     reps = set()
-    for b in iter_primitive_fixed_hyperplane(n):
-        if left[b.bit_count()] <= 0:
-            continue
-        r = canon.canonical_form_bits(b, n)
-        if r in reps:
-            continue
-        reps.add(r)
-        stab = canon.stabilizer_order_bits(r, n)
-        d = sum(1 for _ in _decompositions(r, subspaces.full_space(n)))
-        share, rem = divmod((order // stab) * d, 3**n - 1)
-        if rem:
-            raise RuntimeError("orbit accounting is not divisible")
-        left[r.bit_count()] -= share
+    # the second key is the set itself, which every set has new
+    for key in (_orbit_key, lambda b, n: b):
+        if not any(left.values()):
+            break
+        keys = set()
+        for b in iter_primitive_fixed_hyperplane(n):
+            if left[b.bit_count()] <= 0:
+                continue
+            k = key(b, n)
+            if k in keys:
+                continue
+            keys.add(k)
+            r = canon.canonical_form_bits(b, n)
+            if r in reps:
+                continue
+            reps.add(r)
+            stab = canon.stabilizer_order_bits(r, n)
+            d = sum(1 for _ in _decompositions(r, subspaces.full_space(n)))
+            share, rem = divmod((order // stab) * d, 3**n - 1)
+            if rem:
+                raise RuntimeError("orbit accounting is not divisible")
+            left[r.bit_count()] -= share
     if any(left.values()):
         raise RuntimeError("orbit accounting failed to cover a size")
     return frozenset(reps)

@@ -61,6 +61,13 @@ def test_invalid_group_element_rejected():
         canon.GroupElement(2, (1, 2))  # e_1 image is a multiple of e_0 image
 
 
+@pytest.mark.parametrize("imgs", [(9, 1), (True, 3), (1, -3), (1.0, 3), ("1", 3)])
+def test_group_element_refuses_an_image_that_is_not_an_index(imgs):
+    # 9 is past F_3^2, True is a bool, not an int index
+    with pytest.raises(ValueError, match="not an int index"):
+        canon.GroupElement(2, imgs)
+
+
 def test_canonical_forms_are_refused_above_dimension_6():
     bits = 1 << 1 | 1 << 3 | 1 << 9  # e_0, e_1, e_2
     space(7)  # the slab and move tables are built; no addition table may be
@@ -209,8 +216,8 @@ def affine_unions(draw, n):
 
 
 def _form_and_stabilizer(bits, n):
-    """(canonical form, stabilizer order) of bits: one minimizing walk, then
-    the fixed-mode walk of the form."""
+    """(canonical form, stabilizer order) of bits: the walks of the descent
+    to the form, then one more walk of the form."""
     form = canon.canonical_form_bits(bits, n)
     return form, canon.stabilizer_order_bits(form, n)
 
@@ -221,8 +228,8 @@ def test_stabilizer_order_refuses_a_set_not_least_in_its_orbit():
     with pytest.raises(ValueError, match="not least in its orbit"):
         canon.stabilizer_order_bits(1 << 2, 1)
 
-    # the one fixed-mode walk finds a smaller image of any other member of
-    # the form's orbit, and the set is refused, not minimized again
+    # the one walk finds a smaller image of any other member of the form's
+    # orbit, and the set is refused, not descended from
     @settings(max_examples=40, deadline=None)
     @given(affine_unions(3), st.integers(0, 2**32))
     def check(bits, seed):
@@ -271,9 +278,9 @@ def test_orbit_stabilizer_for_subspaces_dim4(dim, point):
 
 
 def _recorded(form, n):
-    """The automorphisms that the fixed-mode walk of a set least in its
-    orbit records, as stabilizer_order_bits takes them."""
-    return canon._walk(form, n, True)[1]
+    """The automorphisms that the walk of a set least in its orbit
+    records, as stabilizer_order_bits takes them."""
+    return canon._walk(form, n)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -371,9 +378,9 @@ def test_span_table_entries_are_the_spans_of_the_path(n):
     @given(affine_unions(n), st.integers(0, 2**32))
     def check(bits, seed):
         image = canon.random_gl(n, random.Random(seed)).apply_bits(bits)
-        lone = canon._walk(image, n, False)
-        assert canon._walk(image, n, False, run=(spans, {})) == lone
-        for b in (image, lone[0]):
+        form = canon.canonical_form_bits(image, n)
+        assert form == canon.canonical_form_bits(bits, n)
+        for b in (image, form):
             got, want = [], []
             assert (canon.is_lexmin_bits(b, n, got, run=(spans, {}))
                     == canon.is_lexmin_bits(b, n, want))
@@ -385,7 +392,7 @@ def test_span_table_entries_are_the_spans_of_the_path(n):
 
 
 def test_a_full_span_table_is_emptied_and_the_walks_go_on(monkeypatch):
-    # the read table too: fixed-mode walks of sum-free sets share one
+    # the read table too: walks of sum-free sets share one
     monkeypatch.setattr(canon, "_SPAN_TABLE_MAX", 3)
     rng = random.Random(5)
     spans, reads, read_sizes = {}, {}, []
@@ -394,7 +401,7 @@ def test_a_full_span_table_is_emptied_and_the_walks_go_on(monkeypatch):
         bits = TernarySet.from_indices(3, idxs).bits
         best = oracles.orbit_min([oracles.to_trits(i, 3) for i in idxs], 3)[0]
         least = TernarySet.from_indices(3, best).bits
-        assert canon._walk(bits, 3, False, run=(spans, {}))[0] == least
+        assert canon.canonical_form_bits(bits, 3) == least
         assert canon.is_lexmin_bits(least, 3, run=(spans, {}))
         assert len(spans) <= 3
         free = []  # a sum-free set, grown greedily in a random order
@@ -432,7 +439,7 @@ def test_walks_in_several_dimensions_interleaved_match_the_oracle():
                 k = len(oracles.rref(trits, 4))
                 least = (1 << 3**k) - 1
                 stab = gl_order(4) // oracles.gaussian_binomial(4, k)
-            assert canon._walk(bits, n, False, run=(spans, {}))[0] == least
+            assert canon.canonical_form_bits(bits, n) == least
             assert canon.is_lexmin_bits(bits, n, run=(spans, {})) == (bits == least)
             assert canon.is_lexmin_bits(least, n, run=(spans, {}))
             assert _form_and_stabilizer(bits, n) == (least, stab)
@@ -471,7 +478,7 @@ def test_walks_retain_none_of_their_tables():
 
 @st.composite
 def lemma_sets(draw, n):
-    """The sets a fixed-mode split treats apart: greedy sum-free sets (cut
+    """The sets a split treats apart: greedy sum-free sets (cut
     at a drawn size), random linear images of them, many of which lack
     index 1 or 3 and so a position the lemma asks for, and arbitrary
     bitsets, most of them not sum-free."""
@@ -492,9 +499,9 @@ def lemma_sets(draw, n):
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_fixed_mode_walks_of_sum_free_sets_match_the_oracle(n):
-    # the fixed-mode split reads only the points the lemma leaves open for a
-    # sum-free set that holds the position it asks for; every other set, and
-    # every minimizing walk, reads them all
+    # a split reads only the points the lemma leaves open for a sum-free
+    # set that holds the position it asks for; every other set reads them
+    # all
     sp = space(n)
 
     @settings(max_examples=150 if n == 2 else 60, deadline=None)
@@ -542,13 +549,15 @@ def test_lexmin_tests_sharing_run_tables_match_lone_walks(n):
         assert isinstance(sum_free, bool)
 
 
-def test_fixed_and_minimizing_walks_agree_at_dim4():
-    # the fixed-mode loop and the minimizing loop share no frame code, so
-    # each checks the other: a set is least in its orbit exactly when it is
-    # its own canonical form.  Random sets are almost never least, their
-    # canonical forms always are, and GL images of those sometimes are.
-    # Most of these are settled at the root; a form with one point flipped
-    # ties it on a long prefix, so the walk decides it deep down
+def test_lexmin_tests_agree_with_descents_at_dim4():
+    # a lexmin test on a search node's tables and a shared run pair answers
+    # as the lone walks of a descent: a set is least in its orbit exactly
+    # when it is its own canonical form, and the descents from two members
+    # of one orbit end at the same form.  Random sets are almost never
+    # least, their canonical forms always are, and GL images of those
+    # sometimes are.  Most of these are settled at the root; a form with
+    # one point flipped ties it on a long prefix, so the walk decides it
+    # deep down
     sp = space(4)
     run = ({}, {})
 
@@ -557,8 +566,11 @@ def test_fixed_and_minimizing_walks_agree_at_dim4():
            st.integers(1, 80))
     def check(points, seed, flip):
         bits = sum(1 << i for i in points)
+        rng = random.Random(seed)
         form = canon.canonical_form_bits(bits, 4)
-        image = canon.random_gl(4, random.Random(seed)).apply_bits(form)
+        image = canon.random_gl(4, rng).apply_bits(form)
+        moved = canon.random_gl(4, rng).apply_bits(bits)
+        assert canon.canonical_form_bits(moved, 4) == form
         for b in (bits, form, image, form ^ 1 << flip):
             autos = []
             tables = search._replay(sp, b, False)[3]
@@ -568,3 +580,37 @@ def test_fixed_and_minimizing_walks_agree_at_dim4():
                 assert sum(1 << a[x] for x in iter_bits(b)) == b
 
     check()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_every_descent_step_is_strictly_smaller(n, monkeypatch):
+    # each step of a descent goes from a set to a smaller member of its
+    # orbit, and the last step's image is the canonical form
+    steps = []
+    real = canon._greedy_image
+
+    def recorded(bits, n, *witness):
+        image = real(bits, n, *witness)
+        steps.append((bits, image))
+        return image
+
+    monkeypatch.setattr(canon, "_greedy_image", recorded)
+    taken = 0
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(affine_unions(n), st.integers(0, (1 << 3**n) - 1)))
+    def check(bits):
+        nonlocal taken
+        steps.clear()
+        form = canon.canonical_form_bits(bits, n)
+        chain = [bits] + [image for _, image in steps]
+        assert [b for b, _ in steps] == chain[:-1] and chain[-1] == form
+        for b, image in steps:
+            assert canon._compare(image, b) < 0
+            assert image.bit_count() == b.bit_count()
+            if n <= 2:
+                assert image in canon.orbit_of_bits(b, n)
+        taken += len(steps)
+
+    check()
+    assert taken > 0

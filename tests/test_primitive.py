@@ -315,6 +315,31 @@ def test_orbit_accounting_refuses_a_stream_with_a_gap(monkeypatch):
         prim._orbit_reps.cache_clear()
 
 
+# first 16 hex digits of the sha256 of the sorted representatives in hex
+ORBIT_REP_DIGESTS = {1: "d4735e3a265e16ee", 2: "f960354918f8e24a",
+                     3: "f7afad15b3251e9e", 4: "a5945a4cb449f811"}
+
+
+def _rep_digest(reps) -> str:
+    text = " ".join(f"{b:x}" for b in sorted(reps))
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_orbit_accounting_closes_sizes_whose_orbits_share_a_key(monkeypatch):
+    # With one key for every set the first pass takes a single canonical
+    # form, and the plain pass must find every other orbit of each size it
+    # left open: the four orbits of size 14 at n = 4 among them
+    monkeypatch.setattr(prim, "_orbit_key", lambda bits, n: 0)
+    prim._orbit_reps.cache_clear()
+    try:
+        for n, digest in ORBIT_REP_DIGESTS.items():
+            assert _rep_digest(prim._orbit_reps(n)) == digest
+    finally:
+        prim._orbit_reps.cache_clear()
+    for n, digest in ORBIT_REP_DIGESTS.items():
+        assert _rep_digest(prim._orbit_reps(n)) == digest
+
+
 def _decomposing_sets():
     """(n, bits) of every primitive set for n <= 3 and of each dimension-4
     orbit representative."""

@@ -57,7 +57,7 @@ def _check_symmetry_pruning(bits: int, n: int) -> tuple[int, int]:
     no dropped child may be least in its orbit.  Returns the numbers of
     children dropped outside the span (rule i) and inside it (rule ii)."""
     free = ((1 << 3**n) - 1) & -(1 << bits.bit_length())
-    kept = search._prune_by_symmetry(bits, free, canon._walk(bits, n, True)[1])
+    kept = search._prune_by_symmetry(bits, free, canon._walk(bits, n))
     assert kept & ~free == 0
     dropped = free & ~kept
     for v in iter_bits(dropped):
@@ -132,7 +132,7 @@ def test_child_walks_from_inherited_tables_and_automorphisms(n):
                 for p in sp.powers:
                     if p < m:
                         assert all(a[sp.add(x, p)] == sp.add(a[x], a[p]) for x in range(m))
-            want = canon._walk(child, n, True)[1]
+            want = canon._walk(child, n)
             for x in range(m):
                 assert orbit_bits(1 << x, autos) == orbit_bits(1 << x, want), (bits, v, x)
 
@@ -253,32 +253,35 @@ def test_report_json_shape_and_equality():
 
 
 def test_walks_by_mode_are_pinned(monkeypatch):
-    # A reduced report takes each found set as its own canonical form and
-    # makes one fixed-mode walk for its stabilizer; an unreduced report
-    # reads form and stabilizer off each orbit's closure and makes no walk;
-    # _orbit_reps makes one minimizing walk per stream set it reads and one
-    # fixed-mode walk per new form.
-    walks = Counter()
+    # One walk serves lexmin tests, stabilizers and canonical forms.  A
+    # reduced report takes each found set as its own canonical form and
+    # makes one walk for its stabilizer; an unreduced report reads form and
+    # stabilizer off each orbit's closure and makes no walk; _orbit_reps
+    # makes the walks of one descent per stream set whose key is new, and
+    # one walk per new form.
+    walks = 0
     real_walk, real_build = canon._walk, search._build_report
 
-    def walk(bits, n, fixed, *args, **kwargs):
-        walks["fixed" if fixed else "minimizing"] += 1
-        return real_walk(bits, n, fixed, *args, **kwargs)
+    def walk(*args, **kwargs):
+        nonlocal walks
+        walks += 1
+        return real_walk(*args, **kwargs)
 
     def build(*args):
-        walks.clear()  # the search's own lexmin tests are not the report's
+        nonlocal walks
+        walks = 0  # the search's own lexmin tests are not the report's
         return real_build(*args)
 
     monkeypatch.setattr(canon, "_walk", walk)
     monkeypatch.setattr(search, "_build_report", build)
     enumerate_maximal_sumfree(4, 14)
-    assert walks == {"fixed": 6}
+    assert walks == 6
     enumerate_maximal_sumfree(3, 1, up_to_iso=False)
-    assert walks == {}
+    assert walks == 0
     primitive._orbit_reps.cache_clear()
-    walks.clear()
+    walks = 0
     primitive._orbit_reps(4)
-    assert walks == {"minimizing": 185, "fixed": 6}
+    assert walks == 37
 
 
 def test_an_unreduced_report_refuses_an_orbit_it_did_not_find_whole():
